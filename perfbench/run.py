@@ -96,7 +96,32 @@ def _overhead(path: str, traced: dict) -> str:
     return ", ".join(ratios)
 
 
+def _stop_children(timeout: float = 10.0) -> None:
+    """Stop and reap every process the run started, on every way out of it.
+
+    The fleet joins its replicas on close; this catches any it could not, and
+    the ``multiprocessing`` resource tracker its shared memory started, which
+    otherwise outlives the run (as a zombie where nothing reaps orphans).  The
+    replicas are gone first, so the tracker, whose pipe they inherited by
+    fork, sees end-of-file and exits.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join(timeout)
+    resource_tracker._resource_tracker._stop()
+
+
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        _stop_children()
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
@@ -122,7 +147,11 @@ def main(argv=None) -> int:
     tracer = Tracer(traced)
     with instrument(tracer):
         pipe = run_pipeline(scale, args.seed, tracer, repeats)
-    gc.collect()  # the pipeline's garbage is not the front door's to collect
+    # The pipeline's garbage is not the front door's to collect, and what it
+    # keeps alive (corpus, giant, spans) is frozen out of later collections,
+    # in this process and in the replica forked from it.
+    gc.collect()
+    gc.freeze()
     serve = run_serving(pipe.contracted, pipe.corpus, args.workload, args.seed, args.seconds, traced,
                         repeats, scale.calibration_batches, scale.batch_size)
 

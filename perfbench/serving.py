@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import mmap
+import os
 import queue
 import statistics
 import time
@@ -40,6 +41,7 @@ WINDOW = 16
 OPEN_RATE = 400.0
 REPLY_TIMEOUT_S = 30.0
 FLOAT_RTOL = 1e-4
+PIN = True
 
 
 class ForwardCounters:
@@ -88,6 +90,38 @@ def serving_backend(model, engine, calibration, counters=None, sink=None) -> Ser
         sink["net"] = net
     shape = tuple(calibration[0].shape[1:])
     return ServingBackend(forward, shape, net=net, name=f"contracted[{engine}]")
+
+
+def _set_process_affinity(cores) -> None:
+    """``sched_setaffinity`` on every thread of this process (it is per thread)."""
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            os.sched_setaffinity(int(tid), cores)
+        except ProcessLookupError:
+            pass  # the thread ended meanwhile
+
+
+def _pin(fleet) -> set | None:
+    """The caller process on one core and the replica on another.
+
+    Left to the scheduler, the caller's threads and the replica were placed
+    differently from run to run, and run medians moved with the placement.
+    Returns the caller's former mask, or None when nothing was pinned (fewer
+    than two usable cores, or affinity not settable here).
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cores = sorted(os.sched_getaffinity(0))
+    if len(cores) < 2:
+        return None
+    (replica,) = fleet.stats().per_replica
+    try:
+        os.sched_setaffinity(replica["pid"], {cores[1]})
+        _set_process_affinity({cores[0]})
+    except OSError:
+        _set_process_affinity(set(cores))
+        return None
+    return set(cores)
 
 
 @dataclass
@@ -233,6 +267,7 @@ def run_serving(contracted, corpus, engine, seed, seconds, traced, setup_repeats
 
     setups = []
     fleet = None
+    pinned = None
     try:
         for _ in range(setup_repeats):
             if fleet is not None:
@@ -241,6 +276,7 @@ def run_serving(contracted, corpus, engine, seed, seconds, traced, setup_repeats
             t0 = time.perf_counter()
             fleet.start()
             setups.append(time.perf_counter() - t0)
+        pinned = _pin(fleet) if PIN else None
         net = sink["net"]
         references = np.concatenate([net.numpy_forward(payloads[i:i + 1]) for i in range(len(payloads))])
         check = _Checker(references, exact=engine == "int8")
@@ -267,6 +303,8 @@ def run_serving(contracted, corpus, engine, seed, seconds, traced, setup_repeats
     finally:
         if fleet is not None:
             fleet.close()
+        if pinned is not None:
+            _set_process_affinity(pinned)
     result.final = fleet.stats()
     return result
 
