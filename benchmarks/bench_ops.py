@@ -255,34 +255,6 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
         "frontend_vs_compiled": compiled_t / frontend_t,
     }
 
-    # --------------------------------------- parallel lane: batch-64 throughput
-    # Serial (threads=1, same tile set) vs threads=auto on the tiled program.
-    # The partition is a pure function of the batch, so the two lanes run
-    # identical arithmetic and must agree bit-for-bit; only wall-clock moves.
-    # scripts/check_bench.py gates parallel_speedup with a CPU-count-aware
-    # floor (starved 1-2 core runners only get a sanity check).
-    import os
-
-    par_batch = 16 if smoke else 64
-    par_images = rng.normal(size=(par_batch, 3, resolution, resolution)).astype(np.float32)
-    net_serial = repro.compile(model, threads=1)
-    net_parallel = repro.compile(model, threads="auto")
-    if not np.array_equal(
-        net_serial.numpy_forward(par_images), net_parallel.numpy_forward(par_images)
-    ):
-        raise AssertionError("parallel engine diverged from serial tile execution")
-    serial_t = median_ms(lambda: net_serial.numpy_forward(par_images), repeats)
-    parallel_t = median_ms(lambda: net_parallel.numpy_forward(par_images), repeats)
-    results["mobilenetv2_tiny_infer_parallel"] = {
-        "batch": par_batch,
-        "cpus": os.cpu_count() or 1,
-        "threads": net_parallel.threads,
-        "serial_median_ms": serial_t,
-        "parallel_median_ms": parallel_t,
-        "parallel_speedup": serial_t / parallel_t,
-        "bit_identical": True,
-    }
-
     return results
 
 
@@ -315,11 +287,9 @@ def main() -> None:
     width = max(len(name) for name in results)
     print(f"{'benchmark':<{width}s} {'median ms':>10s} {'seed ms':>10s} {'speedup':>8s}")
     for name, stats in results.items():
-        median = stats.get(
-            "median_ms", stats.get("compiled_median_ms", stats.get("parallel_median_ms"))
-        )
-        seed = stats.get("seed_median_ms", stats.get("serial_median_ms"))
-        speed = stats.get("speedup", stats.get("parallel_speedup"))
+        median = stats.get("median_ms", stats.get("compiled_median_ms"))
+        seed = stats.get("seed_median_ms")
+        speed = stats.get("speedup")
         print(
             f"{name:<{width}s} {median:>10.3f} "
             f"{seed if seed is not None else float('nan'):>10.3f} "

@@ -1,33 +1,28 @@
 """Serving benchmarks: int8 vs float throughput, batching, and the fleet.
 
-Eight lanes, written to ``BENCH_serve.json`` so the perf trajectory is tracked
+Seven lanes, written to ``BENCH_serve.json`` so the perf trajectory is tracked
 across PRs and gated by ``scripts/check_bench.py``:
 
 1. **Engine lane** — single-stream throughput (imgs/sec) of the int8 integer
    engine (``repro.compile(model, mode="int8")``) vs the float compiled
    runtime (``repro.compile(model)``) on MobileNetV2-Tiny at batch
    1 / 8 / 64.  The acceptance floor is int8 >= 1.5x float at batches 1-8.
-2. **Parallel lane** — the threaded tile engine (``threads="auto"``) vs the
-   serial execution of the same tile partition at batch 64.  Outputs are
-   asserted bit-identical before timing; the >= 1.5x floor only applies on
-   machines with >= 4 CPU cores (a sanity floor elsewhere — see the fleet
-   lane note below).
-3. **Serving lane** — sustained req/s of the dynamic-batching engine
+2. **Serving lane** — sustained req/s of the dynamic-batching engine
    (max-batch window, padded assembly) vs serial batch-1 serving, both driven
    by the closed-loop load generator.  The acceptance floor is batched >= 2x
    serial.
-4. **Fleet lane** — the supervised multi-process fleet (4 replicas over
+3. **Fleet lane** — the supervised multi-process fleet (4 replicas over
    shared memory + loopback sockets) vs the threaded in-process engine with
    the same worker count.  The 1.5x fleet-over-threaded floor only applies
    on machines with >= 4 CPU cores — on fewer cores the replicas time-share
    one core and the IPC overhead cannot be amortized, so the gate drops to a
    sanity floor.  ``cpu_count`` is recorded in the report so the gate can
    tell which regime produced it.
-5. **Chaos lane** — the same fleet under fault injection (replica SIGKILLs,
+4. **Chaos lane** — the same fleet under fault injection (replica SIGKILLs,
    corrupt replies, slow batches).  Gates: zero lost requests, at least one
    supervised restart actually exercised, all replicas serving again at the
    end of the run, and chaos p99 within a small multiple of the clean p99.
-6. **Autoscale lane** — a one-replica fleet with an
+5. **Autoscale lane** — a one-replica fleet with an
    :class:`~repro.serve.AutoscaleController` under a ramped spike of
    open-loop (fixed arrival schedule) load.  Single-replica capacity is
    measured closed-loop first, then the spike offers a multiple of it, so
@@ -38,13 +33,13 @@ across PRs and gated by ``scripts/check_bench.py``:
    the SLO on machines with >= 4 CPU cores (on starved runners the replicas
    time-share one core, so only the robustness gates apply — same regime
    split as the fleet lane).
-7. **Cold-start lane** — fleet boot time (``Fleet()`` to all replicas READY)
+6. **Cold-start lane** — fleet boot time (``Fleet()`` to all replicas READY)
    compiling the model at boot (init + quantize + calibrate + compile) vs
    loading a pre-compiled artifact (:mod:`repro.runtime.artifact`), on a
    calibration-heavy config where the difference matters.  Both fleets must
    produce bit-identical predictions; the artifact boot must be measurably
    faster (CPU-count independent — this is single-process work).
-8. **Fidelity lane** — a one-replica fleet serving a two-rung
+7. **Fidelity lane** — a one-replica fleet serving a two-rung
    :class:`~repro.serve.fidelity.FidelityLadder` (float above int8 of the
    same model) under the same self-calibrated open-loop spike as the
    autoscale lane, pinned at ``max_replicas`` so the controller's only move
@@ -152,38 +147,6 @@ def engine_lane(float_net, int8_net, model, resolution: int, repeats: int, rng) 
         np.abs(int8_net.numpy_forward(x) - oracle).max()
     )
     return results
-
-
-def parallel_lane(model, resolution: int, repeats: int, rng) -> dict:
-    """Threaded tile engine (``threads=auto``) vs serial batch-64 throughput.
-
-    Both engines execute the identical tile partition (the partition is a
-    pure function of the batch), so outputs are asserted bit-identical before
-    any timing; only wall-clock may differ.  ``cpu_count`` is recorded so
-    ``scripts/check_bench.py`` can pick the right gate regime — starved
-    runners (< 4 cores) only get a sanity floor.
-    """
-    batch = 64
-    x = rng.normal(0.2, 0.8, size=(batch, 3, resolution, resolution)).astype(np.float32)
-    serial = repro.compile(model, mode="int8", threads=1)
-    threaded = repro.compile(model, mode="int8", threads="auto")
-    if not np.array_equal(serial.numpy_forward(x), threaded.numpy_forward(x)):
-        raise AssertionError("threaded int8 engine diverged from serial tile execution")
-    n = max(3, repeats // 3)
-    serial_ms, threaded_ms = interleaved_median_ms(
-        lambda: serial.numpy_forward(x), lambda: threaded.numpy_forward(x), n
-    )
-    return {
-        "batch": batch,
-        "cpus": os.cpu_count() or 1,
-        "threads": threaded.threads,
-        "serial_ms": serial_ms,
-        "threaded_ms": threaded_ms,
-        "serial_imgs_per_sec": batch / serial_ms * 1e3,
-        "threaded_imgs_per_sec": batch / threaded_ms * 1e3,
-        "parallel_speedup": serial_ms / threaded_ms,
-        "bit_identical": True,
-    }
 
 
 def serving_lane(int8_net, resolution: int, n_requests: int) -> dict:
@@ -603,7 +566,6 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
         "model": "mobilenetv2-tiny",
         "resolution": resolution,
         "engine": engine_lane(float_net, int8_net, model, resolution, repeats, rng),
-        "parallel": parallel_lane(model, resolution, repeats, rng),
         "serving": serving_lane(int8_net, resolution, n_requests),
         "fleet": fleet_lane(resolution, fleet_requests),
         "autoscale": autoscale_lane(resolution, smoke),
@@ -647,13 +609,6 @@ def main() -> None:
             f"{row['speedup_int8_vs_float']:>7.2f}x"
         )
     print(f"parity max |logit delta| : {engine['parity_max_abs_logit_delta']:.4f}")
-    par = results["parallel"]
-    print(
-        f"parallel (batch {par['batch']}, {par['threads']} threads on {par['cpus']} cpus): "
-        f"serial {par['serial_imgs_per_sec']:.0f} img/s, "
-        f"threaded {par['threaded_imgs_per_sec']:.0f} img/s "
-        f"({par['parallel_speedup']:.2f}x, bit-identical)"
-    )
     serving = results["serving"]
     print(
         f"serving: serial {serving['serial_req_per_sec']:.0f} req/s, "

@@ -14,13 +14,10 @@ Dispatches on the report's ``suite`` field:
   serving req/s.  The multi-process fleet lane must beat the threaded engine
   on machines with enough cores (CPU-count-aware floor), and the chaos lane
   must show zero lost requests, exercised-and-recovered restarts, and a
-  bounded chaos-vs-clean p99 ratio.  The parallel lane (threaded tile
-  engine) must beat serial tile execution at batch 64 under the same
-  CPU-count-aware floor and must have asserted bit-identity.  The autoscale
-  lane must show the traffic spike forcing a scale-up, reconvergence to the
-  replica floor with the degradation ladder fully recovered, zero lost or
-  unresolved requests, and (on >= 4 cores) a post-convergence tail p99
-  within the derived SLO.  The artifact cold-start lane must boot the fleet
+  bounded chaos-vs-clean p99 ratio.  The autoscale lane must show the
+  traffic spike forcing a scale-up, reconvergence to the replica floor with
+  the degradation ladder fully recovered, zero lost or unresolved requests,
+  and (on >= 4 cores) a post-convergence tail p99 within the derived SLO.  The artifact cold-start lane must boot the fleet
   from a compiled artifact measurably faster than compiling at boot, with
   bit-identical predictions; the fidelity lane must drop fidelity before
   shedding under the spike, actually serve work on the low rung, and recover
@@ -29,8 +26,7 @@ Dispatches on the report's ``suite`` field:
   stay above the seed-speedup floor, a program built through
   ``repro.compile`` must match one built through the legacy ``compile_net``
   wrapper (a canary: the graph-IR indirection is compile-time only, and the
-  wrapper must never diverge from the frontend), and the threaded-tile
-  parallel lane is gated exactly as in ``bench_serve``.
+  wrapper must never diverge from the frontend).
 
 Run after the corresponding benchmark::
 
@@ -81,7 +77,7 @@ def check_train(report: dict, args) -> list[str]:
 def check_train_dp(lane: dict | None, args) -> list[str]:
     """Gate the data-parallel distributed-training lane of a train report.
 
-    CPU-count aware like the fleet/parallel gates: aggregate steps/s only
+    CPU-count aware like the fleet gate: aggregate steps/s only
     scales when the workers have cores to run on, so the full
     ``--min-dp-speedup`` floor applies on >= 4 cpus and a sanity floor (the
     fleet must not collapse: workers time-share one core, so the aggregate
@@ -142,7 +138,6 @@ def check_serve(report: dict, args) -> list[str]:
         failures.append(
             f"int8 parity drifted: max |logit delta| {parity:.4f} > {args.max_parity_delta}"
         )
-    failures.extend(check_parallel(bench.get("parallel"), args))
     failures.extend(check_fleet(bench.get("fleet"), args))
     failures.extend(check_autoscale(bench.get("autoscale"), args))
     failures.extend(check_cold_start(bench.get("cold_start"), args))
@@ -373,39 +368,6 @@ def check_fidelity(lane: dict | None, args) -> list[str]:
     return failures
 
 
-def check_parallel(lane: dict | None, args) -> list[str]:
-    """Gate a threaded-tile parallel lane (bench_ops or bench_serve).
-
-    Mirrors the fleet gate's CPU-count awareness: thread-level parallelism
-    needs cores, so the full ``--min-parallel-speedup`` floor only applies
-    when the report was produced on >= 4 cores.  On starved runners the
-    threaded engine still must not collapse below the sanity floor (it runs
-    the identical tile set, so pool overhead is the only possible cost), and
-    the recorded bit-identity flag must hold everywhere.
-    """
-    if lane is None:
-        return ["report missing the parallel (threaded tile) lane"]
-    failures = []
-    cpus = lane.get("cpus") or 1
-    if cpus >= 4:
-        floor, regime = args.min_parallel_speedup, f"{cpus} cpus"
-    else:
-        floor, regime = args.min_parallel_speedup_scarce, f"only {cpus} cpu(s), degraded floor"
-    speedup = lane["parallel_speedup"]
-    if speedup < floor:
-        failures.append(
-            f"parallel batch-{lane['batch']} throughput below floor: "
-            f"{speedup:.2f}x < {floor:.2f}x vs serial tiles ({regime})"
-        )
-    if not lane.get("bit_identical", False):
-        failures.append("parallel lane did not assert bit-identity with the serial tiles")
-    print(
-        f"parallel: {speedup:.2f}x vs serial at batch {lane['batch']} "
-        f"({lane['threads']} threads, {regime}), bit-identical"
-    )
-    return failures
-
-
 def check_ops(report: dict, args) -> list[str]:
     """Gate the operator/inference report; returns failure messages."""
     infer = report["benchmarks"]["mobilenetv2_tiny_infer"]
@@ -430,9 +392,6 @@ def check_ops(report: dict, args) -> list[str]:
             f"infer — seed/compiled {speedup:.2f}x, compiled {compiled:.3f} ms, "
             f"frontend {frontend:.3f} ms ({infer['frontend_vs_compiled']:.2f}x)"
         )
-    failures.extend(
-        check_parallel(report["benchmarks"].get("mobilenetv2_tiny_infer_parallel"), args)
-    )
     return failures
 
 
@@ -500,18 +459,6 @@ def main() -> int:
         type=float,
         default=0.2,
         help="[serve] sanity floor for the fleet ratio on < 4 cpus (replicas time-share)",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=1.5,
-        help="[serve/ops] minimum threaded-vs-serial batch-64 speedup on >= 4 cpus",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup-scarce",
-        type=float,
-        default=0.5,
-        help="[serve/ops] sanity floor for the threaded ratio on < 4 cpus (threads time-share)",
     )
     parser.add_argument(
         "--max-autoscale-p99-ratio",

@@ -9,11 +9,7 @@ reference on each engine:
 * ``int8``   — true-integer engine vs the fake-quant oracle (dequantization
   tolerance derived from the classifier's grid, like the test-suite's bound);
 * ``train``  — one fused forward+backward step vs the eager autograd tape on
-  an identical model copy (loss, logits and every gradient **bit-identical**);
-* ``threads`` — ``CompileOptions(threads=2)`` programs (float and int8) must
-  be **bit-identical** to their ``threads=1`` counterparts: the tile
-  partition is a pure function of the shape, so thread count may never move
-  a single bit.
+  an identical model copy (loss, logits and every gradient **bit-identical**).
 
 Run with::
 
@@ -88,34 +84,6 @@ def check_int8(name: str, res: int, rng) -> str:
     return f"max|delta|={delta:.2e} (tol {tolerance:.2e})"
 
 
-def check_threads(name: str, res: int, rng) -> str:
-    """``CompileOptions(threads=...)``: threaded == serial, bit for bit."""
-    from repro.runtime import CompileOptions
-
-    model = create_model(name, num_classes=8)
-    _randomize_bn_stats(model, rng)
-    model.eval()
-    x = rng.normal(size=(8, 3, res, res)).astype(np.float32)
-    serial = repro.compile(model, options=CompileOptions(threads=1)).numpy_forward(x)
-    threaded_net = repro.compile(model, options=CompileOptions(threads=2))
-    if threaded_net.threads != 2:
-        raise AssertionError(f"{name}/threads: CompileOptions(threads=2) not honored")
-    if not np.array_equal(threaded_net.numpy_forward(x), serial):
-        raise AssertionError(f"{name}/threads: threads=2 output differs from threads=1")
-
-    quantize_model(model)
-    calibrate(model, [rng.normal(0.2, 0.8, size=(8, 3, res, res)).astype(np.float32)])
-    q_serial = repro.compile(
-        model, mode="int8", options=CompileOptions(threads=1, dw_kernel="einsum")
-    ).numpy_forward(x)
-    q_threaded = repro.compile(
-        model, mode="int8", options=CompileOptions(threads=2, dw_kernel="einsum")
-    ).numpy_forward(x)
-    if not np.array_equal(q_threaded, q_serial):
-        raise AssertionError(f"{name}/threads: int8 threads=2 output differs from threads=1")
-    return "float+int8 bit-identical at threads 1 vs 2"
-
-
 def check_train(name: str, res: int, seed: int) -> str:
     def one_step(compiled: bool):
         seed_everything(seed)
@@ -171,17 +139,10 @@ def main() -> int:
         except Exception as error:  # noqa: BLE001
             failures.append(f"{name}/train: {error}")
             print(f"FAIL {name:<18s} train  {error}")
-        rng = np.random.default_rng(args.seed)
-        try:
-            detail = check_threads(name, args.resolution, rng)
-            print(f"ok   {name:<18s} thread {detail}")
-        except Exception as error:  # noqa: BLE001
-            failures.append(f"{name}/threads: {error}")
-            print(f"FAIL {name:<18s} thread {error}")
     if failures:
         print(f"\n{len(failures)} failure(s)", file=sys.stderr)
         return 1
-    print(f"\ncompile smoke passed: {len(models)} models x 3 modes + threads lane")
+    print(f"\ncompile smoke passed: {len(models)} models x 3 modes")
     return 0
 
 

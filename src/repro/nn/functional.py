@@ -52,19 +52,16 @@ __all__ = [
 # buffers that are fully consumed within a single op call — anything retained
 # for the backward pass allocates fresh.  The ``tag`` namespaces buffers so
 # two different roles with the same shape never alias within one op call.
-# The cache is **per-thread**: the serving layer runs concurrent inference
-# workers, and two threads hitting the same shape must never share scratch.
 # The per-shape workspace cache is EXPLICITLY THREAD-LOCAL — this is a
-# contract, not an implementation detail.  The parallel runtime
-# (:mod:`repro.runtime.parallel`) runs tile tasks of one compiled engine on
-# persistent pool workers, and the serving engine hammers one engine from
-# many request threads; both rely on every thread drawing scratch from its
-# own store so concurrent kernel calls can never alias (or clobber) each
-# other's padded-input buffers.  A workspace array must therefore never be
-# returned to a caller on a different thread, stored on an op, or handed to
-# a closure that outlives the kernel call.  ``tests/test_parallel_runtime.py``
-# pins both properties (distinct buffers per thread, no cross-talk under a
-# race-stress load).
+# contract, not an implementation detail.  The in-process serving engine
+# (:class:`repro.serve.Engine`) runs several worker threads over one shared
+# compiled executor, and relies on every thread drawing scratch from its own
+# store so concurrent kernel calls can never alias (or clobber) each other's
+# padded-input buffers.  A workspace array must therefore never be returned
+# to a caller on a different thread, stored on an op, or handed to a closure
+# that outlives the kernel call.  ``tests/test_concurrency.py`` pins both
+# properties (distinct buffers per thread, no cross-talk under a race-stress
+# load).
 _WORKSPACE_LIMIT = 96
 _WORKSPACE_STORE = threading.local()
 
@@ -94,7 +91,7 @@ def clear_workspaces() -> None:
     """Drop this thread's cached scratch buffers (frees memory after large workloads).
 
     Only the calling thread's store is dropped — other threads' workspaces
-    (e.g. the parallel runtime's pool workers) are untouched by design.
+    (e.g. the serving engine's workers) are untouched by design.
     """
     _workspaces().clear()
 

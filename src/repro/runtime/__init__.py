@@ -69,7 +69,6 @@ from .frontend import (
     resolve_engine,
 )
 from .ir import CompileError, Graph, OpNode, trace
-from .parallel import ParallelExecutor, levelize, partition, resolve_threads, wave_table
 from .passes import PassManager, PassOrderError
 from .planner import ArenaPlanner, IOPlan, MemoryPlan, plan_io
 from .quantized import QuantCompileError, QuantizedNet, compile_quantized
@@ -94,12 +93,6 @@ __all__ = [
     "trace",
     "PassManager",
     "PassOrderError",
-    # parallel scheduling (plan_parallel pass, wave executor, tile partition)
-    "ParallelExecutor",
-    "levelize",
-    "wave_table",
-    "partition",
-    "resolve_threads",
     # engine registry (repro.serve --engine resolves through it)
     "EngineSpec",
     "register_engine",

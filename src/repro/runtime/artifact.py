@@ -71,16 +71,13 @@ __all__ = [
 MAGIC = "repro-artifact"
 FORMAT_VERSION = 1
 
-# Node-meta keys recorded in (and compared against) the graph record.  The
-# parallel-planning annotations ("tileable", graph-level "parallel") are
-# deliberately excluded: thread count is an environment choice, and outputs
-# are bit-identical across it by construction.  "out_shape" is excluded as
-# well — InferShapes re-annotates the live graph for whatever concrete shape
-# memory_plan()/describe() saw last, so recording it would make an artifact
-# saved after those calls fail its own drift check; the plan record already
-# witnesses shape behaviour at the canonical input shape.
+# Node-meta keys recorded in (and compared against) the graph record.
+# "out_shape" is excluded — InferShapes re-annotates the live graph for
+# whatever concrete shape memory_plan()/describe() saw last, so recording it
+# would make an artifact saved after those calls fail its own drift check;
+# the plan record already witnesses shape behaviour at the canonical input
+# shape.
 _RECORDED_META = ("grid", "act", "spec", "bn_folds")
-_ENV_PASSES = ("plan_parallel",)
 
 
 class ArtifactError(Exception):
@@ -168,7 +165,7 @@ def graph_record(graph: Graph) -> dict:
     record = {
         "mode": graph.meta.get("mode"),
         "layout": graph.meta.get("layout"),
-        "passes": [p for p in graph.meta.get("passes", ()) if p not in _ENV_PASSES],
+        "passes": list(graph.meta.get("passes", ())),
         "nodes": [_node_record(node, depth) for node, depth in graph.walk()],
     }
     # Round-trip through canonical JSON so a record built from a live graph
@@ -347,7 +344,6 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
         "model": ref,
         "options": {
             "dw_kernel": getattr(executor, "_dw_kernel", "auto"),
-            "threads": None,
         },
         "graph": graph_record(graph),
         "plan": _plan_record(executor, input_shape),
@@ -542,7 +538,7 @@ def _rebuild_model(header: dict, path: str) -> nn.Module:
 
 
 def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None = None,
-                  threads=None, dw_kernel: str | None = None):
+                  dw_kernel: str | None = None):
     """Load a compiled artifact back into a live, bit-identical executor.
 
     Parameters
@@ -560,9 +556,6 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
         mutated since ``save`` and :class:`ArtifactError` is raised.  When
         omitted the model is rebuilt from the registry reference and the
         stored state.
-    threads:
-        Parallel-plan override forwarded to :func:`repro.compile` (``None``
-        defers to ``$REPRO_THREADS``; outputs are bit-identical across it).
     dw_kernel:
         Int8 depthwise strategy override (defaults to the stored option).
 
@@ -621,8 +614,6 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
     kwargs = {}
     if stored_mode == "int8":
         kwargs["dw_kernel"] = dw_kernel or options.get("dw_kernel", "auto")
-    if threads is not None:
-        kwargs["threads"] = threads
     loss = None
     if stored_mode == "train":
         from ..train.trainer import StandardLoss

@@ -38,11 +38,9 @@ from .. import nn
 from ..compress.quantization import QuantizedConv2d, QuantizedLinear
 from . import kernels
 from .ir import Graph, OpNode, UnsupportedModule, activation_spec, bn_scale_shift
-from .parallel import ParallelExecutor
 
 __all__ = [
     "CompiledNet",
-    "ParallelChain",
     "compile_net",
     "build_inference_program",
     "fold_conv_bn",
@@ -94,10 +92,6 @@ def fold_conv_bn(
 class ConvOp:
     """Fused convolution; owns folded weight/bias copies."""
 
-    # Per-sample outputs depend only on that sample: the batch dimension may
-    # be cut into tiles (read by ParallelChain; eval-mode/folded BN only).
-    batch_tileable = True
-
     def __init__(self, conv: nn.Conv2d):
         self.weight = conv.weight.data.copy()
         self.bias = None if conv.bias is None else conv.bias.data.copy()
@@ -114,17 +108,8 @@ class ConvOp:
             x, self.weight, self.bias, self.stride, self.padding, self.groups, self.activation
         )
 
-    def tiled_call(self, x: np.ndarray, executor: ParallelExecutor) -> np.ndarray:
-        """Out-channel-tiled execution for batches too small to batch-tile."""
-        return kernels.tiled_conv2d(
-            x, self.weight, self.bias, self.stride, self.padding, self.groups,
-            self.activation, executor,
-        )
-
 
 class LinearOp:
-    batch_tileable = True
-
     def __init__(self, linear: nn.Linear):
         self.weight = linear.weight.data.copy()
         self.bias = None if linear.bias is None else linear.bias.data.copy()
@@ -137,9 +122,6 @@ class LinearOp:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return kernels.fused_linear(x, self.weight, self.bias, self.activation)
 
-    def tiled_call(self, x: np.ndarray, executor: ParallelExecutor) -> np.ndarray:
-        return kernels.tiled_linear(x, self.weight, self.bias, self.activation, executor)
-
 
 class _QuantOpBase:
     """Shared machinery for the integer conv / linear ops.
@@ -149,8 +131,6 @@ class _QuantOpBase:
     float bias) absorb any following BatchNorm via :meth:`fold_affine`, so the
     BN-folding pass treats these exactly like :class:`ConvOp`.
     """
-
-    batch_tileable = True
 
     def __init__(self, wrapper):
         layer = wrapper.wrapped
@@ -219,8 +199,6 @@ class QuantLinearOp(_QuantOpBase):
 class AffineOp:
     """Standalone eval-mode batch norm (not preceded by a foldable conv)."""
 
-    batch_tileable = True
-
     def __init__(self, scale: np.ndarray, shift: np.ndarray):
         self.scale = scale.copy()
         self.shift = shift.copy()
@@ -233,8 +211,6 @@ class AffineOp:
 class ActivationOp:
     """Standalone activation; never mutates its input (may be a residual)."""
 
-    batch_tileable = True
-
     def __init__(self, act: tuple):
         self.act = act
 
@@ -243,8 +219,6 @@ class ActivationOp:
 
 
 class MaxPoolOp:
-    batch_tileable = True
-
     def __init__(self, pool: nn.MaxPool2d):
         self.kernel, self.stride, self.padding = pool.kernel_size, pool.stride, pool.padding
 
@@ -253,8 +227,6 @@ class MaxPoolOp:
 
 
 class AvgPoolOp:
-    batch_tileable = True
-
     def __init__(self, pool: nn.AvgPool2d):
         self.kernel, self.stride, self.padding = pool.kernel_size, pool.stride, pool.padding
 
@@ -263,15 +235,11 @@ class AvgPoolOp:
 
 
 class GlobalAvgPoolOp:
-    batch_tileable = True
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return kernels.global_avg_pool2d_raw(x)
 
 
 class FlattenOp:
-    batch_tileable = True
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
@@ -282,19 +250,9 @@ class ChainOp:
     def __init__(self, ops: list):
         self.ops = ops
 
-    @property
-    def batch_tileable(self) -> bool:
-        return all(getattr(op, "batch_tileable", False) for op in self.ops)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         for op in self.ops:
             x = op(x)
-        return x
-
-    def tiled_call(self, x: np.ndarray, executor: ParallelExecutor) -> np.ndarray:
-        for op in self.ops:
-            tiled = getattr(op, "tiled_call", None)
-            x = op(x) if tiled is None else tiled(x, executor)
         return x
 
 
@@ -304,20 +262,9 @@ class ResidualOp:
     def __init__(self, body):
         self.body = body
 
-    @property
-    def batch_tileable(self) -> bool:
-        return getattr(self.body, "batch_tileable", False)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = self.body(x)
         if out is x:  # degenerate empty body: never mutate the input
-            return x + x
-        out += x
-        return out
-
-    def tiled_call(self, x: np.ndarray, executor: ParallelExecutor) -> np.ndarray:
-        out = self.body.tiled_call(x, executor)
-        if out is x:
             return x + x
         out += x
         return out
@@ -326,13 +273,10 @@ class ResidualOp:
 class EagerOp:
     """Correctness fallback: run the eager module in eval mode under no_grad.
 
-    Never batch-tiled (the wrapped module is opaque — it may couple samples),
-    and guarded by a lock: the eval/train toggle mutates ``module.training``,
+    Guarded by a lock: the eval/train toggle mutates ``module.training``,
     which would race when one compiled net is hammered from many request
-    threads (the serving engine does exactly that).
+    threads (the serving engine's workers do exactly that).
     """
-
-    batch_tileable = False
 
     def __init__(self, module: nn.Module):
         self.module = module
@@ -348,54 +292,6 @@ class EagerOp:
             finally:
                 self.module.train(was_training)
         return out.data if isinstance(out, nn.Tensor) else np.asarray(out)
-
-
-class ParallelChain:
-    """Wave-dispatching program: the chain cut into tileable segments.
-
-    Consecutive batch-tileable ops form one *segment*; a segment executes as
-    a wave of per-batch-tile tasks on the executor's persistent pool (one
-    concatenate per segment — a fully tileable graph, the common case for
-    registry models, costs a single concat for the whole network).  Batches
-    too small for the fixed partition fall through to per-op output-channel
-    tiling (:meth:`ConvOp.tiled_call`); untileable ops (eager fallbacks) run
-    serially between segments.
-
-    The tile partition is a pure function of the batch size — see
-    :mod:`repro.runtime.parallel` for why that makes outputs bit-identical
-    across thread counts.
-    """
-
-    def __init__(self, ops: list, executor: ParallelExecutor):
-        self.executor = executor
-        self.ops = list(ops)  # flat op list, for introspection parity with ChainOp
-        self.segments: list[tuple[bool, ChainOp]] = []
-        run: list = []
-        for op in ops:
-            if getattr(op, "batch_tileable", False):
-                run.append(op)
-                continue
-            if run:
-                self.segments.append((True, ChainOp(run)))
-                run = []
-            self.segments.append((False, op))
-        if run:
-            self.segments.append((True, ChainOp(run)))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        for tileable, segment in self.segments:
-            if not tileable:
-                x = segment(x)
-                continue
-            rows = self.executor.batch_slices(x.shape[0])
-            if len(rows) > 1:
-                parts = self.executor.run_wave(
-                    [lambda sl=sl: segment(x[sl]) for sl in rows]
-                )
-                x = np.concatenate(parts, axis=0)
-            else:
-                x = segment.tiled_call(x, self.executor)
-        return x
 
 
 # --------------------------------------------------------------------------- #
@@ -443,19 +339,8 @@ def _ops_from_graph(graph: Graph) -> list:
 
 
 def build_inference_program(graph: Graph) -> "CompiledNet":
-    """Lower an annotated graph to a :class:`CompiledNet` (frontend backend hook).
-
-    When the ``plan_parallel`` pass annotated the graph, the program is a
-    :class:`ParallelChain` over a :class:`ParallelExecutor` — including at
-    ``threads=1``, which runs the identical tile set inline (the serial
-    reference of the cross-thread-count bit-identity contract).
-    """
+    """Lower an annotated graph to a :class:`CompiledNet` (frontend backend hook)."""
     ops = _ops_from_graph(graph)
-    par = graph.meta.get("parallel")
-    if par is not None and not par.get("serial_reason"):
-        executor = ParallelExecutor(par["threads"], par["max_tiles"], par["min_tile"])
-        return CompiledNet(ParallelChain(ops, executor), graph.source, graph=graph,
-                           executor=executor)
     program = ops[0] if len(ops) == 1 else ChainOp(ops)
     return CompiledNet(program, graph.source, graph=graph)
 
@@ -485,17 +370,10 @@ class CompiledNet:
         program: Callable[[np.ndarray], np.ndarray],
         source: nn.Module,
         graph: Graph | None = None,
-        executor: ParallelExecutor | None = None,
     ):
         self._program = program
         self.source = source
         self.graph = graph
-        self.executor = executor
-
-    @property
-    def threads(self) -> int:
-        """Worker count of the parallel plan (1 = serial execution)."""
-        return 1 if self.executor is None else self.executor.threads
 
     def numpy_forward(self, x: np.ndarray) -> np.ndarray:
         """Run the fused program on a raw batch.

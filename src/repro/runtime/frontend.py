@@ -73,20 +73,9 @@ class CompileOptions:
         candidates at plan time; see
         :func:`~repro.runtime.quantized.compile_quantized`).  Ignored by the
         other modes.
-    threads:
-        Worker count of the parallel execution plan
-        (:mod:`repro.runtime.parallel`).  ``None`` (default) defers to
-        ``$REPRO_THREADS`` — unset means serial, untiled legacy execution.
-        ``0`` / ``"auto"`` / ``"max"`` use one worker per CPU.  Any explicit
-        count — *including 1* — schedules the ``plan_parallel`` pass with
-        its deterministic batch tiling, so outputs are bit-identical across
-        every ``threads`` value (``threads=1`` simply drains the same waves
-        inline).  Training mode records the request but keeps its documented
-        serial fallback (BN batch statistics couple the batch).
     """
 
     dw_kernel: str = "auto"
-    threads: int | str | None = None
 
 
 # --------------------------------------------------------------------------- #
@@ -97,7 +86,7 @@ def _build_infer(model: nn.Module, loss, optimizer, options: CompileOptions):
 
     graph = trace(model)
     graph.meta["mode"] = "infer"
-    PassManager(inference_pipeline(threads=options.threads)).run(graph)
+    PassManager(inference_pipeline()).run(graph)
     return build_inference_program(graph)
 
 
@@ -113,7 +102,7 @@ def _build_int8(model: nn.Module, loss, optimizer, options: CompileOptions):
         )
     graph = trace(model)
     graph.meta["mode"] = "int8"
-    PassManager(int8_pipeline(threads=options.threads)).run(graph)
+    PassManager(int8_pipeline()).run(graph)
     return build_quantized_program(graph, dw_kernel=options.dw_kernel)
 
 
@@ -132,7 +121,7 @@ def _build_train(model: nn.Module, loss, optimizer, options: CompileOptions):
         label_smoothing = loss.label_smoothing
     graph = trace(model)
     graph.meta["mode"] = "train"
-    PassManager(training_pipeline(label_smoothing, threads=options.threads)).run(graph)
+    PassManager(training_pipeline(label_smoothing)).run(graph)
     try:
         return build_training_program(graph)
     except UnsupportedModule as error:

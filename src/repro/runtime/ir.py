@@ -205,8 +205,6 @@ class OpNode:
         if "grid" in self.meta:
             scale, zp, nbits = self.meta["grid"]
             bits.append(f"grid=(s={scale:.4g}, zp={zp:.4g}, {nbits}b)")
-        if "tileable" in self.meta:
-            bits.append("tiled" if self.meta["tileable"] else "serial")
         if "out_shape" in self.meta:
             bits.append("-> " + "x".join(str(s) for s in self.meta["out_shape"]))
         return "  ".join(bits)
@@ -252,17 +250,6 @@ class Graph:
             lines.append(f"layout  : {self.meta['layout']}")
         if self.meta.get("passes"):
             lines.append("passes  : " + " -> ".join(self.meta["passes"]))
-        par = self.meta.get("parallel")
-        if par is not None:
-            if par.get("serial_reason"):
-                lines.append(f"parallel: serial fallback ({par['serial_reason']})")
-            else:
-                lines.append(
-                    f"parallel: threads={par['threads']}, waves of <= "
-                    f"{par['max_tiles']} batch tiles (>= {par['min_tile']} "
-                    "samples each; partition fixed per shape, so results are "
-                    "identical at every thread count)"
-                )
         lines.append(f"nodes   : {len(list(self.walk()))}")
         for node, depth in self.walk():
             lines.append("  " + "    " * depth + node.describe_line())

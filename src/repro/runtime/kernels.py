@@ -11,15 +11,8 @@ no tape nodes, no closures, no gradient bookkeeping.  Each kernel
   output allocation;
 * draws padded-input scratch space from the shared per-shape workspace cache
   (safe here: inference retains nothing between calls — and the cache is
-  **thread-local**, so tile tasks running on pool workers never alias each
+  **thread-local**, so the serving engine's worker threads never alias each
   other's scratch; see :mod:`repro.nn.functional`).
-
-:func:`tiled_conv2d` / :func:`tiled_linear` are the threaded variants: they
-cut the output-channel dimension into disjoint slices of one preallocated
-output buffer (the deterministic :func:`repro.runtime.parallel.partition`)
-and compute each slice as an ordinary fused kernel on a worker thread.  No
-locks: the slices are disjoint by construction, and the arena planner's
-liveness analysis guarantees nothing else is live in that buffer.
 
 Activations are described by small spec tuples ``(kind, *params)`` — e.g.
 ``("relu",)``, ``("leaky", 0.3)`` — produced by the compiler from the eager
@@ -36,8 +29,6 @@ __all__ = [
     "apply_activation",
     "fused_conv2d",
     "fused_linear",
-    "tiled_conv2d",
-    "tiled_linear",
     "affine_channels",
     "max_pool2d_raw",
     "avg_pool2d_raw",
@@ -179,91 +170,6 @@ def fused_linear(
     if bias is not None:
         out += bias
     return apply_activation(out, act)
-
-
-# Out-channel tiling only pays off when each slice still feeds BLAS a
-# decent contraction; below these floors the fork/join overhead dominates.
-_COUT_MIN_TILE = 16
-_COUT_MIN_CHANNELS = 2 * _COUT_MIN_TILE
-
-
-def tiled_conv2d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None,
-    stride: int,
-    padding: int,
-    groups: int,
-    act: tuple | None,
-    executor,
-) -> np.ndarray:
-    """Output-channel-tiled :func:`fused_conv2d` for small batches.
-
-    Cuts ``C_out`` into the deterministic partition and computes each slice
-    with the ordinary fused kernel, writing disjoint ``out[:, c0:c1]``
-    views of one preallocated buffer from the executor's worker pool.
-    Supported for dense/pointwise (``groups == 1``) and pure depthwise
-    (``groups == C_in``, multiplier 1) convolutions; anything else — and
-    anything below the tiling floor — falls back to the serial kernel.
-    The partition depends only on the shapes, so results are identical at
-    every thread count.
-    """
-    from .parallel import partition
-
-    c_out = weight.shape[0]
-    depthwise = groups == x.shape[1] and weight.shape[1] == 1 and c_out == groups
-    if not (groups == 1 or depthwise) or c_out < _COUT_MIN_CHANNELS:
-        return fused_conv2d(x, weight, bias, stride, padding, groups, act)
-    slices = partition(c_out, executor.max_tiles, _COUT_MIN_TILE)
-    if len(slices) <= 1:
-        return fused_conv2d(x, weight, bias, stride, padding, groups, act)
-
-    n = x.shape[0]
-    kh, kw = weight.shape[2:]
-    out_h = conv_output_size(x.shape[2], kh, stride, padding)
-    out_w = conv_output_size(x.shape[3], kw, stride, padding)
-    out = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
-
-    def run_tile(cols: slice) -> None:
-        w_tile = weight[cols]
-        b_tile = None if bias is None else bias[cols]
-        if depthwise:
-            out[:, cols] = fused_conv2d(
-                np.ascontiguousarray(x[:, cols]), w_tile, b_tile,
-                stride, padding, cols.stop - cols.start, act,
-            )
-        else:
-            out[:, cols] = fused_conv2d(x, w_tile, b_tile, stride, padding, 1, act)
-
-    executor.run_wave([lambda cols=cols: run_tile(cols) for cols in slices])
-    return out
-
-
-def tiled_linear(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None,
-    act: tuple | None,
-    executor,
-) -> np.ndarray:
-    """Output-feature-tiled :func:`fused_linear` (same contract as
-    :func:`tiled_conv2d`: disjoint slices of one output, fixed partition)."""
-    from .parallel import partition
-
-    out_features = weight.shape[0]
-    if out_features < _COUT_MIN_CHANNELS:
-        return fused_linear(x, weight, bias, act)
-    slices = partition(out_features, executor.max_tiles, _COUT_MIN_TILE)
-    if len(slices) <= 1:
-        return fused_linear(x, weight, bias, act)
-    out = np.empty((x.shape[0], out_features), dtype=x.dtype)
-
-    def run_tile(cols: slice) -> None:
-        b_tile = None if bias is None else bias[cols]
-        out[:, cols] = fused_linear(x, weight[cols], b_tile, act)
-
-    executor.run_wave([lambda cols=cols: run_tile(cols) for cols in slices])
-    return out
 
 
 def affine_channels(

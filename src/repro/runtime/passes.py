@@ -18,8 +18,6 @@ pass                   annotation
 ``fuse_gap_flatten``   merges ``gap`` + ``flatten`` into ``gap_flatten``
 ``attach_loss``        appends the training ``loss`` node
 ``assign_layout``      ``graph.meta["layout"] = "NCHW" | "CNHW"``
-``plan_parallel``      ``graph.meta["parallel"]`` — worker count + tiling
-                       constants; ``node.meta["tileable"]`` per node
 ``infer_shapes``       ``node.meta["out_shape"]`` for a concrete input shape
 ``plan_memory``        ``graph.meta["memory_plan"]`` — liveness-packed
                        :class:`~repro.runtime.planner.MemoryPlan`
@@ -58,7 +56,6 @@ __all__ = [
     "FuseGapFlatten",
     "AttachLoss",
     "AssignLayout",
-    "PlanParallel",
     "InferShapes",
     "PlanMemory",
     "inference_pipeline",
@@ -368,55 +365,6 @@ class AssignLayout(Pass):
         return f"assign_layout({self.layout})"
 
 
-class PlanParallel(Pass):
-    """Plan the parallel schedule: worker count and deterministic tiling.
-
-    Resolves the requested ``threads`` (``CompileOptions(threads=...)`` /
-    ``$REPRO_THREADS``; see :func:`repro.runtime.parallel.resolve_threads`)
-    at compile time, marks every node's batch-tileability, and records the
-    tiling constants in ``graph.meta["parallel"]``.  The *partition* itself
-    stays a pure function of the batch size — threads only size the worker
-    pool — which is what makes outputs bit-identical across thread counts
-    (see :mod:`repro.runtime.parallel`).
-
-    Training sets ``serial_reason``: BatchNorm batch statistics couple every
-    sample of the batch, so the fused step cannot tile it and keeps the
-    serial fallback the executor reports in ``describe()``.
-    """
-
-    name = "plan_parallel"
-    after = ("fold_batchnorm", "fuse_activations", "lower_int8", "assign_layout")
-
-    def __init__(
-        self,
-        threads: int | str | None = None,
-        serial_reason: str | None = None,
-    ):
-        from .parallel import MAX_TILES, MIN_TILE, resolve_threads
-
-        self.threads = 1 if serial_reason else resolve_threads(threads)
-        self.max_tiles = MAX_TILES
-        self.min_tile = MIN_TILE
-        self.serial_reason = serial_reason
-
-    def run(self, graph: Graph) -> None:
-        from .parallel import node_tileable
-
-        for node, _ in graph.walk():
-            node.meta["tileable"] = node_tileable(node) and self.serial_reason is None
-        graph.meta["parallel"] = {
-            "threads": self.threads,
-            "max_tiles": self.max_tiles,
-            "min_tile": self.min_tile,
-            "serial_reason": self.serial_reason,
-        }
-
-    def describe(self) -> str:
-        if self.serial_reason:
-            return f"plan_parallel(serial: {self.serial_reason})"
-        return f"plan_parallel(threads={self.threads})"
-
-
 class InferShapes(Pass):
     """Annotate every node with its output shape for a concrete input shape.
 
@@ -537,77 +485,39 @@ class PlanMemory(Pass):
 # --------------------------------------------------------------------------- #
 # mode pipelines
 # --------------------------------------------------------------------------- #
-def inference_pipeline(threads: int | str | None = None) -> list[Pass]:
-    """Passes for ``mode="infer"`` (the fused float engine).
-
-    ``threads`` schedules :class:`PlanParallel`; ``None`` defers to
-    ``$REPRO_THREADS`` (unset → serial untiled execution, no pass added).
-    """
-    passes = [
+def inference_pipeline() -> list[Pass]:
+    """Passes for ``mode="infer"`` (the fused float engine)."""
+    return [
         EliminateDropout(),
         FoldBatchNorm(),
         FuseActivations(),
         AssignLayout("NCHW"),
     ]
-    plan = _maybe_plan_parallel(threads)
-    if plan is not None:
-        passes.append(plan)
-    return passes
 
 
-def int8_pipeline(threads: int | str | None = None) -> list[Pass]:
+def int8_pipeline() -> list[Pass]:
     """Passes for ``mode="int8"`` (the true-integer engine)."""
-    passes = [
+    return [
         EliminateDropout(),
         FoldBatchNorm(targets=("qconv", "qlinear"), repeat=False),
         FuseActivations(int8=True),
         LowerInt8(),
         AssignLayout("CNHW"),
     ]
-    plan = _maybe_plan_parallel(threads)
-    if plan is not None:
-        passes.append(plan)
-    return passes
 
 
-def training_pipeline(
-    label_smoothing: float = 0.0, threads: int | str | None = None
-) -> list[Pass]:
+def training_pipeline(label_smoothing: float = 0.0) -> list[Pass]:
     """Passes for ``mode="train"`` (the fused forward+backward step).
 
     Training keeps BatchNorm in batch-statistics mode and activations as
     matched forward/backward pairs, so neither folding nor fusion runs here.
-    A ``threads`` request is honoured with the documented serial fallback:
-    BN batch statistics couple the whole batch, so the step cannot tile it.
     """
-    passes = [
+    return [
         EliminateDropout(keep_active=True),
         FuseGapFlatten(),
         AttachLoss(label_smoothing),
         AssignLayout("NCHW"),
     ]
-    plan = _maybe_plan_parallel(threads, serial_reason="batchnorm batch statistics")
-    if plan is not None:
-        passes.append(plan)
-    return passes
-
-
-def _maybe_plan_parallel(threads, serial_reason: str | None = None) -> PlanParallel | None:
-    """Schedule :class:`PlanParallel` unless the resolution is serial-untiled.
-
-    ``threads=None`` with no ``$REPRO_THREADS`` means the caller never asked
-    for a parallel plan: the pipeline stays exactly the legacy one (untiled
-    kernels, unchanged float reduction order).  An *explicit* ``threads=1``
-    does schedule the pass — it executes the tiled plan inline, which is the
-    serial reference the cross-thread-count bit-identity tests compare to.
-    """
-    from .parallel import resolve_threads
-
-    if threads is None:
-        if resolve_threads(None) <= 1:
-            return None
-        threads = resolve_threads(None)
-    return PlanParallel(threads, serial_reason=serial_reason)
 
 
 def plan_graph_memory(graph: Graph, input_shape: tuple[int, ...]) -> MemoryPlan:

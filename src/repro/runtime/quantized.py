@@ -1094,7 +1094,7 @@ class QuantizedNet:
     """
 
     def __init__(self, ir: list, source: nn.Module, dw_kernel: str = "auto",
-                 graph: Graph | None = None, executor: "ParallelExecutor | None" = None):
+                 graph: Graph | None = None):
         if dw_kernel not in _DW_KERNELS:
             raise ValueError(f"dw_kernel must be one of {_DW_KERNELS}")
         self._ir = ir
@@ -1104,15 +1104,9 @@ class QuantizedNet:
         self._local = threading.local()
         # _op_log is assigned by whichever thread builds the first plan; the
         # lock keeps the first-wins publication race out of the engine (plan
-        # building may now happen concurrently on pool workers).
+        # building may happen concurrently on serving worker threads).
         self._log_lock = threading.Lock()
         self._op_log: list[str] | None = None
-        self.executor = executor
-
-    @property
-    def threads(self) -> int:
-        """Worker count of the parallel plan (1 = serial execution)."""
-        return 1 if self.executor is None else self.executor.threads
 
     # ------------------------------------------------------------------ #
     def plan(self, input_shape: tuple[int, int, int, int]) -> _ExecPlan:
@@ -1199,23 +1193,8 @@ class QuantizedNet:
         return save_artifact(self, path, input_shape=input_shape, model_ref=model_ref)
 
     def numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the integer program on a raw ``(N, C, H, W)`` batch.
-
-        With a parallel plan the batch is cut into the deterministic tile
-        partition and the tiles run as one wave on the worker pool — each
-        worker executes its tile in its *own* thread-cached plan (disjoint
-        arena, disjoint scratch: no locks).  Integer accumulation makes the
-        engine's output bit-identical across batch sizes, so the tiled
-        result equals the untiled one exactly, at every thread count.
-        """
+        """Run the integer program on a raw ``(N, C, H, W)`` batch."""
         x = np.ascontiguousarray(x, dtype=np.float32)
-        if self.executor is not None:
-            rows = self.executor.batch_slices(x.shape[0])
-            if len(rows) > 1:
-                parts = self.executor.run_wave([
-                    lambda sl=sl: self.plan(x[sl].shape).run(x[sl]) for sl in rows
-                ])
-                return np.concatenate(parts, axis=0)
         return self.plan(x.shape).run(x)
 
     def __call__(self, x) -> nn.Tensor:
@@ -1227,20 +1206,9 @@ class QuantizedNet:
 
 
 def build_quantized_program(graph: Graph, dw_kernel: str = "auto") -> QuantizedNet:
-    """Lower an annotated graph to a :class:`QuantizedNet` (frontend backend hook).
-
-    A ``plan_parallel`` annotation attaches a
-    :class:`~repro.runtime.parallel.ParallelExecutor`; the engine then
-    batch-tiles ``numpy_forward`` across per-thread execution plans.
-    """
-    par = graph.meta.get("parallel")
-    executor = None
-    if par is not None and not par.get("serial_reason"):
-        from .parallel import ParallelExecutor
-
-        executor = ParallelExecutor(par["threads"], par["max_tiles"], par["min_tile"])
+    """Lower an annotated graph to a :class:`QuantizedNet` (frontend backend hook)."""
     return QuantizedNet(_ir_from_graph(graph), graph.source, dw_kernel=dw_kernel,
-                        graph=graph, executor=executor)
+                        graph=graph)
 
 
 from .frontend import _deprecated

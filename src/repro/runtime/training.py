@@ -574,18 +574,6 @@ class TrainStep:
             chain.nodes[0].skip_input_grad = True
         self._signature = structure_signature(model)
 
-    @property
-    def threads(self) -> int:
-        """Always 1: the fused step keeps the documented serial fallback.
-
-        BatchNorm runs in batch-statistics mode during training, coupling
-        every sample of the batch, so the step cannot be batch-tiled; a
-        ``CompileOptions(threads=N)`` request is recorded by the
-        ``plan_parallel`` pass with its serial reason (see ``describe()``)
-        and execution stays single-threaded and bit-identical to eager.
-        """
-        return 1
-
     def matches(self, model: nn.Module) -> bool:
         """True while ``model``'s structure still matches the compiled program.
 

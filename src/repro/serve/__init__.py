@@ -116,7 +116,6 @@ def build_server(
     calibration_method: str = "minmax",
     seed: int = 0,
     engine: str | None = None,
-    threads: int | str | None = None,
     **engine_kwargs,
 ) -> Engine:
     """Build a ready-to-serve :class:`Engine` for a registry model.
@@ -129,10 +128,7 @@ def build_server(
     the plain module.  ``engine`` is an alias for ``backend`` (matching the
     ``repro.serve --engine`` CLI flag) and wins when both are given.  Extra
     keyword arguments configure the engine's batching policy (``max_batch``,
-    ``max_wait_ms``, ``workers``...).  ``threads`` sizes the compiled
-    backend's intra-op tile-parallel pool (``CompileOptions(threads=...)``);
-    batching ``workers`` and kernel ``threads`` compose — each worker drains
-    its batch through the shared wave pool.
+    ``max_wait_ms``, ``workers``...).
 
     The model construction is shared with the fleet's
     :func:`~repro.serve.fleet.model_backend` builder, so both serving tiers
@@ -147,6 +143,5 @@ def build_server(
         calibration_batches=calibration_batches,
         calibration_method=calibration_method,
         seed=seed,
-        threads=threads,
     )
     return Engine(net, input_shape, **engine_kwargs)

@@ -69,12 +69,6 @@ def main(argv=None) -> int:
     parser.add_argument("--resolution", type=int, default=16, help="input resolution")
     parser.add_argument("--workers", type=int, default=2, help="batching worker threads")
     parser.add_argument(
-        "--threads",
-        default=None,
-        help="intra-op kernel threads per engine (int, or 'auto' for one per CPU); "
-        "default: serial kernels ($REPRO_THREADS overrides)",
-    )
-    parser.add_argument(
         "--calibration-batches",
         type=int,
         default=2,
@@ -216,7 +210,6 @@ def main(argv=None) -> int:
         resolution=args.resolution,
         backend=engine_name,
         seed=args.seed,
-        threads=args.threads,
         workers=args.workers,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
@@ -240,7 +233,6 @@ def main(argv=None) -> int:
             "backend": engine_name,
             "resolution": args.resolution,
             "workers": args.workers,
-            "threads": args.threads,
             "max_batch": args.max_batch,
             "max_wait_ms": args.max_wait_ms,
             "load": report.__dict__,
@@ -320,7 +312,6 @@ def _do_save_artifact(parser, args, engine_name: str) -> int:
         engine=engine_name,
         calibration_batches=args.calibration_batches,
         seed=args.seed,
-        threads=args.threads,
     )
     info = net.save(str(args.save_artifact), input_shape=input_shape)
     print(info.summary())
@@ -336,7 +327,6 @@ def _run_fleet(args, engine_name: str, timeout_s: float | None) -> int:
 
     slo = args.slo
     replicas = args.replicas if args.replicas > 0 else (slo.min_replicas if slo else 1)
-    threads_kwargs = {"threads": args.threads} if args.threads is not None else {}
     if args.fidelity is not None:
         from .fidelity import parse_fidelity
 
@@ -352,12 +342,11 @@ def _run_fleet(args, engine_name: str, timeout_s: float | None) -> int:
             "resolution": args.resolution,
             "seed": args.seed,
             "calibration_batches": args.calibration_batches,
-            **threads_kwargs,
         }
         what = f"fidelity ladder '{normalized}'"
     elif args.artifact is not None:
         builder = "repro.serve.fleet:model_backend"
-        builder_kwargs = {"artifact": str(args.artifact), **threads_kwargs}
+        builder_kwargs = {"artifact": str(args.artifact)}
         what = f"artifact {args.artifact}"
     else:
         builder = "repro.serve.fleet:model_backend"
@@ -367,7 +356,6 @@ def _run_fleet(args, engine_name: str, timeout_s: float | None) -> int:
             "engine": engine_name,
             "seed": args.seed,
             "calibration_batches": args.calibration_batches,
-            **threads_kwargs,
         }
         what = f"{args.model} [{engine_name}] at {args.resolution}x{args.resolution}"
     config = FleetConfig(

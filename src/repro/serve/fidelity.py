@@ -146,7 +146,7 @@ class FidelityLadder:
     rungs:
         Rung specs, highest fidelity first (a ``--fidelity`` string, a list
         of :class:`RungSpec`, or dicts with the same fields).
-    resolution, num_classes, seed, threads, calibration_batches,
+    resolution, num_classes, seed, calibration_batches,
     calibration_method:
         Forwarded to :func:`~repro.serve.fleet.resolve_net` for compiled
         rungs; artifact rungs take their configuration from their header.
@@ -155,7 +155,7 @@ class FidelityLadder:
     """
 
     def __init__(self, rungs, *, resolution: int = 16, num_classes: int = 16,
-                 seed: int = 0, threads=None, calibration_batches: int = 2,
+                 seed: int = 0, calibration_batches: int = 2,
                  calibration_method: str = "minmax", probe_batch: int = 64):
         if isinstance(rungs, str):
             rungs = parse_fidelity(rungs)
@@ -165,7 +165,6 @@ class FidelityLadder:
         self.resolution = int(resolution)
         self.num_classes = int(num_classes)
         self.seed = int(seed)
-        self.threads = threads
         self.calibration_batches = int(calibration_batches)
         self.calibration_method = calibration_method
         self.probe_batch = int(probe_batch)
@@ -174,7 +173,7 @@ class FidelityLadder:
         if spec.artifact is not None:
             from ..runtime import load_artifact
 
-            net = load_artifact(spec.artifact, threads=self.threads)
+            net = load_artifact(spec.artifact)
             info = net.artifact
             if info.mode == "train":
                 raise ValueError(f"fidelity rung {spec.name!r}: training artifacts are not servable")
@@ -188,7 +187,6 @@ class FidelityLadder:
             calibration_batches=self.calibration_batches,
             calibration_method=self.calibration_method,
             seed=self.seed,
-            threads=self.threads,
         )
 
     def build(self) -> LadderBackend:
@@ -245,7 +243,6 @@ def ladder_backend(
     resolution: int = 16,
     num_classes: int = 16,
     seed: int = 0,
-    threads=None,
     calibration_batches: int = 2,
     calibration_method: str = "minmax",
     probe_batch: int = 64,
@@ -256,7 +253,6 @@ def ladder_backend(
         resolution=resolution,
         num_classes=num_classes,
         seed=seed,
-        threads=threads,
         calibration_batches=calibration_batches,
         calibration_method=calibration_method,
         probe_batch=probe_batch,

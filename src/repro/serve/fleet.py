@@ -112,7 +112,6 @@ def resolve_net(
     calibration_batches: int = 2,
     calibration_method: str = "minmax",
     seed: int = 0,
-    threads: int | str | None = None,
     artifact: str | None = None,
 ):
     """Build and compile a registry model for serving.
@@ -125,11 +124,6 @@ def resolve_net(
     from a pre-compiled artifact file (:mod:`repro.runtime.artifact`) —
     skipping model init, quantization and calibration at boot — and the
     model/engine arguments are ignored in favor of the artifact header.
-
-    ``threads`` sizes each engine's intra-op worker pool
-    (``CompileOptions(threads=...)``; ``"auto"`` = one worker per CPU) —
-    with fleet replicas this composes to processes x threads parallelism.
-    Ignored by the ``"eager"`` backend.
     """
     from ..compress import calibrate, quantize_model
     from ..models import create_model
@@ -139,7 +133,7 @@ def resolve_net(
     if artifact is not None:
         from ..runtime import load_artifact
 
-        net = load_artifact(artifact, threads=threads)
+        net = load_artifact(artifact)
         info = net.artifact
         if info.mode == "train":
             raise ValueError(f"artifact {artifact!r} is a training artifact; not servable")
@@ -171,7 +165,7 @@ def resolve_net(
             for _ in range(calibration_batches)
         ]
         calibrate(model, batches, method=calibration_method)
-    return compile_model(model, mode=spec.mode, threads=threads), input_shape
+    return compile_model(model, mode=spec.mode), input_shape
 
 
 def model_backend(
@@ -182,7 +176,6 @@ def model_backend(
     calibration_batches: int = 2,
     calibration_method: str = "minmax",
     seed: int = 0,
-    threads: int | str | None = None,
     artifact: str | None = None,
 ) -> ServingBackend:
     """Default fleet builder: a compiled registry model (int8 by default).
@@ -198,7 +191,6 @@ def model_backend(
         calibration_batches=calibration_batches,
         calibration_method=calibration_method,
         seed=seed,
-        threads=threads,
         artifact=artifact,
     )
     if artifact is not None:

@@ -249,6 +249,14 @@ class TestFrontend:
         with pytest.raises(ValueError):
             compile_model(model, options=repro.CompileOptions(), dw_kernel="einsum")
 
+    def test_unknown_option_is_a_type_error(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(repro.CompileOptions)] == ["dw_kernel"]
+        model = create_model("mobilenetv2-tiny", num_classes=4)
+        with pytest.raises(TypeError):
+            repro.compile(model, threads=2)
+
 
 class TestMemoryPlans:
     def test_float_compiled_net_reports_arena_plan(self, rng):

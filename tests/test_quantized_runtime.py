@@ -168,9 +168,7 @@ class TestIntegerLowering:
 
         def walk(op):
             kinds.append(type(op).__name__)
-            # ParallelChain (the $REPRO_THREADS>1 program) exposes the same
-            # flat .ops list as ChainOp, so both recurse identically.
-            if isinstance(op, (compiler_mod.ChainOp, compiler_mod.ParallelChain)):
+            if isinstance(op, compiler_mod.ChainOp):
                 for child in op.ops:
                     walk(child)
             if isinstance(op, compiler_mod.ResidualOp):
