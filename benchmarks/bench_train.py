@@ -1,18 +1,17 @@
-"""Training-throughput benchmarks for the compiled training engine.
+"""Training-throughput benchmarks for the Trainer's train step.
 
 Measures end-to-end ``train_step`` throughput (data pipeline included) for
-MobileNetV2-Tiny in three lanes:
+MobileNetV2-Tiny in two lanes:
 
 * ``seed``      — the seed repo's training path, re-created: copy-based
   im2col convolution, log-softmax-chain cross-entropy, per-parameter SGD
   loop, per-image transforms, no prefetch;
-* ``eager``     — the current autograd tape (optimised kernels, fused
-  cross-entropy, flat-buffer SGD, batched transforms, prefetching loader);
-* ``compiled``  — the fused training runtime
-  (``repro.compile(model, mode="train")``, routed through the Trainer).
+* ``trainer``   — the current :class:`~repro.train.Trainer` (eager autograd
+  tape with optimised kernels, fused cross-entropy, flat-buffer SGD, batched
+  transforms, prefetching loader);
 
 plus two data-pipeline microbenchmarks (batched vs per-image transforms, and
-the compiled lane with prefetch off) and a ``distributed`` lane (aggregate
+the trainer lane with prefetch off) and a ``distributed`` lane (aggregate
 steps/s of the data-parallel :class:`~repro.train.DistributedTrainer` vs
 worker count, with a single-worker bitwise-parity check).  Results are
 written to ``BENCH_train.json``; ``scripts/check_bench.py`` gates
@@ -187,14 +186,12 @@ class _SeedLane:
 
 
 class _TrainerLane:
-    """Current Trainer path, eager or compiled, prefetch on or off."""
+    """Current Trainer path, prefetch on or off."""
 
-    def __init__(self, dataset, batch: int, compile_flag: bool, prefetch: bool = True):
+    def __init__(self, dataset, batch: int, prefetch: bool = True):
         seed_everything(0)
         model = mobilenet_v2("tiny", num_classes=dataset.num_classes)
-        self.trainer = Trainer(
-            model, ExperimentConfig(batch_size=batch, lr=0.05), compile=compile_flag
-        )
+        self.trainer = Trainer(model, ExperimentConfig(batch_size=batch, lr=0.05))
         self.loader = DataLoader(
             dataset, batch_size=batch, transform=_transform(), prefetch=prefetch, seed=0
         )
@@ -203,7 +200,7 @@ class _TrainerLane:
         return _one_pass(self.trainer.train_step, self.loader, min_steps)
 
     def warmup(self):
-        self.measure(1)  # includes compilation for the compiled lane
+        self.measure(1)
 
 
 def bench_transforms(dataset, batch: int, repeats: int) -> dict:
@@ -255,8 +252,8 @@ def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
     parity_config = ExperimentConfig(epochs=1, batch_size=batch, lr=0.05, warmup_epochs=0)
     seed_everything(parity_config.seed)
     reference_model = model_fn()
-    Trainer(reference_model, parity_config, compile=False).fit(dataset)
-    single = DistributedTrainer(model_fn, parity_config, workers=1, compile=False)
+    Trainer(reference_model, parity_config).fit(dataset)
+    single = DistributedTrainer(model_fn, parity_config, workers=1)
     single.fit(dataset)
     reference_state = reference_model.state_dict()
     single_state = single.model.state_dict()
@@ -305,9 +302,8 @@ def run_benchmarks(smoke: bool, max_workers: int | None = None) -> dict:
     # drift of a shared machine biases every lane equally.
     lanes = {
         "seed": _SeedLane(dataset, batch),
-        "eager": _TrainerLane(dataset, batch, compile_flag=False),
-        "compiled": _TrainerLane(dataset, batch, compile_flag=True),
-        "compiled_noprefetch": _TrainerLane(dataset, batch, compile_flag=True, prefetch=False),
+        "trainer": _TrainerLane(dataset, batch),
+        "trainer_noprefetch": _TrainerLane(dataset, batch, prefetch=False),
     }
     rates: dict[str, list[float]] = {name: [] for name in lanes}
     for lane in lanes.values():
@@ -321,9 +317,8 @@ def run_benchmarks(smoke: bool, max_workers: int | None = None) -> dict:
             rates[name].append(lanes[name].measure(min_steps))
     medians = {name: float(np.median(values)) for name, values in rates.items()}
     seed_sps = medians["seed"]
-    eager_sps = medians["eager"]
-    compiled_sps = medians["compiled"]
-    compiled_noprefetch_sps = medians["compiled_noprefetch"]
+    trainer_sps = medians["trainer"]
+    noprefetch_sps = medians["trainer_noprefetch"]
 
     return {
         "config": {
@@ -336,16 +331,13 @@ def run_benchmarks(smoke: bool, max_workers: int | None = None) -> dict:
         },
         "train_step": {
             "seed_steps_per_sec": seed_sps,
-            "eager_steps_per_sec": eager_sps,
-            "compiled_steps_per_sec": compiled_sps,
-            "speedup_compiled_vs_seed": compiled_sps / seed_sps,
-            "speedup_compiled_vs_eager": compiled_sps / eager_sps,
-            "speedup_eager_vs_seed": eager_sps / seed_sps,
+            "trainer_steps_per_sec": trainer_sps,
+            "speedup_trainer_vs_seed": trainer_sps / seed_sps,
         },
         "loader": {
-            "compiled_prefetch_on_steps_per_sec": compiled_sps,
-            "compiled_prefetch_off_steps_per_sec": compiled_noprefetch_sps,
-            "speedup_prefetch": compiled_sps / compiled_noprefetch_sps,
+            "prefetch_on_steps_per_sec": trainer_sps,
+            "prefetch_off_steps_per_sec": noprefetch_sps,
+            "speedup_prefetch": trainer_sps / noprefetch_sps,
         },
         "transforms": bench_transforms(dataset, batch, repeats=5),
         "distributed": bench_distributed(smoke, max_workers),
@@ -383,10 +375,9 @@ def main() -> None:
 
     train = results["train_step"]
     print(f"{'lane':<10s} {'steps/sec':>10s}")
-    for lane in ("seed", "eager", "compiled"):
+    for lane in ("seed", "trainer"):
         print(f"{lane:<10s} {train[f'{lane}_steps_per_sec']:>10.2f}")
-    print(f"\ncompiled vs seed:  {train['speedup_compiled_vs_seed']:.2f}x")
-    print(f"compiled vs eager: {train['speedup_compiled_vs_eager']:.2f}x")
+    print(f"\ntrainer vs seed:   {train['speedup_trainer_vs_seed']:.2f}x")
     loader = results["loader"]
     print(f"prefetch on/off:   {loader['speedup_prefetch']:.2f}x")
     tf = results["transforms"]

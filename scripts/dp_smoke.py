@@ -51,9 +51,9 @@ def main() -> int:
     # --- single-worker bitwise parity -------------------------------------- #
     seed_everything(config.seed)
     reference_model = model_fn()
-    reference = Trainer(reference_model, config, compile=False)
+    reference = Trainer(reference_model, config)
     reference_history = reference.fit(data.train)
-    single = DistributedTrainer(model_fn, config, workers=1, compile=False)
+    single = DistributedTrainer(model_fn, config, workers=1)
     single_history = single.fit(data.train)
     reference_state = reference_model.state_dict()
     single_state = single.model.state_dict()

@@ -1,13 +1,15 @@
 """NetBooster (DAC 2023) reproduction on a pure-NumPy deep learning substrate.
 
-The package-level compilation frontend is the one entry point into every
-compiled runtime engine::
+The package-level compilation frontend is the one entry point into both
+compiled inference engines::
 
     import repro
 
     net  = repro.compile(model)                  # fused float inference
     qnet = repro.compile(model, mode="int8")     # true-integer engine
-    step = repro.compile(model, mode="train", loss=loss, optimizer=opt)
+
+Training does not compile: :class:`repro.train.Trainer` runs the eager
+autograd tape plus ``FlatSGD``.
 
 Compiled executors serialize to single-file versioned artifacts and load back
 bit-identical in a fresh process — no calibration data needed at boot::

@@ -122,13 +122,13 @@ def measure_latency(
     forward = None
     used_compiled = False
     if compiled:
-        try:
-            from ..runtime import compile_model
+        from ..runtime import CompileError, compile_model
 
+        try:
             net = compile_model(model, mode="infer")
             forward = lambda: net.numpy_forward(probe_data)  # noqa: E731
             used_compiled = True
-        except Exception:
+        except CompileError:
             forward = None
     if forward is None:
         probe = nn.Tensor(probe_data)

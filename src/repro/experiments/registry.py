@@ -407,7 +407,7 @@ def _pipeline_fingerprint() -> str:
         models.mobilenetv2, models.mcunet, models.blocks, models.detector,
         eval_pkg.complexity, nn.layers, nn.norm, nn.functional,
         optim.sgd, optim.schedulers, optim.flat,
-        runtime_training,  # the default (compiled) train-step path
+        runtime_training,  # the Trainer's train step
     )
     return source_fingerprint(*modules)
 

@@ -978,7 +978,9 @@ def softmax_cross_entropy_grad(
     exp, sum_exp = cache
     probs = exp / sum_exp
     grad_logits = probs * target_probs.sum(axis=-1, keepdims=True) - target_probs
-    grad_logits *= np.asarray(upstream) * (1.0 / exp.shape[0])
+    # The 1/N scale is a float64 scalar, so each element is rounded once.  A
+    # float32 1/N would round twice whenever N is not a power of two.
+    grad_logits *= np.float64(upstream) * (1.0 / exp.shape[0])
     return grad_logits
 
 

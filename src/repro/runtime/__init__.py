@@ -1,4 +1,4 @@
-"""Compiled runtimes: one graph IR, declared passes, three lowering backends.
+"""Compiled runtimes: one graph IR, declared passes, two lowering backends.
 
 Every engine starts from the same traced :class:`~repro.runtime.ir.Graph`
 (one shared tracer in :mod:`repro.runtime.ir`) transformed by declared
@@ -22,23 +22,14 @@ integer grids end to end, and a statically planned buffer arena::
     qnet = repro.compile(model, mode="int8")
     logits = qnet.numpy_forward(images)    # matches fake-quant within dequant tol
 
-For training, ``mode="train"`` lowers model + loss into a fused
-forward+backward :class:`TrainStep` that skips per-step tape construction and
-writes gradients straight into the optimiser's flat buffer::
+``repro.serve`` resolves its ``--engine {float,int8}`` backends through the
+:func:`resolve_engine` registry here.  Training does not compile: the
+:class:`~repro.train.trainer.Trainer` runs every step on the eager autograd
+tape (:class:`repro.runtime.training.TrainStep`) plus ``FlatSGD``.
 
-    step = repro.compile(model, mode="train", loss=loss_computer, optimizer=optimizer)
-    loss, logits = step(images, labels)    # grads are now in param.grad
-    optimizer.step()
-
-:class:`~repro.train.trainer.Trainer` routes ``train_step`` through this path
-automatically and falls back to the eager tape when a model or loss cannot be
-lowered; ``repro.serve`` resolves its ``--engine {float,int8}`` backends
-through the :func:`resolve_engine` registry here.
-
-``compile`` snapshots weights for the inference modes — recompile after
-further training.  The legacy entry points ``compile_net`` /
-``compile_quantized`` / ``compile_training_step`` remain importable as thin
-deprecated wrappers over the frontend (each warns once); the old
+``compile`` snapshots weights — recompile after further training.  The
+legacy entry points ``compile_net`` / ``compile_quantized`` remain importable
+as thin deprecated wrappers over the frontend (each warns once); the old
 builtin-shadowing ``repro.runtime.compile`` alias is gone — use
 ``repro.compile`` or :func:`compile_model`.
 """
@@ -72,7 +63,6 @@ from .ir import CompileError, Graph, OpNode, trace
 from .passes import PassManager, PassOrderError
 from .planner import ArenaPlanner, IOPlan, MemoryPlan, plan_io
 from .quantized import QuantCompileError, QuantizedNet, compile_quantized
-from .training import TrainStep, compile_training_step
 from . import kernels
 
 __all__ = [
@@ -102,11 +92,9 @@ __all__ = [
     # executors
     "CompiledNet",
     "QuantizedNet",
-    "TrainStep",
     # deprecated legacy entry points (thin wrappers over repro.compile)
     "compile_net",
     "compile_quantized",
-    "compile_training_step",
     # backend building blocks
     "QuantCompileError",
     "QuantConvOp",

@@ -10,7 +10,7 @@ fresh process needs to rebuild a bit-identical executor —
   ``weight_scale`` tensors and the frozen ``act_low`` / ``act_high``
   calibration grids (so no calibration data is needed at load time),
 * the quantization spec and the exact set of quantized layers (int8),
-* the compile options and the loss configuration (train),
+* the compile options,
 * a structural record of the annotated IR graph — node kinds/names/attrs,
   pass trail, layout, activation specs, int8 grids, inferred shapes — plus
   the arena-plan accounting at a declared input shape,
@@ -31,7 +31,7 @@ File layout (a plain ``.npz`` zip, ``allow_pickle=False``)::
 
     __header__        uint8 bytes of a canonical-JSON header:
                       magic, format_version, mode, model ref, options,
-                      quant / loss sections, graph record, plan record,
+                      quant section, graph record, plan record,
                       state manifest, fingerprint
     state::<name>     one entry per ``state_dict()`` tensor, exact dtype
 
@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
+from .frontend import _MODE_ALIASES, MODES
 from .ir import CompileError, Graph
 
 __all__ = [
@@ -227,8 +228,6 @@ def model_fingerprint(model: nn.Module, mode: str, model_ref: dict | None = None
 # save
 # --------------------------------------------------------------------------- #
 def _canonical_mode(mode: str) -> str:
-    from .frontend import _MODE_ALIASES
-
     key = _MODE_ALIASES.get(str(mode).lower())
     if key is None:
         raise ArtifactError(f"unknown mode {mode!r}")
@@ -257,14 +256,11 @@ def _registry_ref(model: nn.Module, explicit: dict | None) -> dict:
 def _executor_mode(executor) -> tuple[str, nn.Module]:
     from .compiler import CompiledNet
     from .quantized import QuantizedNet
-    from .training import TrainStep
 
     if isinstance(executor, QuantizedNet):
         return "int8", executor.source
     if isinstance(executor, CompiledNet):
         return "infer", executor.source
-    if isinstance(executor, TrainStep):
-        return "train", executor.model
     raise ArtifactError(f"cannot serialize {type(executor).__name__}; expected a repro.compile executor")
 
 
@@ -309,8 +305,8 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
     Parameters
     ----------
     executor:
-        A :class:`~repro.runtime.CompiledNet`, :class:`~repro.runtime.QuantizedNet`
-        or :class:`~repro.runtime.TrainStep` produced by :func:`repro.compile`
+        A :class:`~repro.runtime.CompiledNet` or
+        :class:`~repro.runtime.QuantizedNet` produced by :func:`repro.compile`
         (it must still carry its annotated graph).
     path:
         Destination file.  Written atomically (temp file + rename).
@@ -353,12 +349,6 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
         "state_digest": _state_digest(state),
         "fingerprint": _fingerprint(mode, ref, model, state),
     }
-    if mode == "train":
-        label_smoothing = 0.0
-        for node, _ in graph.walk():
-            if node.kind == "loss":
-                label_smoothing = float(node.attrs.get("label_smoothing", 0.0))
-        header["loss"] = {"label_smoothing": label_smoothing}
     if mode == "int8":
         header["quant"] = _quant_record(model)
 
@@ -421,6 +411,12 @@ def _open_artifact(path: str):
         raise ArtifactError(
             f"artifact {path!r} has format version {version}, this runtime "
             f"reads version {FORMAT_VERSION}; re-save the artifact with this runtime"
+        )
+    if header.get("mode") not in MODES:
+        data.close()
+        raise ArtifactError(
+            f"artifact {path!r} has mode {header.get('mode')!r}; this runtime "
+            f"loads only {MODES}"
         )
     return data, header
 
@@ -511,12 +507,8 @@ def _rebuild_model(header: dict, path: str) -> nn.Module:
         model = create_model(ref["name"], num_classes=int(ref.get("num_classes", 16)), **ref.get("kwargs", {}))
     except (KeyError, TypeError) as error:
         raise ArtifactError(f"artifact {path!r} references an unbuildable model: {error}") from error
-    mode = header["mode"]
-    if mode == "train":
-        model.train()
-    else:
-        model.eval()
-    if mode == "int8":
+    model.eval()
+    if header["mode"] == "int8":
         from ..compress.quantization import QuantizationSpec, _QuantizedWrapper, quantize_model
 
         quant = header.get("quant")
@@ -547,9 +539,9 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
         An artifact file written by :func:`save_artifact` /
         ``executor.save(path)``.
     mode:
-        Optional expected mode (``"infer"`` / ``"int8"`` / ``"train"`` or an
-        alias).  A mismatch with the stored mode raises :class:`ArtifactError`
-        — an int8 artifact can never silently execute as float.
+        Optional expected mode (``"infer"`` / ``"int8"`` or an alias).  A
+        mismatch with the stored mode raises :class:`ArtifactError` — an int8
+        artifact can never silently execute as float.
     model:
         Optional live model to validate against: its fingerprint (structure +
         current state) must equal the artifact's, otherwise the model has
@@ -561,7 +553,7 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
 
     Returns
     -------
-    CompiledNet | QuantizedNet | TrainStep
+    CompiledNet | QuantizedNet
         A fresh executor, bit-identical to the one that was saved, with an
         :class:`ArtifactInfo` attached as ``executor.artifact``.
 
@@ -614,13 +606,8 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
     kwargs = {}
     if stored_mode == "int8":
         kwargs["dw_kernel"] = dw_kernel or options.get("dw_kernel", "auto")
-    loss = None
-    if stored_mode == "train":
-        from ..train.trainer import StandardLoss
-
-        loss = StandardLoss(label_smoothing=float(header.get("loss", {}).get("label_smoothing", 0.0)))
     try:
-        executor = compile_model(model, mode=stored_mode, loss=loss, **kwargs)
+        executor = compile_model(model, mode=stored_mode, **kwargs)
     except CompileError as error:
         raise ArtifactError(f"artifact {path!r} no longer compiles: {error}") from error
 

@@ -10,22 +10,20 @@ backend::
 
     net  = repro.compile(model)                       # fused float inference
     qnet = repro.compile(model, mode="int8")          # true-integer engine
-    step = repro.compile(model, mode="train",         # fused fwd+bwd step
-                         loss=loss_computer, optimizer=optimizer)
 
-Every executor shares a uniform surface: ``__call__`` (Tensor in / detached
-Tensor out), ``numpy_forward`` (ndarray in / out; training steps take
-``(images, labels)``), ``memory_plan(input_shape)`` (the arena planner's
-:class:`~repro.runtime.planner.MemoryPlan`) and ``describe()`` (a printable
-lowering report).
+Both executors share a uniform surface: ``__call__`` (Tensor in / detached
+Tensor out), ``numpy_forward`` (ndarray in / out), ``memory_plan(input_shape)``
+(the arena planner's :class:`~repro.runtime.planner.MemoryPlan`) and
+``describe()`` (a printable lowering report).
 
 The serving layer resolves engines by *name* through the registry here
 (``repro.serve --engine {float,int8}``); :func:`register_engine` lets
 downstream code add aliases without touching the serving CLI.
 
-The legacy entry points — ``compile_net``, ``compile_quantized``,
-``compile_training_step`` — remain importable as thin deprecated wrappers
-over this frontend.
+Training is not a compile mode: :class:`~repro.train.trainer.Trainer` runs
+the eager autograd tape plus ``FlatSGD``.  The legacy entry points
+``compile_net`` and ``compile_quantized`` remain importable as thin
+deprecated wrappers over this frontend.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ import warnings
 from dataclasses import dataclass
 
 from .. import nn
-from .ir import CompileError, Graph, UnsupportedModule, trace
-from .passes import PassManager, inference_pipeline, int8_pipeline, training_pipeline
+from .ir import CompileError, Graph, trace
+from .passes import PassManager, inference_pipeline, int8_pipeline
 
 __all__ = [
     "CompileOptions",
@@ -49,7 +47,7 @@ __all__ = [
     "available_engines",
 ]
 
-MODES = ("infer", "int8", "train")
+MODES = ("infer", "int8")
 
 _MODE_ALIASES = {
     "infer": "infer",
@@ -57,8 +55,6 @@ _MODE_ALIASES = {
     "float": "infer",
     "int8": "int8",
     "quantized": "int8",
-    "train": "train",
-    "training": "train",
 }
 
 
@@ -81,7 +77,7 @@ class CompileOptions:
 # --------------------------------------------------------------------------- #
 # mode builders
 # --------------------------------------------------------------------------- #
-def _build_infer(model: nn.Module, loss, optimizer, options: CompileOptions):
+def _build_infer(model: nn.Module, options: CompileOptions):
     from .compiler import build_inference_program
 
     graph = trace(model)
@@ -90,7 +86,7 @@ def _build_infer(model: nn.Module, loss, optimizer, options: CompileOptions):
     return build_inference_program(graph)
 
 
-def _build_int8(model: nn.Module, loss, optimizer, options: CompileOptions):
+def _build_int8(model: nn.Module, options: CompileOptions):
     from ..compress.quantization import _QuantizedWrapper
     from .ir import QuantCompileError
     from .quantized import build_quantized_program
@@ -106,37 +102,13 @@ def _build_int8(model: nn.Module, loss, optimizer, options: CompileOptions):
     return build_quantized_program(graph, dw_kernel=options.dw_kernel)
 
 
-def _build_train(model: nn.Module, loss, optimizer, options: CompileOptions):
-    from .training import build_training_program
-
-    label_smoothing = 0.0
-    if loss is not None:
-        # Exactly StandardLoss — subclasses may override __call__ arbitrarily.
-        from ..train.trainer import StandardLoss
-
-        if type(loss) is not StandardLoss:
-            raise CompileError(
-                f"loss {type(loss).__name__} cannot be lowered to the fused training step"
-            )
-        label_smoothing = loss.label_smoothing
-    graph = trace(model)
-    graph.meta["mode"] = "train"
-    PassManager(training_pipeline(label_smoothing)).run(graph)
-    try:
-        return build_training_program(graph)
-    except UnsupportedModule as error:
-        raise CompileError(f"model cannot be lowered to the fused training step: {error}") from error
-
-
-_MODE_BUILDERS = {"infer": _build_infer, "int8": _build_int8, "train": _build_train}
+_MODE_BUILDERS = {"infer": _build_infer, "int8": _build_int8}
 
 
 def compile_model(
     model: nn.Module,
     mode: str = "infer",
     *,
-    loss=None,
-    optimizer=None,
     options: CompileOptions | None = None,
     **overrides,
 ):
@@ -150,31 +122,23 @@ def compile_model(
         ``"infer"`` (default) for the fused float program
         (:class:`~repro.runtime.CompiledNet`), ``"int8"`` for the planned
         true-integer engine (:class:`~repro.runtime.QuantizedNet`; the model
-        must be quantized and calibrated first), or ``"train"`` for the fused
-        forward+backward step (:class:`~repro.runtime.TrainStep`).
-        ``"float"``/``"quantized"``/``"training"`` are accepted aliases.
-    loss:
-        Training mode only: the loss computer to lower
-        (a :class:`~repro.train.trainer.StandardLoss` or ``None`` for plain
-        cross-entropy).
-    optimizer:
-        Training mode only; accepted for future lowering (gradients already
-        flow through ``param.grad``, which a flat optimizer aliases).
+        must be quantized and calibrated first).  ``"float"``/``"quantized"``
+        are accepted aliases.
     options:
         A :class:`CompileOptions`; individual fields may instead be passed as
         keyword overrides (``dw_kernel=...``).
 
     Returns
     -------
-    CompiledNet | QuantizedNet | TrainStep
+    CompiledNet | QuantizedNet
         An executor with the uniform ``__call__`` / ``numpy_forward`` /
         ``memory_plan`` / ``describe`` surface.
 
     Raises
     ------
     CompileError
-        Unknown mode, a training model/loss that cannot be lowered, or — as
-        the :class:`~repro.runtime.QuantCompileError` subclass — an int8
+        Unknown mode (training is not a compile mode), or — as the
+        :class:`~repro.runtime.QuantCompileError` subclass — an int8
         request on an unquantized or uncalibrated model.
     """
     if options is None:
@@ -184,7 +148,7 @@ def compile_model(
     key = _MODE_ALIASES.get(str(mode).lower())
     if key is None:
         raise CompileError(f"unknown compile mode {mode!r}; expected one of {MODES}")
-    return _MODE_BUILDERS[key](model, loss, optimizer, options)
+    return _MODE_BUILDERS[key](model, options)
 
 
 # --------------------------------------------------------------------------- #
@@ -274,8 +238,7 @@ def _deprecated(replacement: str):
     """Mark a legacy entry point: warn once (per process), then forward.
 
     The single home of the legacy-shim warning plumbing —
-    ``compile_net`` / ``compile_quantized`` / ``compile_training_step`` are
-    all plain functions decorated with this, so the once-only bookkeeping,
+    ``compile_net`` / ``compile_quantized`` are plain functions decorated with this, so the once-only bookkeeping,
     message format and warning category cannot drift apart per shim.
     """
 

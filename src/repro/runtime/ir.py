@@ -1,23 +1,20 @@
 """Shared graph IR for the compiled runtimes.
 
-Every engine in :mod:`repro.runtime` — the fused float inference program, the
-true-integer int8 engine and the fused training step — used to walk the eager
-module tree with its own private lowering function, re-implementing structure
-recognition (``ConvBNAct``, ``InvertedResidual``, classifier heads, …) three
-times.  This module owns that knowledge once:
+Both engines in :mod:`repro.runtime` — the fused float inference program and
+the true-integer int8 engine — used to walk the eager module tree with their
+own private lowering functions, re-implementing structure recognition
+(``ConvBNAct``, ``InvertedResidual``, classifier heads, …) per engine.  This
+module owns that knowledge once:
 
 * :func:`trace` walks an eager :class:`~repro.nn.module.Module` tree and
   produces a :class:`Graph` of typed :class:`OpNode` records
   (``conv`` / ``qconv`` / ``linear`` / ``qlinear`` / ``bn`` / ``act`` /
-  ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``;
-  the training pipeline appends a ``loss`` node and may merge ``gap`` +
-  ``flatten`` into ``gap_flatten``);
+  ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``);
 * the passes in :mod:`repro.runtime.passes` transform and annotate the graph
   (BN folding, activation fusion, int8 grid annotation, layout, shape
   inference, arena planning);
-* each backend (:mod:`repro.runtime.compiler`, :mod:`repro.runtime.quantized`,
-  :mod:`repro.runtime.training`) is a thin consumer that turns the annotated
-  graph into executable kernels.
+* each backend (:mod:`repro.runtime.compiler`, :mod:`repro.runtime.quantized`)
+  is a thin consumer that turns the annotated graph into executable kernels.
 
 Nodes hold a *reference* to their source module, never copied weights — what a
 backend snapshots (or binds live) is a backend decision.  Pass results live in
@@ -161,13 +158,12 @@ class OpNode:
     kind:
         Op type tag (``"conv"``, ``"qconv"``, ``"linear"``, ``"qlinear"``,
         ``"bn"``, ``"act"``, ``"pool"``, ``"gap"``, ``"flatten"``,
-        ``"dropout"``, ``"residual"``, ``"eager"``, ``"gap_flatten"``,
-        ``"loss"``).
+        ``"dropout"``, ``"residual"``, ``"eager"``).
     name:
         Dotted module path from the traced root (``"features.3.depthwise"``);
         backends use it to label planner buffers.
     module:
-        The source eager module (``None`` for synthetic nodes like ``loss``).
+        The source eager module.
         Referenced, not copied — snapshotting weights is a backend decision.
     attrs:
         Structural attributes fixed at trace time (stride, padding, groups,

@@ -4,9 +4,9 @@ A :class:`PassManager` runs an ordered list of :class:`Pass` instances over a
 traced :class:`~repro.runtime.ir.Graph` and enforces the pipeline's ordering
 invariants (BN folding before activation fusion, shape inference and layout
 assignment before arena planning).  The mode pipelines —
-:func:`inference_pipeline`, :func:`int8_pipeline`, :func:`training_pipeline` —
-are what the :func:`repro.compile` frontend schedules; backends only consume
-the annotations the passes leave in ``node.meta`` / ``graph.meta``:
+:func:`inference_pipeline` and :func:`int8_pipeline` — are what the
+:func:`repro.compile` frontend schedules; backends only consume the
+annotations the passes leave in ``node.meta`` / ``graph.meta``:
 
 =====================  =====================================================
 pass                   annotation
@@ -15,8 +15,6 @@ pass                   annotation
 ``fold_batchnorm``     ``node.meta["bn_folds"] = [(scale, shift), ...]``
 ``fuse_activations``   ``node.meta["act"]`` (fused) / ``node.meta["spec"]``
 ``lower_int8``         ``node.meta["grid"]`` (+ calibration validation)
-``fuse_gap_flatten``   merges ``gap`` + ``flatten`` into ``gap_flatten``
-``attach_loss``        appends the training ``loss`` node
 ``assign_layout``      ``graph.meta["layout"] = "NCHW" | "CNHW"``
 ``infer_shapes``       ``node.meta["out_shape"]`` for a concrete input shape
 ``plan_memory``        ``graph.meta["memory_plan"]`` — liveness-packed
@@ -53,14 +51,11 @@ __all__ = [
     "FoldBatchNorm",
     "FuseActivations",
     "LowerInt8",
-    "FuseGapFlatten",
-    "AttachLoss",
     "AssignLayout",
     "InferShapes",
     "PlanMemory",
     "inference_pipeline",
     "int8_pipeline",
-    "training_pipeline",
     "plan_graph_memory",
 ]
 
@@ -155,31 +150,12 @@ def _rewrite(graph: Graph, rewrite_list) -> None:
 # passes
 # --------------------------------------------------------------------------- #
 class EliminateDropout(Pass):
-    """Remove dropout nodes that are the identity for the compile mode.
-
-    Inference modes drop every dropout node; the training pipeline
-    (``keep_active=True``) keeps stochastically active ones (``rate > 0``),
-    which the training backend runs on the eager tape to preserve the
-    module's own RNG stream.
-    """
+    """Remove dropout nodes: every one is the identity at inference."""
 
     name = "eliminate_dropout"
 
-    def __init__(self, keep_active: bool = False):
-        self.keep_active = keep_active
-
     def run(self, graph: Graph) -> None:
-        def rewrite(nodes):
-            kept = []
-            for node in nodes:
-                if node.kind == "dropout":
-                    if self.keep_active and node.attrs.get("rate", 0.0) > 0.0:
-                        kept.append(node)
-                    continue
-                kept.append(node)
-            return kept
-
-        _rewrite(graph, rewrite)
+        _rewrite(graph, lambda nodes: [node for node in nodes if node.kind != "dropout"])
 
 
 class FoldBatchNorm(Pass):
@@ -311,45 +287,8 @@ class LowerInt8(Pass):
             node.meta["grid"] = (in_scale, in_zp, wrapper.spec.bits)
 
 
-class FuseGapFlatten(Pass):
-    """Merge the pooled-head idiom ``gap -> flatten`` into one node.
-
-    The training backend implements the pair as a single
-    ``(N, C, H, W) -> (N, C)`` node with a matched backward.
-    """
-
-    name = "fuse_gap_flatten"
-
-    def run(self, graph: Graph) -> None:
-        def rewrite(nodes):
-            kept: list[OpNode] = []
-            for node in nodes:
-                if node.kind == "flatten" and kept and kept[-1].kind == "gap":
-                    gap = kept.pop()
-                    kept.append(OpNode("gap_flatten", gap.name, gap.module))
-                    continue
-                kept.append(node)
-            return kept
-
-        _rewrite(graph, rewrite)
-
-
-class AttachLoss(Pass):
-    """Append the training ``loss`` node (fused softmax cross-entropy)."""
-
-    name = "attach_loss"
-
-    def __init__(self, label_smoothing: float = 0.0):
-        self.label_smoothing = float(label_smoothing)
-
-    def run(self, graph: Graph) -> None:
-        graph.nodes.append(
-            OpNode("loss", "loss", None, {"label_smoothing": self.label_smoothing})
-        )
-
-
 class AssignLayout(Pass):
-    """Record the backend buffer layout (``NCHW`` float/train, ``CNHW`` int8)."""
+    """Record the backend buffer layout (``NCHW`` float, ``CNHW`` int8)."""
 
     name = "assign_layout"
 
@@ -410,12 +349,8 @@ class InferShapes(Pass):
             return (shape[0], shape[1], 1, 1)
         if kind == "flatten":
             return (shape[0], int(np.prod(shape[1:])))
-        if kind == "gap_flatten":
-            return (shape[0], shape[1])
         if kind == "residual":
             return self._walk(node.body, shape)
-        if kind == "loss":
-            return ()
         if kind == "eager":
             probe = nn.Tensor(np.zeros(shape, dtype=np.float32))
             module = node.module
@@ -463,8 +398,6 @@ class PlanMemory(Pass):
 
     def _plan(self, graph: Graph, planner: ArenaPlanner, buf):
         for node in graph.nodes:
-            if node.kind == "loss":
-                continue
             if node.kind == "flatten":
                 continue  # a reshape view: no new buffer, no step
             if node.kind == "residual":
@@ -503,20 +436,6 @@ def int8_pipeline() -> list[Pass]:
         FuseActivations(int8=True),
         LowerInt8(),
         AssignLayout("CNHW"),
-    ]
-
-
-def training_pipeline(label_smoothing: float = 0.0) -> list[Pass]:
-    """Passes for ``mode="train"`` (the fused forward+backward step).
-
-    Training keeps BatchNorm in batch-statistics mode and activations as
-    matched forward/backward pairs, so neither folding nor fusion runs here.
-    """
-    return [
-        EliminateDropout(keep_active=True),
-        FuseGapFlatten(),
-        AttachLoss(label_smoothing),
-        AssignLayout("NCHW"),
     ]
 
 

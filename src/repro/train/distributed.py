@@ -1,9 +1,8 @@
 """Data-parallel distributed training over flat parameter buffers.
 
 :class:`DistributedTrainer` spreads one training run across ``workers``
-processes.  Each worker holds its own model replica and compiled
-:class:`~repro.runtime.training.TrainStep` (via ``repro.compile(mode=
-"train")``), accumulates gradients straight into its
+processes.  Each worker holds its own model replica and :class:`Trainer`
+(eager autograd tape), accumulates gradients straight into its
 :class:`~repro.optim.FlatParams` gradient buffer, and synchronises through a
 :class:`~repro.optim.allreduce.ReductionArena` — a double-buffered
 ``multiprocessing.shared_memory`` segment with a pipe-based barrier, so one
@@ -33,7 +32,7 @@ Determinism contract:
   :class:`~repro.data.DataLoader`'s ``shard``), so the union of shards is
   exactly the single-process epoch;
 * ``workers=1`` runs the identical code path as :class:`Trainer` (same
-  loader stream, same compiled step, same flat-buffer update, no
+  loader stream, same train step, same flat-buffer update, no
   collectives) and is **bitwise identical** to it — parameters and
   batch-norm statistics match to the last bit;
 * for fixed ``workers=N`` the run is deterministic: reductions sum in
@@ -140,7 +139,6 @@ class _WorkerSpec:
     topology: str
     loss_computer: LossComputer | None
     train_transform: object | None
-    compile: bool | str
     prefetch: bool
     resume_from: str | None
     barrier_timeout_s: float
@@ -188,7 +186,6 @@ def _worker_main(rank, spec, train_set, val_set, epochs, arena_name, barrier_con
             model,
             config,
             loss_computer=spec.loss_computer,
-            compile=spec.compile,
             optimizer=optimizer,
         )
         if spec.resume_from is not None:
@@ -284,7 +281,7 @@ class DistributedTrainer:
     topology:
         ``"allreduce"`` (synchronous global gradient averaging) or
         ``"gossip"`` (DACFL-style ring neighbour averaging of parameters).
-    loss_computer / train_transform / compile / prefetch:
+    loss_computer / train_transform / prefetch:
         Forwarded to each worker's :class:`Trainer` / loader.
     start_method:
         ``multiprocessing`` start method; defaults to ``"fork"`` where
@@ -315,7 +312,6 @@ class DistributedTrainer:
         topology: str = "allreduce",
         loss_computer: LossComputer | None = None,
         train_transform=None,
-        compile: bool | str = True,
         prefetch: bool = True,
         start_method: str | None = None,
         resume_from: str | None = None,
@@ -338,7 +334,6 @@ class DistributedTrainer:
             topology=topology,
             loss_computer=loss_computer,
             train_transform=train_transform,
-            compile=compile,
             prefetch=prefetch,
             resume_from=resume_from,
             barrier_timeout_s=barrier_timeout_s,

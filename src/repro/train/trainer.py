@@ -13,8 +13,6 @@ pluggable:
 
 from __future__ import annotations
 
-import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -26,6 +24,7 @@ from ..data.datasets import ClassificationDataset
 from ..data.transforms import Transform
 from ..nn import functional as F
 from ..optim import FlatSGD, SGD, ConstantLR, CosineAnnealingLR, LinearWarmup, StepLR
+from ..runtime.training import TrainStep
 from ..utils.config import ExperimentConfig
 from .metrics import AverageMeter, accuracy
 
@@ -108,19 +107,20 @@ def evaluate(
     By default the model is lowered through :mod:`repro.runtime` (BatchNorm
     folding + fused conv/bias/activation kernels), which is substantially
     faster than the eager tape on CPU.  Set ``compiled=False`` to force the
-    eager path; compilation failures fall back to it automatically.
+    eager path.  A model the compiler rejects with
+    :class:`~repro.runtime.CompileError` is evaluated eagerly too; any other
+    compile error propagates.
     """
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     was_training = model.training
     model.eval()
     forward = None
     if compiled:
-        try:
-            from ..runtime import compile_model
+        from ..runtime import CompileError, compile_model
 
-            net = compile_model(model, mode="infer")
-            forward = net.numpy_forward
-        except Exception:
+        try:
+            forward = compile_model(model, mode="infer").numpy_forward
+        except CompileError:
             forward = None
     correct_meter = AverageMeter("accuracy")
     with nn.no_grad():
@@ -154,16 +154,6 @@ class Trainer:
     epoch_callbacks:
         Called (with the epoch index and the running history) after every
         epoch.
-    compile:
-        Route ``train_step`` through the fused training runtime
-        (``repro.compile(model, mode="train")``) when the model and loss can
-        be lowered; the eager tape remains as automatic fallback and the two
-        paths are bit-identical.  Disable to force the eager path (used by
-        the parity tests and benchmarks), or pass ``"auto"`` to race both
-        paths on the first training batch and keep the faster one — the race
-        is side-effect-free (batch-norm statistics, gradients and dropout RNG
-        states are snapshot and restored), and because the two paths are
-        bit-identical the choice never changes the training trajectory.
     optimizer:
         Optional pre-built optimiser (the distributed trainer injects its
         gradient-synchronising :class:`~repro.optim.FlatSGD` subclass here).
@@ -178,11 +168,8 @@ class Trainer:
         train_transform: Transform | None = None,
         iteration_callbacks: list[Callable[[int], None]] | None = None,
         epoch_callbacks: list[Callable[[int, TrainingHistory], None]] | None = None,
-        compile: bool | str = True,
         optimizer: SGD | None = None,
     ):
-        if compile not in (True, False, "auto"):
-            raise ValueError(f"compile must be True, False or 'auto', got {compile!r}")
         self.model = model
         self.config = config
         self.loss_computer = loss_computer or StandardLoss(config.label_smoothing)
@@ -199,11 +186,7 @@ class Trainer:
         )
         self.scheduler = _build_scheduler(self.optimizer, config, config.epochs)
         self.global_iteration = 0
-        self._compile_enabled = compile
-        self._compiled_step = None
-        self._compile_attempted = False
-        self._failed_signature = None
-        self.auto_choice: str | None = None
+        self._step = TrainStep(model, self.loss_computer)
 
     def fit(
         self,
@@ -239,136 +222,10 @@ class Trainer:
                 callback(epoch, history)
         return history
 
-    def _ensure_compiled(self):
-        """Build (or rebuild) the fused train step; ``None`` when unsupported.
-
-        The compiled program holds live references to the model's modules and
-        parameters, so weight updates need no recompilation; a structural
-        edit (swapped submodule / replaced parameter) is detected via
-        :meth:`~repro.runtime.TrainStep.matches` and triggers a recompile.
-        """
-        if not self._compile_enabled:
-            return None
-        step = self._compiled_step
-        if step is not None and step.matches(self.model):
-            return step
-        from ..runtime import CompileError, compile_model
-        from ..runtime.training import structure_signature
-
-        if step is None and self._compile_attempted:
-            # Unsupported (or failed) at the last attempt: retry only after a
-            # structural edit, which may have made the model compilable.
-            if structure_signature(self.model) == self._failed_signature:
-                return None
-        self._compile_attempted = True
-        try:
-            self._compiled_step = compile_model(
-                self.model, mode="train", loss=self.loss_computer, optimizer=self.optimizer
-            )
-        except CompileError:
-            # Expected for unlowerable losses/models (KD, detection heads...):
-            # the eager tape is the documented, bit-identical fallback.
-            self._compiled_step = None
-        except Exception:
-            self._compiled_step = None
-            warnings.warn(
-                "repro.compile(mode='train') raised; training continues on the "
-                "eager path (results are identical, throughput is lower)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if self._compiled_step is None:
-            self._failed_signature = structure_signature(self.model)
-        return self._compiled_step
-
-    # ------------------------------------------------------------------ #
-    # auto path selection
-    # ------------------------------------------------------------------ #
-    def _forward_state_snapshot(self):
-        """Copy every array a forward/backward pass mutates besides params.
-
-        Parameters are untouched without an ``optimizer.step()``; what a bare
-        forward+backward perturbs is (a) batch-norm running statistics (any
-        module buffer), (b) the flat gradient buffer, and (c) module-local
-        RNGs (dropout).  All three are snapshot so the timing race in
-        ``compile="auto"`` leaves the training trajectory untouched.
-        """
-        buffers = [(buf, np.copy(buf)) for _, buf in self.model.named_buffers()]
-        rngs = []
-        for _, module in self.model.named_modules():
-            rng = getattr(module, "_rng", None)
-            if isinstance(rng, np.random.Generator):
-                rngs.append((rng, rng.bit_generator.state))
-        return buffers, rngs
-
-    def _restore_forward_state(self, snapshot) -> None:
-        buffers, rngs = snapshot
-        for buf, saved in buffers:
-            buf[...] = saved
-        for rng, state in rngs:
-            rng.bit_generator.state = state
-
-    def _resolve_auto_path(self, images: np.ndarray, labels: np.ndarray) -> None:
-        """Race the eager tape against the compiled step and keep the winner.
-
-        Each contender runs one warmup pass (compilation, workspace
-        allocation) plus two timed passes; the best time wins.  Both paths
-        are bit-identical, so whichever wins, results do not change — the
-        crossover between them is workload-dependent (the fused step saves
-        tape construction but the kernels dominate at large batches), which
-        is why it is measured instead of hard-coded.
-        """
-        self._compile_enabled = True
-        step = self._ensure_compiled()
-        if step is None:
-            self._compile_enabled = False
-            self.auto_choice = "eager"
-            return
-        snapshot = self._forward_state_snapshot()
-        try:
-            def run_eager():
-                self.optimizer.zero_grad()
-                loss, _ = self.loss_computer(self.model, nn.Tensor(images), labels)
-                loss.backward()
-
-            def run_compiled():
-                self.optimizer.zero_grad()
-                step(images, labels)
-
-            timings = {}
-            for name, fn in (("eager", run_eager), ("compiled", run_compiled)):
-                fn()  # warmup: JIT-ish costs (workspaces, caches) stay out of the race
-                best = float("inf")
-                for _ in range(2):
-                    start = time.perf_counter()
-                    fn()
-                    best = min(best, time.perf_counter() - start)
-                timings[name] = best
-            self._compile_enabled = timings["compiled"] <= timings["eager"]
-            self.auto_choice = "compiled" if self._compile_enabled else "eager"
-        finally:
-            self._restore_forward_state(snapshot)
-            self.optimizer.zero_grad()
-
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """One optimiser update; returns the loss value and detached logits.
-
-        Routes through the compiled training runtime when available (fused
-        forward+backward kernels, gradients written into the optimiser's flat
-        buffer); otherwise runs the eager tape.  Both paths are numerically
-        identical.
-        """
-        if self._compile_enabled == "auto" and self.model.training:
-            self._resolve_auto_path(images, labels)
-        compiled = self._ensure_compiled() if self.model.training else None
+        """One optimiser update; returns the loss value and detached logits."""
         self.optimizer.zero_grad()
-        if compiled is not None:
-            loss_value, logits_arr = compiled(images, labels)
-        else:
-            inputs = nn.Tensor(images)
-            loss, logits = self.loss_computer(self.model, inputs, labels)
-            loss.backward()
-            loss_value, logits_arr = loss.item(), logits.numpy()
+        loss_value, logits_arr = self._step(images, labels)
         self.optimizer.step()
         self.global_iteration += 1
         for callback in self.iteration_callbacks:

@@ -1,4 +1,4 @@
-"""Shared test helpers (gradient checking, tensor factories).
+"""Shared test helpers (gradient checking, tensor factories, artifact tampering).
 
 Kept in a uniquely-named module (not ``conftest.py``) so ``from helpers
 import ...`` resolves unambiguously regardless of pytest's rootdir ordering —
@@ -8,11 +8,13 @@ import ...`` resolves unambiguously regardless of pytest's rootdir ordering —
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["numerical_gradient", "assert_gradients_close", "make_tensor"]
+__all__ = ["numerical_gradient", "assert_gradients_close", "make_tensor", "rewrite_header_mode"]
 
 
 def numerical_gradient(func, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -38,3 +40,14 @@ def assert_gradients_close(analytic: np.ndarray, numeric: np.ndarray, atol: floa
 def make_tensor(shape, rng: np.random.Generator | None = None, requires_grad: bool = True) -> Tensor:
     rng = rng or np.random.default_rng(0)
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad, dtype=np.float64)
+
+
+def rewrite_header_mode(path, mode: str) -> None:
+    """Rewrite a compiled artifact's header ``mode`` in place, state untouched."""
+    with np.load(path, allow_pickle=False) as data:
+        entries = {name: data[name] for name in data.files}
+    header = json.loads(bytes(entries["__header__"]).decode("utf-8"))
+    header["mode"] = mode
+    entries["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as handle:  # np.savez(path) would append .npz
+        np.savez(handle, **entries)

@@ -8,13 +8,13 @@ of the file or skew between file and code fails with a typed
 
 from __future__ import annotations
 
-import json
 import zipfile
 
 import numpy as np
 import pytest
 
 import repro
+from helpers import rewrite_header_mode
 from repro.compress import calibrate, quantize_model
 from repro.models import available_models, create_model
 from repro.runtime import (
@@ -28,7 +28,6 @@ from repro.runtime import (
     save_artifact,
 )
 from repro.runtime import artifact as artifact_mod
-from repro.train.trainer import StandardLoss
 from repro.utils import seed_everything
 
 RESOLUTION = 12
@@ -41,21 +40,12 @@ def make_model(name="mobilenetv2-tiny", mode="infer", seed=0):
     seed_everything(seed)
     model = create_model(name, num_classes=CLASSES)
     rng = np.random.default_rng(seed)
-    if mode == "train":
-        model.train()
-        return model, rng
     model.eval()
     if mode == "int8":
         quantize_model(model)
         batches = [rng.normal(0.2, 0.8, size=(4,) + SHAPE).astype(np.float32) for _ in range(2)]
         calibrate(model, batches)
     return model, rng
-
-
-def compile_for(model, mode):
-    if mode == "train":
-        return repro.compile(model, mode="train", loss=StandardLoss(label_smoothing=0.1))
-    return repro.compile(model, mode=mode)
 
 
 def batch_for(rng, n=3):
@@ -67,36 +57,24 @@ def batch_for(rng, n=3):
 # --------------------------------------------------------------------------- #
 class TestRoundTrip:
     @pytest.mark.parametrize("model_name", available_models())
-    @pytest.mark.parametrize("mode", ["infer", "int8", "train"])
+    @pytest.mark.parametrize("mode", ["infer", "int8"])
     def test_bit_identity_every_model_every_mode(self, tmp_path, model_name, mode):
         model, rng = make_model(model_name, mode)
-        fresh = compile_for(model, mode)
+        fresh = repro.compile(model, mode=mode)
         path = tmp_path / f"{model_name}-{mode}.rpa"
         info = fresh.save(str(path))
         assert isinstance(info, ArtifactInfo)
         assert info.mode == mode
         loaded = load_artifact(str(path))
         x = batch_for(rng)
-        if mode == "train":
-            labels = rng.integers(0, CLASSES, size=len(x))
-            loss_a, logits_a = fresh.numpy_forward(x, labels)
-            loss_b, logits_b = loaded.numpy_forward(x, labels)
-            assert loss_a == loss_b
-            np.testing.assert_array_equal(logits_a, logits_b)
-            for (name, p_a), (_, p_b) in zip(
-                fresh.model.named_parameters(), loaded.model.named_parameters()
-            ):
-                assert p_a.grad is not None, name
-                np.testing.assert_array_equal(p_a.grad, p_b.grad)
-        else:
-            np.testing.assert_array_equal(fresh.numpy_forward(x), loaded.numpy_forward(x))
+        np.testing.assert_array_equal(fresh.numpy_forward(x), loaded.numpy_forward(x))
 
     def test_memory_plan_before_save_does_not_poison_record(self, tmp_path):
         """memory_plan()/describe() re-annotate the live graph for the shape
         they saw; saving afterwards must still produce a loadable artifact
         (regression: recorded ``out_shape`` tripped the drift check)."""
         model, rng = make_model()
-        fresh = compile_for(model, "infer")
+        fresh = repro.compile(model, mode="infer")
         x = batch_for(rng)
         fresh.numpy_forward(x)
         fresh.memory_plan((4,) + SHAPE)
@@ -109,7 +87,7 @@ class TestRoundTrip:
     def test_loaded_executor_carries_artifact_info(self, tmp_path):
         model, _ = make_model()
         path = tmp_path / "net.rpa"
-        compile_for(model, "infer").save(str(path), input_shape=SHAPE)
+        repro.compile(model, mode="infer").save(str(path), input_shape=SHAPE)
         loaded = load_artifact(str(path))
         info = loaded.artifact
         assert info.mode == "infer"
@@ -121,7 +99,7 @@ class TestRoundTrip:
     def test_int8_state_restored_exactly(self, tmp_path):
         """Quantized weights (data-dependent int8/int16 dtypes) survive exactly."""
         model, _ = make_model(mode="int8")
-        fresh = compile_for(model, "int8")
+        fresh = repro.compile(model, mode="int8")
         path = tmp_path / "net.rpa"
         fresh.save(str(path))
         loaded = load_artifact(str(path))
@@ -137,7 +115,7 @@ class TestRoundTrip:
         model, _ = make_model()
         first = tmp_path / "a.rpa"
         second = tmp_path / "b.rpa"
-        info_a = compile_for(model, "infer").save(str(first))
+        info_a = repro.compile(model, mode="infer").save(str(first))
         loaded = load_artifact(str(first))
         info_b = loaded.save(str(second))
         assert info_a.fingerprint == info_b.fingerprint
@@ -145,14 +123,14 @@ class TestRoundTrip:
     def test_read_artifact_info_verify(self, tmp_path):
         model, _ = make_model()
         path = tmp_path / "net.rpa"
-        compile_for(model, "infer").save(str(path))
+        repro.compile(model, mode="infer").save(str(path))
         info = read_artifact_info(str(path), verify=True)
         assert info.mode == "infer"
 
     def test_top_level_load_export(self, tmp_path):
         model, _ = make_model()
         path = tmp_path / "net.rpa"
-        compile_for(model, "infer").save(str(path))
+        repro.compile(model, mode="infer").save(str(path))
         assert repro.load is load_artifact
         assert repro.ArtifactError is ArtifactError
         loaded = repro.load(str(path))
@@ -166,7 +144,7 @@ class TestRobustness:
     def save_one(self, tmp_path, mode="infer"):
         model, rng = make_model(mode=mode)
         path = tmp_path / "net.rpa"
-        compile_for(model, mode).save(str(path))
+        repro.compile(model, mode=mode).save(str(path))
         return path, model, rng
 
     def test_missing_file(self, tmp_path):
@@ -230,23 +208,23 @@ class TestRobustness:
         loaded = load_artifact(str(path), model=model)
         x = batch_for(rng)
         np.testing.assert_array_equal(
-            loaded.numpy_forward(x), compile_for(model, "infer").numpy_forward(x)
+            loaded.numpy_forward(x), repro.compile(model, mode="infer").numpy_forward(x)
         )
 
     def test_header_mode_tamper_breaks_fingerprint(self, tmp_path):
         """Rewriting the header (e.g. its mode) cannot go unnoticed."""
         path, _, _ = self.save_one(tmp_path)
-        with np.load(path, allow_pickle=False) as data:
-            entries = {name: data[name] for name in data.files}
-        header = json.loads(bytes(entries["__header__"]).decode("utf-8"))
-        header["mode"] = "int8"
-        entries["__header__"] = np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        )
-        with open(path, "wb") as handle:  # np.savez(path) would append .npz
-            np.savez(handle, **entries)
+        rewrite_header_mode(path, "int8")
         with pytest.raises(ArtifactError):
             load_artifact(str(path))
+
+    def test_removed_train_mode_rejected(self, tmp_path):
+        """A header claiming the removed ``train`` mode fails typed, up front."""
+        path, _, _ = self.save_one(tmp_path)
+        rewrite_header_mode(path, "train")
+        for read in (load_artifact, read_artifact_info):
+            with pytest.raises(ArtifactError, match="mode 'train'"):
+                read(str(path))
 
     def test_error_on_unreadable_zip_member(self, tmp_path):
         path, _, _ = self.save_one(tmp_path)
@@ -266,7 +244,7 @@ class TestRobustness:
         model, _ = make_model()
         base = model_fingerprint(model, "infer")
         assert base == model_fingerprint(model, "infer")
-        assert base != model_fingerprint(model, "train")
+        assert base != model_fingerprint(model, "int8")
         param = next(iter(model.parameters()))
         param.data[...] = param.data + 1.0
         assert base != model_fingerprint(model, "infer")
@@ -279,7 +257,7 @@ class TestArtifactEngines:
     def test_register_and_compile(self, tmp_path):
         model, rng = make_model()
         path = tmp_path / "net.rpa"
-        compile_for(model, "infer").save(str(path))
+        repro.compile(model, mode="infer").save(str(path))
         spec = register_artifact_engine("test-artifact-engine", str(path))
         try:
             assert spec.mode == "infer"
@@ -287,7 +265,7 @@ class TestArtifactEngines:
             loaded = spec.compile()
             x = batch_for(rng)
             np.testing.assert_array_equal(
-                loaded.numpy_forward(x), compile_for(model, "infer").numpy_forward(x)
+                loaded.numpy_forward(x), repro.compile(model, mode="infer").numpy_forward(x)
             )
         finally:
             from repro.runtime.frontend import _ENGINES
@@ -300,7 +278,7 @@ class TestArtifactEngines:
 
     def test_save_artifact_function_matches_method(self, tmp_path):
         model, _ = make_model()
-        net = compile_for(model, "infer")
+        net = repro.compile(model, mode="infer")
         a = net.save(str(tmp_path / "a.rpa"))
         b = save_artifact(net, str(tmp_path / "b.rpa"))
         assert a.fingerprint == b.fingerprint

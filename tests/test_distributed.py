@@ -231,10 +231,10 @@ class TestDistributedTrainer:
         config = self._config(epochs=10)  # 5 batches/epoch x 10 epochs = 50 steps
         seed_everything(config.seed)
         reference_model = SmallNet()
-        reference = Trainer(reference_model, config, compile=False)
+        reference = Trainer(reference_model, config)
         ref_history = reference.fit(train_set)
 
-        distributed = DistributedTrainer(SmallNet, config, workers=1, compile=False)
+        distributed = DistributedTrainer(SmallNet, config, workers=1)
         dist_history = distributed.fit(train_set)
 
         ref_state = reference_model.state_dict()
@@ -248,7 +248,7 @@ class TestDistributedTrainer:
 
     def test_allreduce_replicas_stay_in_lockstep(self):
         distributed = DistributedTrainer(
-            SmallNet, self._config(), workers=2, topology="allreduce", compile=False
+            SmallNet, self._config(), workers=2, topology="allreduce"
         )
         history = distributed.fit(_toy_dataset())
         assert distributed.stats.consistent  # crc32 digests equal across ranks
@@ -259,7 +259,7 @@ class TestDistributedTrainer:
     def test_allreduce_run_is_deterministic(self):
         def run():
             trainer = DistributedTrainer(
-                SmallNet, self._config(), workers=2, topology="allreduce", compile=False
+                SmallNet, self._config(), workers=2, topology="allreduce"
             )
             history = trainer.fit(_toy_dataset())
             return trainer.model.state_dict(), history.train_loss
@@ -272,7 +272,7 @@ class TestDistributedTrainer:
 
     def test_gossip_topology_reaches_consensus(self):
         distributed = DistributedTrainer(
-            SmallNet, self._config(), workers=2, topology="gossip", compile=False
+            SmallNet, self._config(), workers=2, topology="gossip"
         )
         history = distributed.fit(_toy_dataset())
         # The final consensus allreduce equalises the replicas exactly.
@@ -284,39 +284,25 @@ class TestDistributedTrainer:
         # 40 samples / batch 8 = 5 global batches over 3 workers: the final
         # round has only 2 contributors, the third publishes a zero gradient.
         distributed = DistributedTrainer(
-            SmallNet, self._config(), workers=3, topology="allreduce", compile=False
+            SmallNet, self._config(), workers=3, topology="allreduce"
         )
         distributed.fit(_toy_dataset())
         assert distributed.stats.consistent
         assert distributed.stats.aggregate_steps == 10  # 5 batches x 2 epochs
 
-    def test_compiled_and_eager_distributed_match(self):
-        """The compiled train step is bit-identical to the eager tape, so the
-        whole distributed run is too."""
-        def run(compile_mode):
-            trainer = DistributedTrainer(
-                SmallNet, self._config(), workers=2, compile=compile_mode
-            )
-            trainer.fit(_toy_dataset())
-            return trainer.model.state_dict()
-
-        eager, compiled = run(False), run(True)
-        for name in eager:
-            np.testing.assert_array_equal(eager[name], compiled[name], err_msg=name)
-
     def test_resume_from_checkpoint_keeps_lockstep(self, tmp_path):
         train_set = _toy_dataset()
         config = self._config(epochs=2)
-        warm = DistributedTrainer(SmallNet, config, workers=2, compile=False)
+        warm = DistributedTrainer(SmallNet, config, workers=2)
         warm.fit(train_set)
         ckpt = str(tmp_path / "warm")
         seed_everything(config.seed)
-        holder = Trainer(SmallNet(), config, compile=False)
+        holder = Trainer(SmallNet(), config)
         holder.model.load_state_dict(warm.model.state_dict())
         holder.save_checkpoint(ckpt)
 
         resumed = DistributedTrainer(
-            SmallNet, config, workers=2, compile=False, resume_from=ckpt
+            SmallNet, config, workers=2, resume_from=ckpt
         )
         resumed.fit(train_set, epochs=1)
         assert resumed.stats.consistent
@@ -330,12 +316,12 @@ class TestDistributedTrainer:
             def forward(self, x):
                 raise RuntimeError("kaboom in the worker")
 
-        distributed = DistributedTrainer(Broken, self._config(epochs=1), workers=2, compile=False)
+        distributed = DistributedTrainer(Broken, self._config(epochs=1), workers=2)
         with pytest.raises(RuntimeError):
             distributed.fit(_toy_dataset())
 
     def test_stats_populated(self):
-        distributed = DistributedTrainer(SmallNet, self._config(), workers=2, compile=False)
+        distributed = DistributedTrainer(SmallNet, self._config(), workers=2)
         distributed.fit(_toy_dataset())
         stats = distributed.stats
         assert stats.param_count > 0

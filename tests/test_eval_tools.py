@@ -108,6 +108,23 @@ class TestProfiler:
         assert stats["best_ms"] <= stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"]
         assert stats["p50_ms"] == pytest.approx(stats["median_ms"])
 
+    def test_measure_latency_falls_back_only_on_compile_error(self, tiny_model, monkeypatch):
+        import repro.runtime
+        from repro.runtime import CompileError
+
+        def reject(model, mode="infer", **kwargs):
+            raise CompileError("not lowerable")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", reject)
+        assert measure_latency(tiny_model, (3, 16, 16), repeats=1, warmup=0)["compiled"] == 0.0
+
+        def broken(model, mode="infer", **kwargs):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", broken)
+        with pytest.raises(RuntimeError, match="compiler bug"):
+            measure_latency(tiny_model, (3, 16, 16), repeats=1, warmup=0)
+
     def test_latency_percentiles_helper(self):
         stats = latency_percentiles([1.0, 2.0, 3.0, 4.0, 100.0])
         assert stats["p50_ms"] == pytest.approx(3.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from helpers import rewrite_header_mode
 from repro.models import create_model
 from repro.serve.fidelity import (
     FidelityLadder,
@@ -137,12 +138,13 @@ class TestLadderBackend:
     def test_train_artifact_rejected(self, tmp_path):
         seed_everything(0)
         model = create_model("mobilenetv2-tiny", num_classes=CLASSES)
-        step = repro.compile(model, mode="train")
+        model.eval()
         path = tmp_path / "train.rpa"
-        step.save(str(path), input_shape=(3, RESOLUTION, RESOLUTION))
+        repro.compile(model).save(str(path), input_shape=(3, RESOLUTION, RESOLUTION))
+        rewrite_header_mode(path, "train")
         ladder = FidelityLadder([RungSpec(name="t", artifact=str(path))],
                                 resolution=RESOLUTION, num_classes=CLASSES)
-        with pytest.raises(ValueError, match="not servable"):
+        with pytest.raises(repro.ArtifactError, match="mode 'train'"):
             ladder.build()
 
     def test_artifact_rung_matches_compiled_rung(self, tmp_path):

@@ -13,7 +13,6 @@ from repro.models.blocks import ConvBNAct, InvertedResidual
 from repro.runtime import (
     CompiledNet,
     QuantizedNet,
-    TrainStep,
     available_engines,
     compile_model,
     resolve_engine,
@@ -31,9 +30,7 @@ from repro.runtime.passes import (
     PlanMemory,
     inference_pipeline,
     int8_pipeline,
-    training_pipeline,
 )
-from repro.utils import seed_everything
 
 
 def _randomize_bn_stats(model: nn.Module, rng) -> None:
@@ -129,7 +126,7 @@ class TestPassOrdering:
         assert graph.meta["memory_plan"].peak_value_int8_bytes > 0
 
     def test_declared_pipelines_are_valid(self):
-        for pipeline in (inference_pipeline(), int8_pipeline(), training_pipeline(0.1)):
+        for pipeline in (inference_pipeline(), int8_pipeline()):
             PassManager(pipeline)  # must not raise
 
     def test_bn_folds_recorded_before_fusion(self):
@@ -147,21 +144,14 @@ class TestFrontend:
         model = create_model("mobilenetv2-tiny", num_classes=4)
         model.eval()
         assert isinstance(repro.compile(model), CompiledNet)
-        assert isinstance(repro.compile(model, mode="train"), TrainStep)
         qmodel = _quantized_model("mobilenetv2-tiny", rng)
         assert isinstance(repro.compile(qmodel, mode="int8"), QuantizedNet)
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(CompileError):
-            repro.compile(create_model("mobilenetv2-tiny", num_classes=4), mode="jit")
-
-    def test_unlowerable_loss_raises_compile_error(self):
-        class WeirdLoss:
-            def __call__(self, model, x, y):  # pragma: no cover - never run
-                raise NotImplementedError
-
-        with pytest.raises(CompileError):
-            repro.compile(create_model("mcunet", num_classes=4), mode="train", loss=WeirdLoss())
+        model = create_model("mobilenetv2-tiny", num_classes=4)
+        for mode in ("jit", "train", "training"):
+            with pytest.raises(CompileError):
+                repro.compile(model, mode=mode)
 
     def test_infer_bit_identical_to_legacy_compile_net(self, rng):
         """The redesign preserves the pre-IR engines bit for bit."""
@@ -187,32 +177,6 @@ class TestFrontend:
             warnings.simplefilter("ignore", DeprecationWarning)
             legacy = compile_quantized(model, dw_kernel="einsum").numpy_forward(x)
         np.testing.assert_array_equal(new, legacy)
-
-    def test_train_bit_identical_to_legacy_compile_training_step(self, rng):
-        from repro.runtime import compile_training_step
-
-        def one_step(use_frontend: bool):
-            seed_everything(7)
-            model = create_model("mobilenetv2-tiny", num_classes=8)
-            model.train()
-            if use_frontend:
-                step = repro.compile(model, mode="train")
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    step = compile_training_step(model)
-            gen = np.random.default_rng(3)
-            x = gen.normal(size=(4, 3, 16, 16)).astype(np.float32)
-            y = gen.integers(0, 8, size=4)
-            loss, logits = step(x, y)
-            return loss, logits, [p.grad.copy() for p in model.parameters() if p.grad is not None]
-
-        loss_a, logits_a, grads_a = one_step(True)
-        loss_b, logits_b, grads_b = one_step(False)
-        assert loss_a == loss_b
-        np.testing.assert_array_equal(logits_a, logits_b)
-        for ga, gb in zip(grads_a, grads_b):
-            np.testing.assert_array_equal(ga, gb)
 
     def test_describe_reports_passes_and_nodes(self, rng):
         model = create_model("mobilenetv2-tiny", num_classes=4)
@@ -282,11 +246,6 @@ class TestMemoryPlans:
         model.eval()
         plan = repro.compile(model).memory_plan((1, 3, 12, 12))
         assert plan.peak_value_int8_bytes == peak_activation_memory(model, (3, 12, 12))
-
-    def test_train_step_reports_forward_plan(self):
-        model = create_model("mcunet", num_classes=4)
-        step = repro.compile(model, mode="train")
-        assert step.memory_plan((2, 3, 16, 16)).peak_value_int8_bytes > 0
 
     def test_quantized_net_memory_plan_alias(self, rng):
         engine = repro.compile(_quantized_model("mobilenetv2-tiny", rng), mode="int8")

@@ -38,6 +38,19 @@ class TestCrossEntropyLoss:
         assert logits.grad is not None
 
 
+    def test_gradient_rounds_once_for_ragged_batch(self, rng):
+        """The 1/N scale is a float64 scalar, so each gradient element is
+        rounded once even when N (a ragged last batch) is not a power of two."""
+        logits = _logits(rng, n=24, classes=10)
+        labels = rng.integers(0, 10, size=24)
+        F.cross_entropy(logits, labels).backward()
+        probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        unscaled = probs - np.eye(10, dtype=np.float32)[labels]
+        expected = (unscaled.astype(np.float64) / 24).astype(np.float32)
+        np.testing.assert_array_equal(logits.grad, expected)
+
+
 class TestSoftTargetCrossEntropy:
     def test_one_hot_targets_match_hard_labels(self, rng):
         logits = _logits(rng)

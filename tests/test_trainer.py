@@ -186,7 +186,7 @@ class TestCheckpoint:
         config = ExperimentConfig(epochs=epochs, batch_size=8, lr=0.1, warmup_epochs=warmup)
         seed_everything(config.seed)
         model = SmallNet()
-        return model, Trainer(model, config, compile=False), config
+        return model, Trainer(model, config), config
 
     def test_resume_is_bitwise_identical(self, tmp_path):
         """Train 2 epochs, checkpoint, diverge, restore, train 2 more: the
@@ -247,62 +247,36 @@ class TestCheckpoint:
         assert ema.updates == 1
 
 
-class TestAutoCompile:
-    def test_auto_picks_a_path_and_matches_fixed_paths(self):
-        """compile='auto' races eager vs compiled on the first batch; because
-        the two are bit-identical the choice never changes the trajectory."""
-        from repro.utils.seed import seed_everything
+class TestEvaluateCompileErrors:
+    """evaluate() falls back to the eager tape only on a typed CompileError."""
 
-        train_set = _toy_dataset()
-        config = ExperimentConfig(epochs=2, batch_size=8, lr=0.1, warmup_epochs=0)
-
-        def run(compile_mode):
-            seed_everything(config.seed)
-            model = SmallNet()
-            trainer = Trainer(model, config, compile=compile_mode)
-            history = trainer.fit(train_set)
-            return model.state_dict(), history, trainer
-
-        state_eager, history_eager, _ = run(False)
-        state_auto, history_auto, trainer_auto = run("auto")
-        assert trainer_auto.auto_choice in ("eager", "compiled")
-        assert history_eager.train_loss == history_auto.train_loss
-        for name in state_eager:
-            np.testing.assert_array_equal(state_eager[name], state_auto[name], err_msg=name)
-
-    def test_auto_calibration_is_side_effect_free(self):
-        """The timing race must not perturb BN stats, dropout RNG or grads."""
-        from repro.utils.seed import seed_everything
-
-        config = ExperimentConfig(epochs=1, batch_size=8, lr=0.1, warmup_epochs=0)
-        train_set = _toy_dataset()
-        loader_batch = train_set.images[:8], train_set.labels[:8]
-
-        seed_everything(config.seed)
-        model_a = SmallNet()
-        trainer_a = Trainer(model_a, config, compile=False)
-        trainer_a.train_step(*loader_batch)
-
-        seed_everything(config.seed)
-        model_b = SmallNet()
-        trainer_b = Trainer(model_b, config, compile="auto")
-        trainer_b.train_step(*loader_batch)
-
-        state_a, state_b = model_a.state_dict(), model_b.state_dict()
-        for name in state_a:
-            np.testing.assert_array_equal(state_a[name], state_b[name], err_msg=name)
-
-    def test_auto_falls_back_to_eager_when_uncompilable(self):
-        class WeirdLoss:
-            def __call__(self, model, images, labels):
-                from repro.nn import functional as F
-
-                logits = model(images)
-                return F.cross_entropy(logits, labels) * 1.0, logits
-
-        config = ExperimentConfig(epochs=1, batch_size=8, lr=0.1, warmup_epochs=0)
+    def _trained(self):
+        dataset = _toy_dataset(n=16)
         model = SmallNet()
-        trainer = Trainer(model, config, compile="auto", loss_computer=WeirdLoss())
-        train_set = _toy_dataset(n=8)
-        trainer.train_step(train_set.images[:8], train_set.labels[:8])
-        assert trainer.auto_choice in ("eager", "compiled")
+        Trainer(model, ExperimentConfig(epochs=1, batch_size=8, lr=0.05)).fit(dataset)
+        return model, dataset
+
+    def test_compile_error_evaluates_eagerly(self, monkeypatch):
+        import repro.runtime
+        from repro.runtime import CompileError
+
+        model, dataset = self._trained()
+        eager = evaluate(model, dataset, compiled=False)
+
+        def reject(model, mode="infer", **kwargs):
+            raise CompileError("not lowerable")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", reject)
+        assert evaluate(model, dataset) == eager
+
+    def test_other_compile_failures_propagate(self, monkeypatch):
+        import repro.runtime
+
+        model, dataset = self._trained()
+
+        def broken(model, mode="infer", **kwargs):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", broken)
+        with pytest.raises(RuntimeError, match="compiler bug"):
+            evaluate(model, dataset)

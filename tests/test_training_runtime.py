@@ -1,8 +1,8 @@
-"""Parity and behaviour tests for the compiled training engine.
+"""Behaviour tests for the training step and its supporting machinery.
 
-Covers the fused training runtime (`repro.runtime.compile_training_step`),
-the flat-buffer optimisers (`repro.optim.flat`), flat EMA / clipping, and the
-prefetching data pipeline's RNG stability.
+Covers ``Trainer.train_step`` (batch-norm statistics, flat-buffer gradients,
+live PLT alphas), the flat-buffer optimisers (`repro.optim.flat`), flat EMA /
+clipping, and the prefetching data pipeline's RNG stability.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.data import (
     RandomCrop,
     RandomHorizontalFlip,
 )
-from repro.models import mcunet, mobilenet_v2
+from repro.models import mobilenet_v2
 from repro.optim import (
     SGD,
     FlatParams,
@@ -26,8 +26,7 @@ from repro.optim import (
     clip_grad_norm,
     clip_grad_norm_,
 )
-from repro.runtime import compile_training_step
-from repro.train import Trainer
+from repro.train import StandardLoss, Trainer
 from repro.utils import ExperimentConfig, seed_everything
 
 
@@ -40,45 +39,8 @@ def _dataset(n=64, classes=4, size=16, seed=0):
     return ClassificationDataset(images, np.asarray(labels), classes)
 
 
-def _run_steps(factory, compile_flag, steps=50, batch=8, classes=4, label_smoothing=0.1):
-    """Train `steps` iterations; return per-step losses and the final state."""
-    seed_everything(0)
-    model = factory()
-    trainer = Trainer(
-        model,
-        ExperimentConfig(batch_size=batch, lr=0.05, label_smoothing=label_smoothing),
-        compile=compile_flag,
-    )
-    rng = np.random.default_rng(7)
-    losses = []
-    model.train()
-    for _ in range(steps):
-        images = rng.normal(size=(batch, 3, 16, 16)).astype(np.float32)
-        labels = rng.integers(0, classes, size=batch)
-        loss, _ = trainer.train_step(images, labels)
-        losses.append(loss)
-    return losses, model.state_dict(), trainer
-
-
-class TestCompiledTrainStepParity:
-    @pytest.mark.parametrize(
-        "name,factory",
-        [
-            ("mobilenetv2-tiny", lambda: mobilenet_v2("tiny", num_classes=4)),
-            ("mcunet", lambda: mcunet(num_classes=4)),
-        ],
-    )
-    def test_parity_over_50_steps(self, name, factory):
-        """Compiled and eager train steps agree on loss, params and BN stats."""
-        eager_losses, eager_state, _ = _run_steps(factory, compile_flag=False)
-        compiled_losses, compiled_state, trainer = _run_steps(factory, compile_flag=True)
-        assert trainer._compiled_step is not None, "compiled path was not used"
-        np.testing.assert_allclose(compiled_losses, eager_losses, atol=1e-6)
-        for key in eager_state:
-            np.testing.assert_allclose(
-                compiled_state[key], eager_state[key], atol=1e-6,
-                err_msg=f"state mismatch at {key} ({name})",
-            )
+class TestTrainStep:
+    """Behaviour of ``Trainer.train_step`` (one eager forward+backward)."""
 
     def test_bn_running_stats_updated_in_train_mode(self):
         seed_everything(0)
@@ -88,79 +50,60 @@ class TestCompiledTrainStepParity:
             for name, value in model.state_dict().items()
             if "running_" in name
         }
-        trainer = Trainer(model, ExperimentConfig(batch_size=8, lr=0.01), compile=True)
+        trainer = Trainer(model, ExperimentConfig(batch_size=8, lr=0.01))
         rng = np.random.default_rng(0)
+        model.train()
         trainer.train_step(
             rng.normal(size=(8, 3, 16, 16)).astype(np.float32), rng.integers(0, 4, size=8)
         )
-        assert trainer._compiled_step is not None
         after = model.state_dict()
         changed = [name for name in before if not np.allclose(after[name], before[name])]
-        assert changed, "compiled step must update BN running statistics"
+        assert changed, "a train step must update BN running statistics"
 
     def test_grads_land_in_flat_buffer(self):
         seed_everything(0)
         model = mobilenet_v2("tiny", num_classes=4)
-        trainer = Trainer(model, ExperimentConfig(batch_size=4, lr=0.01), compile=True)
-        step = trainer._ensure_compiled()
-        assert step is not None
-        trainer.optimizer.zero_grad()
+        trainer = Trainer(model, ExperimentConfig(batch_size=4, lr=0.01))
         rng = np.random.default_rng(0)
-        step(rng.normal(size=(4, 3, 16, 16)).astype(np.float32), rng.integers(0, 4, size=4))
+        trainer.train_step(
+            rng.normal(size=(4, 3, 16, 16)).astype(np.float32), rng.integers(0, 4, size=4)
+        )
         flat_grad = trainer.optimizer.flat.grad
         assert float(np.abs(flat_grad).sum()) > 0.0
         for param in trainer.optimizer.params:
             assert param.grad is not None
             assert param.grad.base is flat_grad or param.grad is flat_grad
 
-    def test_structural_change_triggers_recompile(self):
-        seed_everything(0)
-        model = mobilenet_v2("tiny", num_classes=4)
-        trainer = Trainer(model, ExperimentConfig(batch_size=4, lr=0.01), compile=True)
-        first = trainer._ensure_compiled()
-        assert first is not None and first.matches(model)
-        model.reset_classifier(3)  # swaps the classifier module
-        assert not first.matches(model)
-        second = trainer._ensure_compiled()
-        assert second is not None and second is not first
-
-    def test_unsupported_loss_falls_back_to_eager(self):
-        class CustomLoss:
-            def __call__(self, model, images, labels):
-                from repro.nn import functional as F
-
-                logits = model(images)
-                return F.cross_entropy(logits, labels), logits
-
-        seed_everything(0)
-        model = mobilenet_v2("tiny", num_classes=4)
-        trainer = Trainer(
-            model, ExperimentConfig(batch_size=4, lr=0.01), loss_computer=CustomLoss()
-        )
-        rng = np.random.default_rng(0)
-        loss, logits = trainer.train_step(
-            rng.normal(size=(4, 3, 16, 16)).astype(np.float32), rng.integers(0, 4, size=4)
-        )
-        assert trainer._compiled_step is None
-        assert np.isfinite(loss) and logits.shape == (4, 4)
-
-    def test_decayable_alpha_read_live(self):
-        """PLT-style alpha mutation must be visible without recompilation."""
+    def test_decayable_alpha_change_applies_next_step(self):
+        """A PLT-style alpha change mid-fit shows in the very next step."""
         act = nn.DecayableReLU(alpha=0.0)
         model = nn.Sequential(
             nn.Conv2d(3, 4, 3, padding=1, bias=True), act, nn.GlobalAvgPool2d(), nn.Flatten(),
             nn.Linear(4, 2),
         )
-        step = compile_training_step(model)
-        assert step is not None
-        x = np.full((2, 3, 4, 4), -1.0, dtype=np.float32)
-        labels = np.zeros(2, dtype=np.int64)
-        model.zero_grad()
-        _, logits_relu = step(x, labels)
-        act.set_alpha(1.0)  # identity now
-        model.zero_grad()
-        _, logits_linear = step(x, labels)
-        assert not np.allclose(logits_relu, logits_linear)
+        logits_seen = []
+
+        class Recording(StandardLoss):
+            def __call__(self, model, images, labels):
+                loss, logits = super().__call__(model, images, labels)
+                logits_seen.append(logits.numpy().copy())
+                return loss, logits
+
+        dataset = ClassificationDataset(
+            np.full((4, 3, 4, 4), -1.0, dtype=np.float32), np.zeros(4, dtype=np.int64), 2
+        )
+        trainer = Trainer(
+            model,
+            ExperimentConfig(epochs=1, batch_size=2, lr=0.0, weight_decay=0.0),
+            loss_computer=Recording(),
+            iteration_callbacks=[lambda iteration: act.set_alpha(1.0)],  # identity now
+        )
+        trainer.fit(dataset)
+        relu_logits, linear_logits = logits_seen
+        assert not np.allclose(relu_logits, linear_logits)
+        with nn.no_grad():
+            expected = model(nn.Tensor(dataset.images[:2])).numpy()
+        np.testing.assert_array_equal(linear_logits, expected)
 
 
 class TestFlatOptim:
@@ -327,35 +270,3 @@ class TestPrefetchingLoader:
         loader = DataLoader(_dataset(n=8), batch_size=8, transform=Marker(), prefetch=True)
         next(iter(loader))
         assert len(calls) == 8
-
-
-class TestTrainerIntegration:
-    def test_compiled_trainer_learns_toy_problem(self):
-        dataset = _dataset(n=64)
-        seed_everything(0)
-        model = mobilenet_v2("tiny", num_classes=4)
-        trainer = Trainer(model, ExperimentConfig(epochs=6, batch_size=16, lr=0.05), compile=True)
-        history = trainer.fit(dataset, dataset)
-        assert trainer._compiled_step is not None
-        assert history.train_loss[-1] < history.train_loss[0]
-
-    def test_fit_compiled_matches_eager_fit(self):
-        def run(compile_flag):
-            dataset = _dataset(n=32)
-            seed_everything(0)
-            model = mobilenet_v2("tiny", num_classes=4)
-            trainer = Trainer(
-                model,
-                ExperimentConfig(epochs=2, batch_size=16, lr=0.05),
-                train_transform=Compose([RandomHorizontalFlip(), Normalize()]),
-                compile=compile_flag,
-            )
-            history = trainer.fit(dataset, dataset)
-            return history, model.state_dict()
-
-        hist_e, state_e = run(False)
-        hist_c, state_c = run(True)
-        np.testing.assert_allclose(hist_c.train_loss, hist_e.train_loss, atol=1e-6)
-        np.testing.assert_allclose(hist_c.val_accuracy, hist_e.val_accuracy, atol=1e-6)
-        for key in state_e:
-            np.testing.assert_allclose(state_c[key], state_e[key], atol=1e-6, err_msg=key)
