@@ -173,7 +173,6 @@ def _fleet_run(resolution: int, n_requests: int, chaos: str | None):
     config = FleetConfig(
         replicas=FLEET_REPLICAS,
         max_batch=16,
-        max_wait_ms=2.0,
         max_pending=256,
         max_attempts=6,
         builder_kwargs={
@@ -262,7 +261,6 @@ def autoscale_lane(resolution: int, smoke: bool) -> dict:
         replicas=1,
         max_replicas=max_replicas,
         max_batch=16,
-        max_wait_ms=2.0,
         max_pending=512,
         max_attempts=6,
         stats_window_s=1.5,
@@ -389,7 +387,6 @@ def cold_start_lane(smoke: bool) -> dict:
         config = FleetConfig(
             replicas=COLD_START_REPLICAS,
             max_batch=8,
-            max_wait_ms=1.0,
             max_pending=64,
             builder_kwargs=builder_kwargs,
         )
@@ -448,7 +445,6 @@ def fidelity_lane(resolution: int, smoke: bool) -> dict:
         replicas=1,
         max_replicas=1,
         max_batch=16,
-        max_wait_ms=2.0,
         max_pending=512,
         max_attempts=6,
         stats_window_s=1.5,

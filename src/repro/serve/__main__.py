@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         "better grids; artifact serving skips this entirely)",
     )
     parser.add_argument("--max-batch", type=int, default=16, help="dynamic batch cap")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0, help="batch window")
+    parser.add_argument("--max-wait-ms", type=float, default=2.0, help="batch window, in-process engine only")
     parser.add_argument("--requests", type=int, default=2000, help="measured requests")
     parser.add_argument("--concurrency", type=int, default=32, help="closed-loop clients")
     parser.add_argument(
@@ -287,8 +287,6 @@ def _validate_artifact_args(parser, args) -> None:
         except ArtifactError as error:
             parser.error(str(error))
         info = executor.artifact
-        if info.mode == "train":
-            parser.error(f"artifact {path} holds a training step; it is not servable")
         if args.artifact is not None and args.engine is not None:
             want = _MODE_ALIASES.get(str(args.engine).lower())
             if want != info.mode:
@@ -362,7 +360,6 @@ def _run_fleet(args, engine_name: str, timeout_s: float | None) -> int:
         replicas=replicas,
         max_replicas=slo.max_replicas if slo is not None else None,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_pending=args.max_pending,
         builder=builder,
         builder_kwargs=builder_kwargs,
@@ -421,7 +418,6 @@ def _run_fleet(args, engine_name: str, timeout_s: float | None) -> int:
             "resolution": args.resolution,
             "replicas": replicas,
             "max_batch": args.max_batch,
-            "max_wait_ms": args.max_wait_ms,
             "chaos": args.chaos,
             "load": report.__dict__,
             "fleet": stats.to_dict(),

@@ -20,8 +20,7 @@ DACFL-style dynamic consensus under churn, not a bang-bang thermostat:
 * **Degradation ladder.**  Pinned at ``max_replicas`` with pressure still
   above the band for ``ladder_patience`` consecutive samples, the controller
   steps DOWN a ladder instead of failing: each level tightens the effective
-  deadline, shrinks the batching wait (lower latency, less throughput
-  efficiency), caps admitted work harder, and sheds with a ``retry_after_ms``
+  deadline, caps admitted work harder, and sheds with a ``retry_after_ms``
   hint in the typed ``Overloaded`` error.  ``recover_patience`` calm samples
   step back UP one level at a time; replicas are only drained once the
   ladder is fully recovered.
@@ -92,9 +91,9 @@ class SLOConfig:
         Depth of the graceful-degradation ladder used at ``max_replicas``.
     ladder_patience, recover_patience:
         Consecutive hot (cool) samples required to step down (up) the ladder.
-    deadline_factor, wait_factor, pending_factor:
-        Per-level multipliers applied to the fleet's configured deadline,
-        batching wait and pending cap (``value * factor**level``).
+    deadline_factor, pending_factor:
+        Per-level multipliers applied to the fleet's configured deadline and
+        pending cap (``value * factor**level``).
     """
 
     p99_target_ms: float = 100.0
@@ -112,7 +111,6 @@ class SLOConfig:
     ladder_patience: int = 3
     recover_patience: int = 3
     deadline_factor: float = 0.6
-    wait_factor: float = 0.5
     pending_factor: float = 0.7
 
     def __post_init__(self):
@@ -138,7 +136,7 @@ class SLOConfig:
             raise ValueError("ladder_levels must be >= 0")
         if self.ladder_patience < 1 or self.recover_patience < 1:
             raise ValueError("ladder_patience and recover_patience must be >= 1")
-        for name in ("deadline_factor", "wait_factor", "pending_factor"):
+        for name in ("deadline_factor", "pending_factor"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")
 
@@ -373,7 +371,6 @@ class AutoscaleController:
         self.fleet.set_degradation(
             shed,
             deadline_ms=cfg.default_deadline_ms * slo.deadline_factor**shed,
-            max_wait_ms=cfg.max_wait_ms * slo.wait_factor**shed,
             max_pending=max(1, int(cfg.max_pending * slo.pending_factor**shed)),
         )
 

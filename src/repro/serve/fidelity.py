@@ -175,8 +175,6 @@ class FidelityLadder:
 
             net = load_artifact(spec.artifact)
             info = net.artifact
-            if info.mode == "train":
-                raise ValueError(f"fidelity rung {spec.name!r}: training artifacts are not servable")
             shape = tuple(info.input_shape) if info.input_shape else (3, self.resolution, self.resolution)
             return net, shape
         return resolve_net(

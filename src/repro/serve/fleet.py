@@ -48,6 +48,7 @@ import threading
 import time
 import zlib
 from collections import deque
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, shared_memory
 
@@ -78,6 +79,9 @@ __all__ = [
     "echo_backend",
     "resolve_net",
 ]
+
+# Retry-after base while the stats window holds no completions yet (ms).
+_RETRY_AFTER_IDLE_MS = 5.0
 
 
 # --------------------------------------------------------------------------- #
@@ -135,8 +139,6 @@ def resolve_net(
 
         net = load_artifact(artifact)
         info = net.artifact
-        if info.mode == "train":
-            raise ValueError(f"artifact {artifact!r} is a training artifact; not servable")
         shape = tuple(info.input_shape) if info.input_shape else (3, int(resolution), int(resolution))
         return net, shape
     seed_everything(seed)
@@ -240,9 +242,10 @@ class FleetConfig:
         slots are allocated for this many replicas up front, so the fleet can
         scale between 1 and ``max_replicas`` without remapping memory.
         ``None`` (the default) means ``replicas`` (a fixed-size fleet).
-    max_batch, max_wait_ms:
-        Per-replica micro-batching policy (same semantics as
-        :class:`~repro.serve.EngineConfig`).
+    max_batch:
+        Cap on a replica's micro-batch.  Replicas are work-conserving: each
+        runs what is queued on its pipe at once, with no timed batching wait,
+        and acks the batch with one message.
     max_pending:
         Bound on admitted-but-unfinished requests; this is also the number of
         shared-memory slots.  When full, new requests are shed with a typed
@@ -284,7 +287,6 @@ class FleetConfig:
     replicas: int = 2
     max_replicas: int | None = None
     max_batch: int = 8
-    max_wait_ms: float = 1.0
     max_pending: int = 128
     default_deadline_ms: float = 10_000.0
     max_attempts: int = 3
@@ -380,10 +382,17 @@ class FleetStats:
         """Admitted requests unaccounted for — the invariant is zero."""
         return self.submitted - self.completed - self.error_total - self.inflight
 
+    @property
+    def batch_size_mean(self) -> float | None:
+        """Requests served per replica batch ack, over the replicas listed."""
+        batches = sum(r["batches"] for r in self.per_replica)
+        return sum(r["served"] for r in self.per_replica) / batches if batches else None
+
     def summary(self) -> str:
         def ms(value: float | None) -> str:
             return "-" if value is None else f"{value:.2f} ms"
 
+        mean_batch = self.batch_size_mean
         lines = [
             f"fleet             : {self.ready}/{self.target} replicas ready "
             f"(cap {self.max_replicas}, {self.draining} draining), "
@@ -394,6 +403,8 @@ class FleetStats:
             f"{self.shed} shed, {self.inflight} in flight, {self.lost} lost",
             f"latency           : p50 {ms(self.latency_ms_p50)} / p95 {ms(self.latency_ms_p95)}"
             f" / p99 {ms(self.latency_ms_p99)}, queue depth {self.queue_depth}",
+            f"batching          : {sum(r['batches'] for r in self.per_replica)} batches, "
+            f"{'-' if mean_batch is None else f'{mean_batch:.2f}'} served per batch",
             f"recovery          : {self.requeued} requeued, {self.corrupt_detected} corrupt "
             f"replies caught, {self.deadline_expired} deadlines expired",
             f"elasticity        : {self.scale_ups} scale-ups / {self.scale_downs} scale-downs, "
@@ -537,7 +548,6 @@ class Fleet:
         self._scale_downs = 0
         self._degradation = 0
         self._eff_deadline_ms = config.default_deadline_ms
-        self._eff_max_wait_ms = config.max_wait_ms
         self._eff_max_pending = config.max_pending
         # fidelity ladder state (event-loop thread only); populated when the
         # backend is a LadderBackend (repro.serve.fidelity)
@@ -584,7 +594,6 @@ class Fleet:
             slots_name=self._slots_shm.name,
             hb_name=self._hb_shm.name,
             max_batch=cfg.max_batch,
-            max_wait_ms=cfg.max_wait_ms,
             heartbeat_interval=cfg.heartbeat_interval,
             chaos=self._chaos if self._chaos.faults else None,
             prebuilt=self._backend if use_fork else None,
@@ -620,20 +629,18 @@ class Fleet:
         """A consistent snapshot of the fleet counters (any thread)."""
         if self._final_stats is not None or self._loop is None:
             return self._final_stats or FleetStats(replicas=self.config.replicas)
-        from concurrent.futures import Future
-
         fut: Future = Future()
 
         def grab():
             try:
                 fut.set_result(self._stats_snapshot())
-            except Exception as error:  # pragma: no cover - defensive
+            except Exception as error:
                 fut.set_exception(error)
 
         self._post(grab)
         try:
             return fut.result(timeout=5.0)
-        except Exception:
+        except FutureTimeout:  # the loop is gone, so no snapshot will come
             return self._final_stats or FleetStats(replicas=self.config.replicas)
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
@@ -880,8 +887,6 @@ class Fleet:
         """
         if self._loop is None or self._closed:
             raise RuntimeError("fleet is not running")
-        from concurrent.futures import Future
-
         fut: Future = Future()
 
         def apply():
@@ -919,35 +924,30 @@ class Fleet:
         level: int,
         *,
         deadline_ms: float | None = None,
-        max_wait_ms: float | None = None,
         max_pending: int | None = None,
     ) -> None:
         """Apply a graceful-degradation step (any thread).
 
         Level 0 restores the configured policy; higher levels install the
-        supplied effective deadline / batching wait / pending cap.  The
-        batching wait takes effect live — replicas pick it up over their
-        work pipes without a restart.
+        supplied effective deadline and pending cap.  Both are front-door
+        admission limits: replicas are work-conserving and have no batching
+        wait to tune, so a degradation step sends them nothing.
         """
         if self._loop is None or self._closed:
             raise RuntimeError("fleet is not running")
-        self._post(self._apply_degradation, int(level), deadline_ms, max_wait_ms, max_pending)
+        self._post(self._apply_degradation, int(level), deadline_ms, max_pending)
 
-    def _apply_degradation(self, level, deadline_ms, max_wait_ms, max_pending) -> None:
+    def _apply_degradation(self, level, deadline_ms, max_pending) -> None:
         cfg = self.config
         self._degradation = max(0, level)
         if self._degradation == 0:
             self._eff_deadline_ms = cfg.default_deadline_ms
-            self._eff_max_wait_ms = cfg.max_wait_ms
             self._eff_max_pending = cfg.max_pending
         else:
             if deadline_ms is not None:
                 self._eff_deadline_ms = max(1.0, float(deadline_ms))
-            if max_wait_ms is not None:
-                self._eff_max_wait_ms = max(0.0, float(max_wait_ms))
             if max_pending is not None:
                 self._eff_max_pending = max(1, int(max_pending))
-        self._broadcast_cfg()
 
     # ------------------------------------------------------------------ #
     # fidelity ladder (repro.serve.fidelity)
@@ -988,9 +988,7 @@ class Fleet:
 
     def _broadcast_cfg(self, handle=None) -> None:
         handles = [handle] if handle is not None else self._supervisor.active_handles()
-        payload = {"max_wait_ms": self._eff_max_wait_ms}
-        if self.fidelity_rungs > 1:
-            payload["fidelity"] = self._fidelity_rung
+        payload = {"fidelity": self._fidelity_rung}
         for h in handles:
             if h.work is None:
                 continue
@@ -1006,7 +1004,7 @@ class Fleet:
             ordered = sorted(value for _, value in self._latencies)
             base = ordered[len(ordered) // 2]
         else:
-            base = self._eff_max_wait_ms * 2 + 5.0
+            base = _RETRY_AFTER_IDLE_MS
         sup = self._supervisor
         ready = max(1, len(sup.ready_handles())) if sup is not None else 1
         backlog = len(self._undispatched) / (ready * self.config.max_batch)
@@ -1019,57 +1017,63 @@ class Fleet:
     def _on_replica_msg(self, handle, msg) -> None:
         kind = msg[0]
         if kind == "ready":
-            if self._degradation or self._fidelity_rung:
-                self._broadcast_cfg(handle)  # replica (re)started mid-degradation/ladder
+            if self._fidelity_rung:
+                self._broadcast_cfg(handle)  # replica (re)started mid-ladder
             self._flush_undispatched()
-            return
-        if kind == "done":
-            _, gid, crc = msg
-            entry = handle.assigned.pop(gid, None)
-            if entry is None:
-                return
-            entry.dispatched = None
-            if entry.done:  # deadline already answered the client; reclaim the slot
-                self._release(entry)
-                return
-            data = self._slots[entry.slot, self.io.input_elements : self.io.slot_elements]
-            if zlib.crc32(data.tobytes()) != crc:
-                self._corrupt_detected += 1
-                self._retry(entry, transport.CorruptReply("reply failed checksum validation"))
-                return
-            handle.served += 1
-            now = time.monotonic()
-            latency_ms = (now - entry.admitted) * 1e3
-            self._latencies.append((now, latency_ms))
-            handle.latencies.append(latency_ms)
-            if self.fidelity_rungs > 1:
-                # Attribute to the fleet-wide active rung; switches are rare
-                # enough that boundary requests don't distort the buckets.
-                rung = self._fidelity_rung
-                self._rung_completed[rung] = self._rung_completed.get(rung, 0) + 1
-                self._rung_latencies.setdefault(rung, deque(maxlen=512)).append(latency_ms)
-            self._send_frame(
-                entry.writer,
-                pack_frame(
-                    KIND_RESPONSE,
-                    entry.request_id,
-                    {"shape": list(self.io.output_shape)},
-                    data.tobytes(),
-                ),
-            )
-            self._completed += 1
-            self._finish(entry)
-            self._release(entry)
+        elif kind == "done":
+            handle.batches += 1
+            for gid, crc in msg[1]:
+                entry = self._take(handle, gid)
+                if entry is not None:
+                    self._complete(handle, entry, crc)
         elif kind == "err":
-            _, gid, message = msg
-            entry = handle.assigned.pop(gid, None)
-            if entry is None:
-                return
-            entry.dispatched = None
-            if entry.done:
-                self._release(entry)
-                return
-            self._retry(entry, transport.ReplicaFailed(message))
+            _, gids, message = msg
+            for gid in gids:
+                entry = self._take(handle, gid)
+                if entry is not None:
+                    self._retry(entry, transport.ReplicaFailed(message))
+
+    def _take(self, handle, gid: int) -> "_Entry | None":
+        """Pop an acked request off its replica; None if stale or already answered."""
+        entry = handle.assigned.pop(gid, None)
+        if entry is None:
+            return None
+        entry.dispatched = None
+        if entry.done:  # deadline already answered the client; reclaim the slot
+            self._release(entry)
+            return None
+        return entry
+
+    def _complete(self, handle, entry: _Entry, crc: int) -> None:
+        """Validate one reply in its slot and answer the client (or retry)."""
+        data = self._slots[entry.slot, self.io.input_elements : self.io.slot_elements]
+        if zlib.crc32(data.tobytes()) != crc:
+            self._corrupt_detected += 1
+            self._retry(entry, transport.CorruptReply("reply failed checksum validation"))
+            return
+        handle.served += 1
+        now = time.monotonic()
+        latency_ms = (now - entry.admitted) * 1e3
+        self._latencies.append((now, latency_ms))
+        handle.latencies.append(latency_ms)
+        if self.fidelity_rungs > 1:
+            # Attribute to the fleet-wide active rung; switches are rare
+            # enough that boundary requests don't distort the buckets.
+            rung = self._fidelity_rung
+            self._rung_completed[rung] = self._rung_completed.get(rung, 0) + 1
+            self._rung_latencies.setdefault(rung, deque(maxlen=512)).append(latency_ms)
+        self._send_frame(
+            entry.writer,
+            pack_frame(
+                KIND_RESPONSE,
+                entry.request_id,
+                {"shape": list(self.io.output_shape)},
+                data.tobytes(),
+            ),
+        )
+        self._completed += 1
+        self._finish(entry)
+        self._release(entry)
 
     def _on_replica_down(self, handle, reason: str, assigned: dict) -> None:
         for entry in assigned.values():
@@ -1154,6 +1158,7 @@ class Fleet:
                         "index": handle.index,
                         "state": handle.state,
                         "served": handle.served,
+                        "batches": handle.batches,
                         "restarts": handle.restarts,
                         "pid": handle.pid,
                         "inflight": len(handle.assigned),

@@ -3,10 +3,14 @@
 The :class:`Supervisor` owns the fleet's replica processes and nothing else —
 request routing lives in :mod:`repro.serve.fleet`.  Each replica runs
 :func:`_replica_main`: it attaches the shared-memory slot block, builds (or
-inherits) its inference backend, and serves micro-batches read from a private
-``multiprocessing`` pipe, writing results back into the slots and acking over
-a second private pipe.  Private pipes matter for fault isolation: a replica
-killed mid-write can only poison *its own* channel, never a sibling's.
+inherits) its inference backend and serves micro-batches from a private
+``multiprocessing`` pipe.  The loop is work-conserving: it blocks for one
+request, adds what is already queued (up to ``max_batch``) and runs the batch
+at once — under load the queue fills while the replica computes, so no timed
+wait is needed.  Outputs and their CRC32s go into the slots, and one message
+on a second private pipe acks the whole batch: ``("done", [(gid, crc), ...])``
+or ``("err", [gid, ...], message)``.  Private pipes matter for fault
+isolation: a replica killed mid-write can only poison *its own* channel.
 
 Replica state machine::
 
@@ -103,7 +107,6 @@ class ReplicaSpec:
     slots_name: str
     hb_name: str
     max_batch: int
-    max_wait_ms: float
     heartbeat_interval: float
     chaos: ChaosConfig | None = None
     prebuilt: object = field(default=None, repr=False)  # fork-only fast path
@@ -132,14 +135,10 @@ def _replica_main(spec: ReplicaSpec, work, resp) -> None:
         batch_buf = np.empty((spec.max_batch,) + tuple(spec.input_shape), dtype=np.float32)
         beat()
         resp.send(("ready", os.getpid()))
-        max_wait_s = spec.max_wait_ms / 1e3
 
         def apply_cfg(payload: dict) -> None:
-            # Live policy update (degradation ladder / fidelity switch); no
-            # restart.  Unknown keys are ignored so the pipe protocol stays
-            # forward-compatible across mixed replica generations.
-            nonlocal max_wait_s
-            max_wait_s = float(payload.get("max_wait_ms", max_wait_s * 1e3)) / 1e3
+            # Live fidelity switch, no restart.  Unknown keys are ignored so
+            # the pipe protocol stays forward-compatible across generations.
             rung = payload.get("fidelity")
             if rung is not None and hasattr(backend, "set_rung"):
                 backend.set_rung(int(rung))
@@ -158,12 +157,9 @@ def _replica_main(spec: ReplicaSpec, work, resp) -> None:
                         msg = None
             if msg[0] == "stop":
                 break
+            # Work-conserving: batch what is already queued, never wait for more.
             batch = [msg]
-            deadline = time.monotonic() + max_wait_s
-            while len(batch) < spec.max_batch:
-                remaining = deadline - time.monotonic()
-                if not work.poll(max(remaining, 0.0)):
-                    break
+            while len(batch) < spec.max_batch and work.poll(0):
                 m = work.recv()
                 if m[0] == "stop":
                     stop = True
@@ -185,17 +181,17 @@ def _replica_main(spec: ReplicaSpec, work, resp) -> None:
                         f"backend produced {out.shape[1]} elements/sample, expected {out_elems}"
                     )
             except Exception as error:  # typed per-request error, replica survives
-                for _, gid, _ in batch:
-                    resp.send(("err", gid, f"{type(error).__name__}: {error}"))
+                resp.send(("err", [gid for _, gid, _ in batch], f"{type(error).__name__}: {error}"))
                 beat()
                 continue
+            acks = []
             for i, (_, gid, slot) in enumerate(batch):
                 dest = slots[slot, in_elems : in_elems + out_elems]
                 dest[:] = out[i]
-                crc = zlib.crc32(dest.tobytes())
+                acks.append((gid, zlib.crc32(dest.tobytes())))
                 if monkey is not None:
                     monkey.corrupt_reply(dest)  # after crc: mismatch is detectable upstream
-                resp.send(("done", gid, crc))
+            resp.send(("done", acks))
             beat()
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away or told us to die; nothing to clean beyond shm
@@ -216,6 +212,7 @@ class ReplicaHandle:
     resp: object = None  # child -> parent ack connection (read by a thread)
     assigned: dict = field(default_factory=dict)  # gid -> entry, in flight on this replica
     served: int = 0
+    batches: int = 0  # "done" acks, one per micro-batch the replica ran
     failures: int = 0
     restarts: int = 0
     started_at: float = 0.0

@@ -81,7 +81,6 @@ def fleet_config(**overrides) -> FleetConfig:
         heartbeat_interval=0.05,
         miss_threshold=5,
         restart_backoff_base=0.02,
-        max_wait_ms=0.5,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
@@ -103,7 +102,6 @@ def make_supervisor(clock, **config_overrides):
         slots_name="unused",
         hb_name="unused",
         max_batch=4,
-        max_wait_ms=1.0,
         heartbeat_interval=cfg.heartbeat_interval,
     )
     hb = np.zeros(cfg.resolved_max_replicas(), dtype=np.float64)
@@ -700,7 +698,7 @@ class TestFleetElasticity:
         shape = (3, 8, 8)
         with Fleet(config) as fleet:
             fleet.wait_ready(replicas=1)
-            fleet.set_degradation(2, deadline_ms=2_000.0, max_wait_ms=0.1, max_pending=1)
+            fleet.set_degradation(2, deadline_ms=2_000.0, max_pending=1)
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline and fleet.stats().degradation_level != 2:
                 time.sleep(0.01)

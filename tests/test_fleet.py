@@ -20,10 +20,12 @@ from repro.serve import (
     Fleet,
     FleetConfig,
     Overloaded,
+    ReplicaFailed,
     echo_backend,
     parse_chaos,
 )
 from repro.serve.chaos import ChaosConfig, ChaosMonkey, Fault
+from repro.serve.fleet import ServingBackend
 from repro.serve.transport import (
     KIND_ERROR,
     KIND_REQUEST,
@@ -49,13 +51,24 @@ def fleet_config(**overrides) -> FleetConfig:
         builder_kwargs={"resolution": RES, "classes": CLASSES},
         heartbeat_interval=0.04,
         miss_threshold=4,
-        max_wait_ms=0.5,
         start_timeout=30.0,
         restart_backoff_base=0.02,
         restart_backoff_cap=0.5,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
+
+
+def poisoned_echo_backend(**kwargs) -> ServingBackend:
+    """Echo backend whose forward raises on any input above 100."""
+    echo = echo_backend(**kwargs)
+
+    def forward(batch):
+        if np.max(batch) > 100:
+            raise ValueError("poisoned input")
+        return echo.forward(batch)
+
+    return ServingBackend(forward, echo.input_shape, name="poisoned-echo")
 
 
 def oracle(xs: np.ndarray) -> np.ndarray:
@@ -369,6 +382,70 @@ class TestFleetServing:
             assert stats["lost"] == 0
             assert len(stats["per_replica"]) == fleet.config.replicas
 
+    def test_stats_errors_propagate(self, monkeypatch):
+        def broken_snapshot():
+            raise RuntimeError("boom")
+
+        with Fleet(fleet_config(replicas=1)) as fleet:
+            with monkeypatch.context() as patch:
+                patch.setattr(fleet, "_stats_snapshot", broken_snapshot)
+                with pytest.raises(RuntimeError, match="boom"):
+                    fleet.stats()
+            assert_zero_lost(fleet)
+
+
+class TestBatching:
+    """Replicas batch what is queued, with no timed wait, and ack once per batch."""
+
+    def test_sequential_requests_are_one_batch_each(self):
+        with Fleet(fleet_config(replicas=1, max_batch=8)) as fleet:
+            with fleet.client() as client:
+                for x in samples(5):
+                    client.predict(x, timeout=30)
+            (replica,) = fleet.stats().per_replica
+            assert (replica["served"], replica["batches"]) == (5, 5)
+            assert fleet.stats().batch_size_mean == 1.0
+
+    def test_backend_error_fails_every_request_of_the_batch(self):
+        config = fleet_config(
+            replicas=1, builder=poisoned_echo_backend, start_method="fork", max_attempts=2
+        )
+        poison = np.full(SHAPE, 1000.0, dtype=np.float32)
+        with Fleet(config) as fleet:
+            with fleet.client(timeout=30.0, retries=0) as client:
+                futures = [client.submit(poison) for _ in range(6)]
+                for future in futures:
+                    with pytest.raises(ReplicaFailed, match="poisoned input"):
+                        future.result(timeout=30)
+                # the replica survives its backend's error and keeps serving
+                x = samples(1)[0]
+                assert np.allclose(client.predict(x, timeout=30), oracle(x[None])[0])
+            stats = fleet.stats()
+            assert stats.errors == {"replica_failed": 6}
+            assert stats.requeued == 6
+            assert stats.restarts == 0
+            assert_zero_lost(fleet)
+
+    def test_burst_forms_batches_without_waiting(self):
+        config = fleet_config(
+            replicas=1,
+            max_batch=8,
+            builder_kwargs={"resolution": RES, "classes": CLASSES, "delay_ms": 20},
+        )
+        xs = samples(16)
+        with Fleet(config) as fleet:
+            with fleet.client(timeout=30.0) as client:
+                futures = [client.submit(x) for x in xs]
+                outs = np.stack([f.result(timeout=30) for f in futures])
+            assert np.allclose(outs, oracle(xs))
+            stats = fleet.stats()
+            (replica,) = stats.per_replica
+            assert replica["served"] == 16
+            assert 2 <= replica["batches"] <= 6, replica
+            assert stats.to_dict()["per_replica"][0]["batches"] == replica["batches"]
+            assert "served per batch" in stats.summary()
+            assert_zero_lost(fleet)
+
 
 class TestFleetConfigValidation:
     def test_rejects_bad_values(self):
@@ -378,6 +455,10 @@ class TestFleetConfigValidation:
             FleetConfig(max_pending=0)
         with pytest.raises(ValueError):
             FleetConfig(start_method="threads")
+
+    def test_batching_wait_knob_removed(self):
+        with pytest.raises(TypeError):
+            FleetConfig(max_wait_ms=1.0)
 
     def test_cli_rejects_unknown_engine(self, capsys):
         from repro.serve.__main__ import main
