@@ -7,7 +7,9 @@ reference on each engine:
 
 * ``infer``  — fused float program vs the eager forward (round-off tolerance);
 * ``int8``   — true-integer engine vs the fake-quant oracle (dequantization
-  tolerance derived from the classifier's grid, like the test-suite's bound).
+  tolerance derived from the classifier's grid, like the test-suite's bound),
+  and batch-8 rows bit-identical to batch-1 and batch-2 forwards of the same
+  samples (layers cross the engine's kernel rule between those sizes).
 
 Run with::
 
@@ -70,7 +72,7 @@ def check_int8(name: str, res: int, rng) -> str:
     x = rng.normal(0.2, 0.8, size=(2, 3, res, res)).astype(np.float32)
     with nn.no_grad():
         oracle = model(nn.Tensor(x)).numpy()
-    engine = repro.compile(model, mode="int8", dw_kernel="einsum")
+    engine = repro.compile(model, mode="int8")
     out = engine.numpy_forward(x)
     delta = float(np.abs(out - oracle).max())
     tolerance = _dequant_tolerance(model)
@@ -78,6 +80,13 @@ def check_int8(name: str, res: int, rng) -> str:
         raise AssertionError(f"{name}/int8 outside dequant tolerance: {delta:.3g} > {tolerance:.3g}")
     if "eager" in engine.ops:
         raise AssertionError(f"{name}/int8 silently fell back to eager ops")
+    batch = rng.normal(0.2, 0.8, size=(8, 3, res, res)).astype(np.float32)
+    rows = engine.numpy_forward(batch)
+    for size in (1, 2):
+        for start in range(0, len(batch), size):
+            part = engine.numpy_forward(batch[start : start + size])
+            if not np.array_equal(part, rows[start : start + size]):
+                raise AssertionError(f"{name}/int8 batch-{size} rows differ from batch 8")
     return f"max|delta|={delta:.2e} (tol {tolerance:.2e})"
 
 

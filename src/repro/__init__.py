@@ -25,11 +25,10 @@ contract.
 
 __version__ = "0.1.0"
 
-__all__ = ["compile", "load", "CompileOptions", "CompileError", "ArtifactError", "__version__"]
+__all__ = ["compile", "load", "CompileError", "ArtifactError", "__version__"]
 
 _FRONTEND_EXPORTS = {
     "compile": "compile_model",
-    "CompileOptions": "CompileOptions",
     "CompileError": "CompileError",
 }
 

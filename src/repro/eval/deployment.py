@@ -220,14 +220,14 @@ def _planned_peak_bytes(
     shape = (1,) + tuple(input_shape)
     if _is_calibrated_int8(model):
         try:
-            plan = repro.compile(model, mode="int8", dw_kernel="einsum").memory_plan(shape)
+            plan = repro.compile(model, mode="int8").memory_plan(shape)
             return plan.peak_value_int8_bytes, "int8"
         except repro.CompileError:
             pass  # not integer-lowerable after all: fall back to float accounting
     try:
         plan = repro.compile(model, mode="infer").memory_plan(shape)
         return plan.peak_value_int8_bytes, "float"
-    except Exception:
+    except repro.CompileError:
         return None, None
 
 
@@ -276,7 +276,7 @@ def _cold_start_times(
             load_artifact(path)
             load_times.append((time.perf_counter() - start) * 1e3)
         return min(compile_times), min(load_times), size, mode
-    except Exception:
+    except (repro.CompileError, repro.ArtifactError):
         return None, None, None, None
     finally:
         os.unlink(path)

@@ -51,7 +51,6 @@ from .compiler import (
     fold_conv_bn,
 )
 from .frontend import (
-    CompileOptions,
     EngineSpec,
     available_engines,
     compile_model,
@@ -68,7 +67,6 @@ from . import kernels
 __all__ = [
     # the unified frontend (exported at the top level as repro.compile)
     "compile_model",
-    "CompileOptions",
     "CompileError",
     # compiled artifacts (exported at the top level as repro.load)
     "save_artifact",

@@ -10,7 +10,6 @@ fresh process needs to rebuild a bit-identical executor —
   ``weight_scale`` tensors and the frozen ``act_low`` / ``act_high``
   calibration grids (so no calibration data is needed at load time),
 * the quantization spec and the exact set of quantized layers (int8),
-* the compile options,
 * a structural record of the annotated IR graph — node kinds/names/attrs,
   pass trail, layout, activation specs, int8 grids, inferred shapes — plus
   the arena-plan accounting at a declared input shape,
@@ -30,7 +29,7 @@ load.
 File layout (a plain ``.npz`` zip, ``allow_pickle=False``)::
 
     __header__        uint8 bytes of a canonical-JSON header:
-                      magic, format_version, mode, model ref, options,
+                      magic, format_version, mode, model ref,
                       quant section, graph record, plan record,
                       state manifest, fingerprint
     state::<name>     one entry per ``state_dict()`` tensor, exact dtype
@@ -101,7 +100,6 @@ class ArtifactInfo:
     model: dict
     fingerprint: str
     input_shape: tuple | None
-    options: dict
     nbytes: int
 
     def summary(self) -> str:
@@ -338,9 +336,6 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
         "format_version": FORMAT_VERSION,
         "mode": mode,
         "model": ref,
-        "options": {
-            "dw_kernel": getattr(executor, "_dw_kernel", "auto"),
-        },
         "graph": graph_record(graph),
         "plan": _plan_record(executor, input_shape),
         "state": {
@@ -382,7 +377,6 @@ def _info_from_header(path: str, header: dict) -> ArtifactInfo:
         model=dict(header["model"]),
         fingerprint=header["fingerprint"],
         input_shape=tuple(shape) if shape else None,
-        options=dict(header.get("options", {})),
         nbytes=os.path.getsize(path) if os.path.exists(path) else 0,
     )
 
@@ -529,8 +523,7 @@ def _rebuild_model(header: dict, path: str) -> nn.Module:
     return model
 
 
-def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None = None,
-                  dw_kernel: str | None = None):
+def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None = None):
     """Load a compiled artifact back into a live, bit-identical executor.
 
     Parameters
@@ -548,8 +541,6 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
         mutated since ``save`` and :class:`ArtifactError` is raised.  When
         omitted the model is rebuilt from the registry reference and the
         stored state.
-    dw_kernel:
-        Int8 depthwise strategy override (defaults to the stored option).
 
     Returns
     -------
@@ -602,12 +593,10 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
                 "the file is corrupted or was written by a diverged runtime"
             )
 
-    options = header.get("options", {})
-    kwargs = {}
-    if stored_mode == "int8":
-        kwargs["dw_kernel"] = dw_kernel or options.get("dw_kernel", "auto")
+    # Older headers carry an ``options`` block (a removed int8 kernel knob);
+    # it is ignored.
     try:
-        executor = compile_model(model, mode=stored_mode, **kwargs)
+        executor = compile_model(model, mode=stored_mode)
     except CompileError as error:
         raise ArtifactError(f"artifact {path!r} no longer compiles: {error}") from error
 

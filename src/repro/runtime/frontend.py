@@ -37,7 +37,6 @@ from .ir import CompileError, Graph, trace
 from .passes import PassManager, inference_pipeline, int8_pipeline
 
 __all__ = [
-    "CompileOptions",
     "CompileError",
     "compile_model",
     "EngineSpec",
@@ -58,26 +57,10 @@ _MODE_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class CompileOptions:
-    """Tunable knobs of :func:`repro.compile`, shared across modes.
-
-    Parameters
-    ----------
-    dw_kernel:
-        Depthwise kernel strategy of the int8 engine (``"auto"`` times the
-        candidates at plan time; see
-        :func:`~repro.runtime.quantized.compile_quantized`).  Ignored by the
-        other modes.
-    """
-
-    dw_kernel: str = "auto"
-
-
 # --------------------------------------------------------------------------- #
 # mode builders
 # --------------------------------------------------------------------------- #
-def _build_infer(model: nn.Module, options: CompileOptions):
+def _build_infer(model: nn.Module):
     from .compiler import build_inference_program
 
     graph = trace(model)
@@ -86,7 +69,7 @@ def _build_infer(model: nn.Module, options: CompileOptions):
     return build_inference_program(graph)
 
 
-def _build_int8(model: nn.Module, options: CompileOptions):
+def _build_int8(model: nn.Module):
     from ..compress.quantization import _QuantizedWrapper
     from .ir import QuantCompileError
     from .quantized import build_quantized_program
@@ -99,19 +82,13 @@ def _build_int8(model: nn.Module, options: CompileOptions):
     graph = trace(model)
     graph.meta["mode"] = "int8"
     PassManager(int8_pipeline()).run(graph)
-    return build_quantized_program(graph, dw_kernel=options.dw_kernel)
+    return build_quantized_program(graph)
 
 
 _MODE_BUILDERS = {"infer": _build_infer, "int8": _build_int8}
 
 
-def compile_model(
-    model: nn.Module,
-    mode: str = "infer",
-    *,
-    options: CompileOptions | None = None,
-    **overrides,
-):
+def compile_model(model: nn.Module, mode: str = "infer"):
     """Compile ``model`` for one of the runtime engines.
 
     Parameters
@@ -123,10 +100,9 @@ def compile_model(
         (:class:`~repro.runtime.CompiledNet`), ``"int8"`` for the planned
         true-integer engine (:class:`~repro.runtime.QuantizedNet`; the model
         must be quantized and calibrated first).  ``"float"``/``"quantized"``
-        are accepted aliases.
-    options:
-        A :class:`CompileOptions`; individual fields may instead be passed as
-        keyword overrides (``dw_kernel=...``).
+        are accepted aliases.  Neither engine takes tuning knobs: the int8
+        engine's conv kernels follow a fixed rule on the input and kernel
+        shapes (:mod:`repro.runtime.quantized`).
 
     Returns
     -------
@@ -141,14 +117,10 @@ def compile_model(
         :class:`~repro.runtime.QuantCompileError` subclass — an int8
         request on an unquantized or uncalibrated model.
     """
-    if options is None:
-        options = CompileOptions(**overrides)
-    elif overrides:
-        raise ValueError("pass either a CompileOptions or keyword overrides, not both")
     key = _MODE_ALIASES.get(str(mode).lower())
     if key is None:
         raise CompileError(f"unknown compile mode {mode!r}; expected one of {MODES}")
-    return _MODE_BUILDERS[key](model, options)
+    return _MODE_BUILDERS[key](model)
 
 
 # --------------------------------------------------------------------------- #
@@ -169,13 +141,13 @@ class EngineSpec:
     description: str = ""
     artifact: str | None = None
 
-    def compile(self, model: nn.Module | None = None, **kwargs):
+    def compile(self, model: nn.Module | None = None):
         """Build this engine's executor via :func:`compile_model` (or artifact load)."""
         if self.artifact is not None:
             from .artifact import load_artifact
 
-            return load_artifact(self.artifact, mode=self.mode, model=model, **kwargs)
-        return compile_model(model, mode=self.mode, **kwargs)
+            return load_artifact(self.artifact, mode=self.mode, model=model)
+        return compile_model(model, mode=self.mode)
 
 
 _ENGINES: dict[str, EngineSpec] = {}

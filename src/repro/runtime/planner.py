@@ -155,10 +155,7 @@ def plan_io(net, input_shape: tuple[int, ...]) -> IOPlan:
     output_shape = tuple(int(s) for s in out.shape[1:])
     peak = None
     if hasattr(net, "memory_plan"):
-        try:
-            peak = int(net.memory_plan((1,) + input_shape).peak_value_int8_bytes)
-        except Exception:
-            peak = None
+        peak = int(net.memory_plan((1,) + input_shape).peak_value_int8_bytes)
     return IOPlan(
         input_shape=input_shape,
         input_elements=int(np.prod(input_shape)) if input_shape else 1,

@@ -22,9 +22,9 @@ instead of round-tripping through float like the fake-quant eager path:
   ``(2**bits - 1)``-bounded activations accumulate exactly as long as
   ``K * max|w| * max|v| < 2**24``, which is checked per op at lowering time
   (ops exceeding the bound accumulate in float64 instead).  Every kernel
-  variant therefore produces bit-identical integers, and results are
-  bit-identical across batch sizes — the property the serving layer's padded
-  dynamic batching relies on.
+  therefore produces bit-identical integers, and results are bit-identical
+  across batch sizes — the property the serving layer's padded dynamic
+  batching relies on.
 * **Static memory plan.**  All activation and scratch buffers are packed into
   one arena by :class:`repro.runtime.planner.ArenaPlanner`; the steady-state
   forward performs no heap allocation on the hot paths, and the plan reports
@@ -33,11 +33,15 @@ instead of round-tripping through float like the fake-quant eager path:
 
 Buffers use a channel-outermost ``(C, N, H, W)`` layout so a pointwise
 convolution over the whole batch is a single ``(C_out, C_in) @ (C_in, N*H*W)``
-sgemm.  Depthwise convolutions choose among several kernel strategies
-(flat-tap shift stack, flat einsum, transposed tap-stack, path-optimized
-windowed einsum, per-offset accumulation) by timing each candidate on the
-planned buffers at plan time — all variants compute the same exact integers,
-so the choice never affects results.
+sgemm.  Spatial convolutions pick their kernel by a fixed rule on shapes the
+planner already knows (see :func:`_plan_depthwise` and :func:`_plan_dense`):
+a single sample, or a conv whose tap stack (``kh*kw*C_in*N*Hp*Wp``
+elements) fits ``_TAP_BUDGET``, runs a tap-stack kernel, a larger one a
+single einsum pass, each either *flat* (over the whole padded grid) or
+*windowed* (over the output positions only, for strided and larger depthwise
+kernels).  Grouped and float64 convs run the per-tap gemm.  Only the picked
+kernel's scratch is planned, and every kernel computes the same exact
+integers, so the rule never affects results.
 
 The fake-quant eager model remains the accuracy oracle: engine logits match
 it to within dequantization tolerance (asserted in the test-suite).
@@ -46,7 +50,6 @@ it to within dequantization tolerance (asserted in the test-suite).
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +67,8 @@ __all__ = ["QuantCompileError", "QuantizedNet", "compile_quantized", "build_quan
 # float32 mantissa capacity: integer sums below this are exact.
 _EXACT_F32_BOUND = float(2**24)
 
-_DW_KERNELS = ("auto", "flat", "flat_einsum", "stacked", "einsum", "offsets")
+# Conv kernel rule, see _tap_kernels.
+_TAP_BUDGET = 1 << 16
 
 
 # --------------------------------------------------------------------------- #
@@ -271,12 +275,11 @@ def _direct_consumer(nodes: list, index: int, consumer) -> bool:
 
 
 class _Emitter:
-    def __init__(self, planner: ArenaPlanner, dw_kernel: str):
+    def __init__(self, planner: ArenaPlanner):
         self.planner = planner
         self.factories: list = []
         self.slot_for: dict[int, tuple] = {}  # id(consumer ir) -> (buf, viewer)
         self.op_log: list[str] = []
-        self.dw_kernel = dw_kernel
         self.tail_slack = 0
 
     def need_tail_slack(self, elements: int) -> None:
@@ -418,15 +421,39 @@ def _viewer_shape(buf, viewer) -> tuple[int, ...]:
     return viewer(probe).shape
 
 
-def _dw_candidates(ir: _QConvIR, pbuf, em: _Emitter, n, oh, ow):
-    """Kernel strategies for a depthwise conv; closures are built at bind time
-    (after arena packing) so they can precompute views on the real buffers.
+def _tap_kernels(n: int, taps: int) -> bool:
+    """The conv kernel rule: True picks the tap-stack kernels, False one einsum pass.
 
-    Every candidate computes the same exact integers (accumulation below
-    ``2**24`` is order-independent), so selection never affects results.
-    Each ``make_*`` returns ``(run, acc_array)`` — the accumulator the
-    requantization step should read (contiguous for most variants, a strided
-    slice of the padded-size accumulator for the flat-tap variant).
+    ``taps`` is the conv's tap stack, ``kh*kw*C_in*N*Hp*Wp`` elements, which
+    the flat and tap-stack kernels read or materialize.  Within
+    ``_TAP_BUDGET`` (256 KiB of float32, about one L2 cache) they win; a
+    larger stack is better served by an einsum that streams the input —
+    except for a single sample, where the einsum's per-call cost dominates.
+    The budget is where timing every kernel per shape switches: on the
+    registry models the rule agrees with 91% of such timed depthwise picks.
+    """
+    return n == 1 or taps <= _TAP_BUDGET
+
+
+def _plan_depthwise(em: _Emitter, ir: _QConvIR, pbuf, n, oh, ow):
+    """Plan the depthwise kernel the :func:`_tap_kernels` rule picks.
+
+    Either the conv materializes its tap stack and sums the taps, or it runs
+    one einsum pass.  Stride-1 3x3 convs run the *flat* form of either, which
+    computes every position of the padded grid as one contiguous pass.
+    Strided or larger kernels would waste most of that pass (``stride**2``
+    times the outputs, plus a wider pad ring), so they run the *windowed*
+    form on the output positions only.  All four kernels compute the same
+    exact integers (accumulation below ``2**24`` is order-independent), so
+    the rule affects speed and scratch memory only, and only the picked
+    kernel's scratch is planned.
+
+    Returns ``(make, bufs)``: ``make()`` runs at bind time (after arena
+    packing, so it can precompute views on the real buffers) and returns
+    ``(run, acc_array)`` — the accumulator the requantization step reads,
+    contiguous or a slice of the padded-size accumulator.  ``bufs`` are the
+    scratch buffers the kernel touches; the first is the contiguous
+    accumulator, which doubles as requantization staging.
     """
     planner = em.planner
     c = ir.weight_q.shape[0]
@@ -434,129 +461,186 @@ def _dw_candidates(ir: _QConvIR, pbuf, em: _Emitter, n, oh, ow):
     stride = ir.stride
     hp, wp = pbuf.shape[2], pbuf.shape[3]
     w_f32 = ir.weight_q.astype(np.float32)[:, 0]  # (C, kh, kw)
-    prod = planner.alloc((kh * kw, c, n, hp, wp), "scratch", f"{ir.name}.taps")
+    w6 = np.ascontiguousarray(w_f32.transpose(1, 2, 0)).reshape(kh, kw, c, 1, 1, 1)
     acc = planner.alloc((c, n, oh, ow), "scratch", f"{ir.name}.acc")
-    acc_pad = planner.alloc((c, n, hp, wp), "scratch", f"{ir.name}.accpad")
-    # The flat-tap view reads up to this many elements past the buffer's end
-    # (the overrun lands in pad positions that are never read back).
-    em.need_tail_slack((kh - 1) * wp + (kw - 1))
+    stack = _tap_kernels(n, kh * kw * c * n * hp * wp)
 
-    def windows():
-        win = sliding_window_view(pbuf.a, (kh, kw), axis=(2, 3))
-        return win[:, :, ::stride, ::stride] if stride > 1 else win
+    if stride > 1 or kh > 3 or kw > 3:
+
+        def windows():  # (C, N, oh, ow, kh, kw)
+            return sliding_window_view(pbuf.a, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+
+        if not stack:
+
+            def make_einsum():
+                win = windows()
+                path = np.einsum_path("cnhwij,cij->cnhw", win, w_f32, optimize=True)[0]
+
+                def run():
+                    np.einsum("cnhwij,cij->cnhw", win, w_f32, optimize=path, out=acc.a)
+
+                return run, acc.a
+
+            return make_einsum, [acc]
+
+        prod = planner.alloc((kh * kw, c, n, oh, ow), "scratch", f"{ir.name}.taps")
+
+        def make_stacked():
+            vt = windows().transpose(4, 5, 0, 1, 2, 3)
+            prod6 = prod.a.reshape(kh, kw, c, n, oh, ow)
+
+            def run():
+                np.multiply(vt, w6, out=prod6)
+                np.add.reduce(prod.a, axis=0, out=acc.a)
+
+            return run, acc.a
+
+        return make_stacked, [acc, prod]
+
+    # Flat kernels: each tap is the *whole padded buffer* shifted by i*Wp + j
+    # — overlapping views with identical contiguous memory order, so the
+    # contraction runs at contiguous speed.  Out-of-window positions compute
+    # garbage that lands in pad rows/cols, or up to this many elements past
+    # the buffer's end inside the arena's tail slack, and is excluded by the
+    # accumulator slice.
+    em.need_tail_slack((kh - 1) * wp + (kw - 1))
+    acc_pad = planner.alloc((c, n, hp, wp), "scratch", f"{ir.name}.accpad")
+
+    if not stack:
+
+        def make_flat_einsum():
+            # all taps contracted in one pass (no product materialization):
+            # V[i, j, c, m] is the padded buffer shifted by (i, j), per channel
+            nhw = n * hp * wp
+            itemsize = pbuf.a.itemsize
+            v = np.lib.stride_tricks.as_strided(
+                pbuf.a,
+                shape=(kh, kw, c, nhw),
+                strides=(wp * itemsize, itemsize, nhw * itemsize, itemsize),
+            )
+            w3 = w6.reshape(kh, kw, c)
+            path = np.einsum_path("ijcm,ijc->cm", v, w3, optimize=True)[0]
+
+            def run():
+                np.einsum("ijcm,ijc->cm", v, w3, optimize=path, out=acc_pad.a.reshape(c, nhw))
+
+            return run, acc_pad.a[:, :, :oh, :ow]
+
+        return make_flat_einsum, [acc, acc_pad]
+
+    prod = planner.alloc((kh * kw, c, n, hp, wp), "scratch", f"{ir.name}.taps")
 
     def make_flat():
-        # Each tap is the *whole padded buffer* shifted by i*Wp + j: a set of
-        # overlapping views with identical contiguous memory order, stacked
-        # via as_strided.  The multiply/reduce then run at contiguous speed;
-        # out-of-window positions compute garbage that lands in pad rows/cols
-        # (or past the buffer, inside the arena's tail slack) and is excluded
-        # by the strided accumulator slice below.
         itemsize = pbuf.a.itemsize
         v = np.lib.stride_tricks.as_strided(
             pbuf.a,
             shape=(kh, kw, c, n, hp, wp),
             strides=(wp * itemsize, itemsize) + pbuf.a.strides,
         )
-        w6 = np.ascontiguousarray(w_f32.transpose(1, 2, 0)).reshape(kh, kw, c, 1, 1, 1)
         prod6 = prod.a.reshape(kh, kw, c, n, hp, wp)
-        prod_flat = prod.a.reshape(kh * kw, c, n, hp, wp)
-        acc_slice = acc_pad.a[:, :, : stride * oh : stride, : stride * ow : stride]
 
         def run():
             np.multiply(v, w6, out=prod6)
-            np.add.reduce(prod_flat, axis=0, out=acc_pad.a)
+            np.add.reduce(prod.a, axis=0, out=acc_pad.a)
 
-        return run, acc_slice
+        return run, acc_pad.a[:, :, :oh, :ow]
 
-    def make_flat_einsum():
-        # Same shifted-overlapping-taps trick, but contracted in one einsum
-        # pass (no 9x product materialization): V[i, j, c, m] addresses the
-        # whole padded buffer shifted by (i, j), flattened per channel.
-        itemsize = pbuf.a.itemsize
+    return make_flat, [acc, acc_pad, prod]
+
+
+def _plan_dense(em: _Emitter, ir: _QConvIR, pbuf, pview, n, oh, ow, exact64: bool):
+    """Plan the :func:`_tap_kernels` pick for a dense (non-depthwise) spatial conv.
+
+    Grouped and float64 convs run the per-tap gemm (``tap_gemm``); other
+    convs run a flat-tap einsum over the whole padded grid when
+    :func:`_tap_kernels` picks the tap kernels, and a windowed einsum
+    otherwise.  Same ``(make, bufs)`` contract as :func:`_plan_depthwise`.
+    """
+    planner = em.planner
+    c_out = ir.c_out
+    c_in_g = ir.weight_q.shape[1]
+    kh, kw = ir.weight_q.shape[2], ir.weight_q.shape[3]
+    c_in, _, hp, wp = pbuf.shape  # the (possibly padded) input slot
+    w_taps = ir.weight_q.astype(np.float64 if exact64 else np.float32)
+    groups, stride = ir.groups, ir.stride
+    acc = planner.alloc((c_out, n, oh, ow), "scratch", f"{ir.name}.acc")
+
+    def padded():
+        return pview(pbuf.a) if ir.padding == 0 else pbuf.a
+
+    if groups > 1 or exact64:
+        col = planner.alloc((c_in_g, n, oh, ow), "scratch", f"{ir.name}.col")
+        tmp = planner.alloc((c_out, n * oh * ow), "scratch", f"{ir.name}.tmp")
+        m_g = c_out // groups
+
+        def make_tap_gemm():
+            x = padded()
+            acc2 = acc.a.reshape(c_out, n * oh * ow)
+            col2 = col.a.reshape(c_in_g, n * oh * ow)
+
+            def run():
+                first = True
+                for i in range(kh):
+                    for j in range(kw):
+                        for g in range(groups):
+                            sl = x[
+                                g * c_in_g : (g + 1) * c_in_g,
+                                :,
+                                i : i + stride * oh : stride,
+                                j : j + stride * ow : stride,
+                            ]
+                            np.copyto(col.a, sl)
+                            wij = w_taps[g * m_g : (g + 1) * m_g, :, i, j]
+                            rows = acc2[g * m_g : (g + 1) * m_g] if first else tmp.a[g * m_g : (g + 1) * m_g]
+                            if exact64:
+                                rows[...] = wij @ col2.astype(np.float64)
+                            else:
+                                np.dot(np.ascontiguousarray(wij), col2, out=rows)
+                        if not first:
+                            np.add(acc2, tmp.a, out=acc2)
+                        first = False
+
+            return run, acc.a
+
+        return make_tap_gemm, [acc, col, tmp]
+
+    if not _tap_kernels(n, kh * kw * c_in * n * hp * wp):
+
+        def make_einsum():
+            win = sliding_window_view(padded(), (kh, kw), axis=(2, 3))
+            if stride > 1:
+                win = win[:, :, ::stride, ::stride]
+            path = np.einsum_path("cnhwij,ocij->onhw", win, w_taps, optimize=True)[0]
+
+            def run():
+                np.einsum("cnhwij,ocij->onhw", win, w_taps, optimize=path, out=acc.a)
+
+            return run, acc.a
+
+        return make_einsum, [acc]
+
+    acc_pad = planner.alloc((c_out, n * hp * wp), "scratch", f"{ir.name}.accpad")
+    # flat-tap einsum over the whole padded grid (overrun lands in pad
+    # positions / arena slack, excluded by the slice)
+    em.need_tail_slack((kh - 1) * wp + (kw - 1))
+
+    def make_flat():
         nhw = n * hp * wp
+        itemsize = pbuf.a.itemsize
         v = np.lib.stride_tricks.as_strided(
             pbuf.a,
-            shape=(kh, kw, c, nhw),
-            strides=(wp * itemsize, itemsize, nhw * itemsize, itemsize),
+            shape=(c_in, kh, kw, nhw),
+            strides=(nhw * itemsize, wp * itemsize, itemsize, itemsize),
         )
-        w3 = np.ascontiguousarray(w_f32.transpose(1, 2, 0))  # (kh, kw, C)
-        acc2 = acc_pad.a.reshape(c, nhw)
-        path = np.einsum_path("ijcm,ijc->cm", v, w3, optimize=True)[0]
-        acc_slice = acc_pad.a[:, :, : stride * oh : stride, : stride * ow : stride]
+        path = np.einsum_path("cijm,ocij->om", v, w_taps, optimize=True)[0]
+        acc_full = acc_pad.a.reshape(c_out, n, hp, wp)
 
         def run():
-            np.einsum("ijcm,ijc->cm", v, w3, optimize=path, out=acc2)
+            np.einsum("cijm,ocij->om", v, w_taps, optimize=path, out=acc_pad.a)
 
-        return run, acc_slice
+        return run, acc_full[:, :, : stride * oh : stride, : stride * ow : stride]
 
-    def make_stacked():
-        vt = windows().transpose(4, 5, 0, 1, 2, 3)
-        w6 = np.ascontiguousarray(w_f32.transpose(1, 2, 0)).reshape(kh, kw, c, 1, 1, 1)
-        flat_prefix = prod.a.reshape(-1)[: kh * kw * c * n * oh * ow]
-        prod6 = flat_prefix.reshape(kh, kw, c, n, oh, ow)
-        prod_flat = flat_prefix.reshape(kh * kw, c, n, oh, ow)
-
-        def run():
-            np.multiply(vt, w6, out=prod6)
-            np.add.reduce(prod_flat, axis=0, out=acc.a)
-
-        return run, acc.a
-
-    def make_einsum():
-        win = windows()
-        path = np.einsum_path("cnhwij,cij->cnhw", win, w_f32, optimize=True)[0]
-
-        def run():
-            np.einsum("cnhwij,cij->cnhw", win, w_f32, optimize=path, out=acc.a)
-
-        return run, acc.a
-
-    def make_offsets():
-        taps = []
-        for i in range(kh):
-            for j in range(kw):
-                sl = pbuf.a[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-                taps.append((sl, np.ascontiguousarray(w_f32[:, i, j]).reshape(c, 1, 1, 1)))
-        tmp = prod.a.reshape(-1)[: c * n * oh * ow].reshape(c, n, oh, ow)
-
-        def run():
-            sl0, w0 = taps[0]
-            np.multiply(sl0, w0, out=acc.a)
-            for sl, wij in taps[1:]:
-                np.multiply(sl, wij, out=tmp)
-                np.add(acc.a, tmp, out=acc.a)
-
-        return run, acc.a
-
-    candidates = {
-        "flat": make_flat,
-        "flat_einsum": make_flat_einsum,
-        "stacked": make_stacked,
-        "einsum": make_einsum,
-        "offsets": make_offsets,
-    }
-    return candidates, (prod, acc, acc_pad)
-
-
-def _pick_kernel(candidates: dict, choice: str):
-    """Bind-time kernel selection: time each candidate, keep the fastest.
-
-    Safe because every candidate computes the same exact integers — the
-    choice affects speed only, never results."""
-    if choice != "auto":
-        return candidates[choice]()
-    best, best_t = None, np.inf
-    for make in candidates.values():
-        run_acc = make()
-        run_acc[0]()  # warmup (also validates shapes)
-        start = time.perf_counter()
-        for _ in range(3):
-            run_acc[0]()
-        elapsed = time.perf_counter() - start
-        if elapsed < best_t:
-            best, best_t = run_acc, elapsed
-    return best
+    return make_flat, [acc, acc_pad]
 
 
 def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, tail) -> _Val:
@@ -642,111 +726,26 @@ def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, 
 
         em.emit(factory, [pbuf, acc, out_buf], f"pw.{ir.name}")
         em.log("qconv.pw")
-    elif depthwise:
-        candidates, dw_bufs = _dw_candidates(ir, pbuf, em, n, oh, ow)
-        choice = em.dw_kernel
-        req_scratch = dw_bufs[1]  # the contiguous accumulator doubles as staging
-
-        def factory(out_buf=out_buf, out_view=out_view, req_scratch=req_scratch):
-            gemm, acc_arr = _pick_kernel(candidates, choice)
-            target = out_view(out_buf.a)
-
-            def run():
-                gemm()
-                _requantize(acc_arr, m4, c4, lo, hi, mode, float_act, target, req_scratch.a)
-
-            return run
-
-        em.emit(factory, [pbuf, out_buf, *dw_bufs], f"dw.{ir.name}")
-        em.log("qconv.dw")
     else:
-        c_in_g = ir.weight_q.shape[1]
-        p_in = pbuf.shape  # (C, N, Hp, Wp) of the (possibly padded) input slot
-        acc = em.planner.alloc((c_out, n, oh, ow), "scratch", f"{ir.name}.acc")
-        acc_pad = em.planner.alloc((c_out, p_in[2] * p_in[3] * n), "scratch", f"{ir.name}.accpad")
-        col = em.planner.alloc((c_in_g, n, oh, ow), "scratch", f"{ir.name}.col")
-        tmp = em.planner.alloc((c_out, n * oh * ow), "scratch", f"{ir.name}.tmp")
-        em.need_tail_slack((kh - 1) * p_in[3] + (kw - 1))
-        w_taps = ir.weight_q.astype(np.float64 if exact64 else np.float32)
-        groups, stride = ir.groups, ir.stride
-        m_g = c_out // groups
+        if depthwise:
+            make, bufs = _plan_depthwise(em, ir, pbuf, n, oh, ow)
+            label, kind = f"dw.{ir.name}", "qconv.dw"
+        else:
+            make, bufs = _plan_dense(em, ir, pbuf, pview, n, oh, ow, exact64)
+            label, kind = f"im2col.{ir.name}", "qconv.im2col"
 
-        def factory(
-            pbuf=pbuf, pview=pview, acc=acc, acc_pad=acc_pad, col=col, tmp=tmp,
-            out_buf=out_buf, out_view=out_view,
-        ):
+        def factory(out_buf=out_buf, out_view=out_view, staging=bufs[0]):
+            gemm, acc_arr = make()
             target = out_view(out_buf.a)
-            padded = pview(pbuf.a) if ir.padding == 0 else pbuf.a
-            acc2 = acc.a.reshape(c_out, n * oh * ow)
-            col2 = col.a.reshape(c_in_g, n * oh * ow)
-
-            def tap_gemm():
-                first = True
-                for i in range(kh):
-                    for j in range(kw):
-                        for g in range(groups):
-                            sl = padded[
-                                g * c_in_g : (g + 1) * c_in_g,
-                                :,
-                                i : i + stride * oh : stride,
-                                j : j + stride * ow : stride,
-                            ]
-                            np.copyto(col.a, sl)
-                            wij = w_taps[g * m_g : (g + 1) * m_g, :, i, j]
-                            rows = acc2[g * m_g : (g + 1) * m_g] if first else tmp.a[g * m_g : (g + 1) * m_g]
-                            if exact64:
-                                rows[...] = wij @ col2.astype(np.float64)
-                            else:
-                                np.dot(np.ascontiguousarray(wij), col2, out=rows)
-                        if not first:
-                            np.add(acc2, tmp.a, out=acc2)
-                        first = False
-
-            gemm, acc_arr = tap_gemm, acc.a
-            if groups == 1 and not exact64:
-                win = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-                if stride > 1:
-                    win = win[:, :, ::stride, ::stride]
-                path = np.einsum_path("cnhwij,ocij->onhw", win, w_taps, optimize=True)[0]
-
-                def einsum_gemm():
-                    np.einsum("cnhwij,ocij->onhw", win, w_taps, optimize=path, out=acc.a)
-
-                candidates = {
-                    "taps": lambda: (tap_gemm, acc.a),
-                    "einsum": lambda: (einsum_gemm, acc.a),
-                }
-                # flat-tap einsum over the whole padded grid (overrun lands
-                # in pad positions / arena slack, excluded by the slice)
-                c_in, hp, wp = p_in[0], p_in[2], p_in[3]
-                nhw = n * hp * wp
-                itemsize = pbuf.a.itemsize
-                v = np.lib.stride_tricks.as_strided(
-                    pbuf.a,
-                    shape=(c_in, kh, kw, nhw),
-                    strides=(nhw * itemsize, wp * itemsize, itemsize, itemsize),
-                )
-                acc_full = acc_pad.a.reshape(c_out, n, hp, wp)
-                fpath = np.einsum_path("cijm,ocij->om", v, w_taps, optimize=True)[0]
-                flat_slice = acc_full[:, :, : stride * oh : stride, : stride * ow : stride]
-
-                def flat_gemm():
-                    np.einsum(
-                        "cijm,ocij->om", v, w_taps, optimize=fpath,
-                        out=acc_pad.a.reshape(c_out, nhw),
-                    )
-
-                candidates["flat"] = lambda: (flat_gemm, flat_slice)
-                gemm, acc_arr = _pick_kernel(candidates, "auto")
 
             def run():
                 gemm()
-                _requantize(acc_arr, m4, c4, lo, hi, mode, float_act, target, acc.a)
+                _requantize(acc_arr, m4, c4, lo, hi, mode, float_act, target, staging.a)
 
             return run
 
-        em.emit(factory, [pbuf, acc, acc_pad, col, tmp, out_buf], f"im2col.{ir.name}")
-        em.log("qconv.im2col")
+        em.emit(factory, [pbuf, out_buf, *bufs], label)
+        em.log(kind)
 
     out_shape = (c_out, n, oh, ow)
     return _Val(out_buf, out_shape, out_view, out_grid)
@@ -1093,14 +1092,10 @@ class QuantizedNet:
         from (``None`` when constructed from a raw IR list).
     """
 
-    def __init__(self, ir: list, source: nn.Module, dw_kernel: str = "auto",
-                 graph: Graph | None = None):
-        if dw_kernel not in _DW_KERNELS:
-            raise ValueError(f"dw_kernel must be one of {_DW_KERNELS}")
+    def __init__(self, ir: list, source: nn.Module, graph: Graph | None = None):
         self._ir = ir
         self.source = source
         self.graph = graph
-        self._dw_kernel = dw_kernel
         self._local = threading.local()
         # _op_log is assigned by whichever thread builds the first plan; the
         # lock keeps the first-wins publication race out of the engine (plan
@@ -1127,7 +1122,7 @@ class QuantizedNet:
     def _build(self, input_shape) -> _ExecPlan:
         n, c, h, w = input_shape
         planner = ArenaPlanner()
-        em = _Emitter(planner, self._dw_kernel)
+        em = _Emitter(planner)
         ctx: dict = {}
         first = self._ir[0] if self._ir else None
         if isinstance(first, _QConvIR) and not isinstance(first, _QLinearIR):
@@ -1205,17 +1200,16 @@ class QuantizedNet:
         return f"QuantizedNet(source={type(self.source).__name__})"
 
 
-def build_quantized_program(graph: Graph, dw_kernel: str = "auto") -> QuantizedNet:
+def build_quantized_program(graph: Graph) -> QuantizedNet:
     """Lower an annotated graph to a :class:`QuantizedNet` (frontend backend hook)."""
-    return QuantizedNet(_ir_from_graph(graph), graph.source, dw_kernel=dw_kernel,
-                        graph=graph)
+    return QuantizedNet(_ir_from_graph(graph), graph.source, graph=graph)
 
 
 from .frontend import _deprecated
 
 
 @_deprecated("repro.compile(model, mode='int8')")
-def compile_quantized(model: nn.Module, dw_kernel: str = "auto") -> QuantizedNet:
+def compile_quantized(model: nn.Module) -> QuantizedNet:
     """Deprecated alias of ``repro.compile(model, mode="int8")``.
 
     Parameters
@@ -1223,12 +1217,6 @@ def compile_quantized(model: nn.Module, dw_kernel: str = "auto") -> QuantizedNet
     model:
         A model processed by :func:`repro.compress.quantize_model` and
         :func:`repro.compress.calibrate` (every wrapper must be frozen).
-    dw_kernel:
-        Depthwise kernel strategy: ``"auto"`` (time the candidates on the
-        planned buffers and keep the fastest — the default), or one of
-        ``"flat"`` / ``"flat_einsum"`` / ``"stacked"`` / ``"einsum"`` /
-        ``"offsets"`` to force a variant.  All variants produce bit-identical
-        results.
 
     Returns
     -------
@@ -1247,4 +1235,4 @@ def compile_quantized(model: nn.Module, dw_kernel: str = "auto") -> QuantizedNet
     """
     from .frontend import compile_model
 
-    return compile_model(model, mode="int8", dw_kernel=dw_kernel)
+    return compile_model(model, mode="int8")

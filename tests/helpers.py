@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["numerical_gradient", "assert_gradients_close", "make_tensor", "rewrite_header_mode"]
+__all__ = ["numerical_gradient", "assert_gradients_close", "make_tensor", "rewrite_header"]
 
 
 def numerical_gradient(func, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -42,12 +42,12 @@ def make_tensor(shape, rng: np.random.Generator | None = None, requires_grad: bo
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad, dtype=np.float64)
 
 
-def rewrite_header_mode(path, mode: str) -> None:
-    """Rewrite a compiled artifact's header ``mode`` in place, state untouched."""
+def rewrite_header(path, **fields) -> None:
+    """Set top-level fields of a compiled artifact's header in place, state untouched."""
     with np.load(path, allow_pickle=False) as data:
         entries = {name: data[name] for name in data.files}
     header = json.loads(bytes(entries["__header__"]).decode("utf-8"))
-    header["mode"] = mode
+    header.update(fields)
     entries["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as handle:  # np.savez(path) would append .npz
         np.savez(handle, **entries)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro
-from helpers import rewrite_header_mode
+from helpers import rewrite_header
 from repro.compress import calibrate, quantize_model
 from repro.models import available_models, create_model
 from repro.runtime import (
@@ -120,6 +120,18 @@ class TestRoundTrip:
         info_b = loaded.save(str(second))
         assert info_a.fingerprint == info_b.fingerprint
 
+    def test_legacy_options_block_is_ignored(self, tmp_path):
+        """Headers written before the int8 kernel knob was removed carry an
+        ``options`` block; the loader ignores it."""
+        model, rng = make_model()
+        fresh = repro.compile(model, mode="infer")
+        path = tmp_path / "net.rpa"
+        fresh.save(str(path), input_shape=SHAPE)
+        rewrite_header(path, options={"dw_kernel": "auto"})
+        loaded = load_artifact(str(path))
+        x = batch_for(rng)
+        np.testing.assert_array_equal(fresh.numpy_forward(x), loaded.numpy_forward(x))
+
     def test_read_artifact_info_verify(self, tmp_path):
         model, _ = make_model()
         path = tmp_path / "net.rpa"
@@ -214,14 +226,14 @@ class TestRobustness:
     def test_header_mode_tamper_breaks_fingerprint(self, tmp_path):
         """Rewriting the header (e.g. its mode) cannot go unnoticed."""
         path, _, _ = self.save_one(tmp_path)
-        rewrite_header_mode(path, "int8")
+        rewrite_header(path, mode="int8")
         with pytest.raises(ArtifactError):
             load_artifact(str(path))
 
     def test_removed_train_mode_rejected(self, tmp_path):
         """A header claiming the removed ``train`` mode fails typed, up front."""
         path, _, _ = self.save_one(tmp_path)
-        rewrite_header_mode(path, "train")
+        rewrite_header(path, mode="train")
         for read in (load_artifact, read_artifact_info):
             with pytest.raises(ArtifactError, match="mode 'train'"):
                 read(str(path))

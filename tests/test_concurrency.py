@@ -74,7 +74,7 @@ class TestRaceStress:
 
     def test_int8_engine_survives_mismatched_concurrent_load(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        qnet = repro.compile(model, mode="int8", dw_kernel="einsum")
+        qnet = repro.compile(model, mode="int8")
         requests = self._requests(rng)
         expected = {key: qnet.numpy_forward(x).tobytes() for key, x in requests.items()}
         self._hammer(qnet.numpy_forward, requests, expected)
@@ -104,7 +104,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_int8_engine_byte_identical_across_runs(self, rng, seed):
         model = _quantized_model("mobilenetv2-tiny", rng, res=RES)
-        qnet = repro.compile(model, mode="int8", dw_kernel="einsum")
+        qnet = repro.compile(model, mode="int8")
         x = np.random.default_rng(seed).normal(0.2, 0.8, size=(16, 3, RES, RES)).astype(np.float32)
         outputs = {qnet.numpy_forward(x).tobytes() for _ in range(self.RUNS)}
         assert len(outputs) == 1

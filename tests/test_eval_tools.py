@@ -130,6 +130,33 @@ class TestProfiler:
         assert stats["p50_ms"] == pytest.approx(3.0)
         assert stats["p95_ms"] <= stats["p99_ms"] <= 100.0
 
+    @pytest.mark.parametrize("plan_memory", [True, False])
+    def test_deployment_report_propagates_unexpected_errors(
+        self, tiny_model, monkeypatch, plan_memory
+    ):
+        import repro
+
+        def broken(model, mode="infer"):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr(repro, "compile", broken)
+        with pytest.raises(RuntimeError, match="compiler bug"):
+            deployment_report(
+                tiny_model, (3, 16, 16), plan_memory=plan_memory, measure_cold_start=True
+            )
+
+    def test_deployment_report_compile_errors_leave_fields_empty(self, tiny_model, monkeypatch):
+        import repro
+
+        def reject(model, mode="infer"):
+            raise repro.CompileError("not lowerable")
+
+        monkeypatch.setattr(repro, "compile", reject)
+        report = deployment_report(tiny_model, (3, 16, 16), measure_cold_start=True)
+        assert report.planned_peak_int8_bytes is None and report.planner_backend is None
+        assert report.cold_start_compile_ms is None and report.cold_start_load_ms is None
+        assert report.artifact_bytes is None and report.artifact_mode is None
+
     def test_deployment_report_latency_repeats_knob(self, tiny_model):
         report = deployment_report(
             tiny_model, (3, 16, 16), measure_host_latency=True, latency_repeats=2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro
-from helpers import rewrite_header_mode
+from helpers import rewrite_header
 from repro.models import create_model
 from repro.serve.fidelity import (
     FidelityLadder,
@@ -141,7 +141,7 @@ class TestLadderBackend:
         model.eval()
         path = tmp_path / "train.rpa"
         repro.compile(model).save(str(path), input_shape=(3, RESOLUTION, RESOLUTION))
-        rewrite_header_mode(path, "train")
+        rewrite_header(path, mode="train")
         ladder = FidelityLadder([RungSpec(name="t", artifact=str(path))],
                                 resolution=RESOLUTION, num_classes=CLASSES)
         with pytest.raises(repro.ArtifactError, match="mode 'train'"):

@@ -14,7 +14,7 @@ from repro.runtime import (
     CompiledNet,
     QuantizedNet,
     available_engines,
-    compile_model,
+    load_artifact,
     resolve_engine,
     trace,
 )
@@ -172,10 +172,10 @@ class TestFrontend:
 
         model = _quantized_model("mcunet", rng)
         x = rng.normal(0.2, 0.8, size=(2, 3, 16, 16)).astype(np.float32)
-        new = repro.compile(model, mode="int8", dw_kernel="einsum").numpy_forward(x)
+        new = repro.compile(model, mode="int8").numpy_forward(x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = compile_quantized(model, dw_kernel="einsum").numpy_forward(x)
+            legacy = compile_quantized(model).numpy_forward(x)
         np.testing.assert_array_equal(new, legacy)
 
     def test_describe_reports_passes_and_nodes(self, rng):
@@ -208,18 +208,16 @@ class TestFrontend:
         with pytest.raises(KeyError):
             resolve_engine("tpu")
 
-    def test_options_and_overrides_are_exclusive(self):
-        model = create_model("mobilenetv2-tiny", num_classes=4)
-        with pytest.raises(ValueError):
-            compile_model(model, options=repro.CompileOptions(), dw_kernel="einsum")
-
-    def test_unknown_option_is_a_type_error(self):
-        from dataclasses import fields
-
-        assert [f.name for f in fields(repro.CompileOptions)] == ["dw_kernel"]
+    def test_unknown_option_is_a_type_error(self, tmp_path):
+        """The compile and load entry points take no tuning knobs at all."""
+        assert not hasattr(repro, "CompileOptions")
         model = create_model("mobilenetv2-tiny", num_classes=4)
         with pytest.raises(TypeError):
             repro.compile(model, threads=2)
+        with pytest.raises(TypeError):
+            repro.compile(model, mode="int8", dw_kernel="einsum")
+        with pytest.raises(TypeError):
+            load_artifact(str(tmp_path / "net.rpa"), dw_kernel="flat")
 
 
 class TestMemoryPlans:
