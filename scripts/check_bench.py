@@ -7,8 +7,9 @@ Dispatches on the report's ``suite`` field:
   stay above the seed-speedup floor; the distributed data-parallel lane must show aggregate steps/s scaling at max
   workers (CPU-count-aware floor, sanity floor on starved runners) and the
   single-worker bitwise-parity flag must hold everywhere.
-* ``bench_serve`` (``BENCH_serve.json``) — the int8 integer engine must reach
-  the configured speedup over the float compiled engine at batches 1-8, and
+* ``bench_serve`` (``BENCH_serve.json``) — the int8 integer engine's forward
+  must stay within the configured multiple of the float compiled engine's at
+  batches 1 and 8 (both run the same planned kernels), and
   dynamic batching must sustain the configured multiple of serial batch-1
   serving req/s.  The multi-process fleet lane must beat the threaded engine
   on machines with enough cores (CPU-count-aware floor), and the chaos lane
@@ -114,11 +115,11 @@ def check_serve(report: dict, args) -> list[str]:
     serving = bench["serving"]
     failures = []
     for batch in (1, 8):
-        speedup = engine[f"batch{batch}"]["speedup_int8_vs_float"]
-        if speedup < args.min_int8_speedup:
+        row = engine[f"batch{batch}"]
+        if row["int8_ms"] > args.max_int8_overhead * row["float_ms"]:
             failures.append(
-                f"int8 engine below floor at batch {batch}: "
-                f"{speedup:.2f}x < {args.min_int8_speedup:.2f}x vs float compiled"
+                f"int8 engine over its cap at batch {batch}: {row['int8_ms']:.3f} ms > "
+                f"{args.max_int8_overhead:.2f} x {row['float_ms']:.3f} ms float compiled"
             )
     batching = serving["speedup_batched_vs_serial"]
     if batching < args.min_batching_speedup:
@@ -418,10 +419,11 @@ def main() -> int:
         "(workers time-share the core)",
     )
     parser.add_argument(
-        "--min-int8-speedup",
+        "--max-int8-overhead",
         type=float,
-        default=1.5,
-        help="[serve] minimum int8-vs-float-compiled speedup at batches 1-8",
+        default=1.25,
+        help="[serve] maximum int8 forward time as a multiple of the float compiled "
+        "forward at batches 1 and 8 (both engines run the same planned kernels)",
     )
     parser.add_argument(
         "--min-batching-speedup",

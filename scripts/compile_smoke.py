@@ -5,7 +5,12 @@ The unified frontend (``repro.compile``) must route every registry model
 through the shared graph IR and produce outputs that match the eager
 reference on each engine:
 
-* ``infer``  — fused float program vs the eager forward (round-off tolerance);
+* ``infer``  — planned float program vs the eager forward (round-off
+  tolerance), and batch-8 rows vs batch-1 forwards of the same samples
+  (layers cross the kernel rule between those sizes); the infer checks also
+  cover the expanded MobileNetV2-Tiny giant mid-PLT (eager expanded blocks,
+  standalone BN with a fused activation) and a model whose eager head
+  changes rank;
 * ``int8``   — true-integer engine vs the fake-quant oracle (dequantization
   tolerance derived from the classifier's grid, like the test-suite's bound),
   and batch-8 rows bit-identical to batch-1 and batch-2 forwards of the same
@@ -28,7 +33,12 @@ import repro
 from repro import nn
 from repro.compress import calibrate, quantize_model
 from repro.compress.quantization import QuantizedLinear
+from repro.core.expansion import expand_network
+from repro.core.plt import PLTSchedule
 from repro.models import available_models, create_model
+
+GIANT = "mobilenetv2-tiny-giant"
+RANK_HEAD = "rank-changing-head"
 
 
 def _randomize_bn_stats(model: nn.Module, rng) -> None:
@@ -48,17 +58,47 @@ def _dequant_tolerance(model: nn.Module, drift_steps: float = 3.0) -> float:
     return drift_steps * in_scale * row_l1
 
 
+class _MeanHead(nn.Module):
+    """Global mean then a linear layer: an eager node that changes rank."""
+
+    def __init__(self, channels: int, classes: int):
+        super().__init__()
+        self.linear = nn.Linear(channels, classes)
+
+    def forward(self, x):
+        return self.linear(x.mean(axis=(2, 3)))
+
+
+def _infer_model(name: str) -> nn.Module:
+    if name == GIANT:
+        giant, _ = expand_network(create_model("mobilenetv2-tiny", num_classes=8))
+        schedule = PLTSchedule(giant, total_steps=10)
+        for _ in range(4):
+            schedule.step()
+        return giant
+    if name == RANK_HEAD:
+        return nn.Sequential(nn.Conv2d(3, 4, 3, padding=1), nn.ReLU(), _MeanHead(4, 8))
+    return create_model(name, num_classes=8)
+
+
 def check_infer(name: str, res: int, rng) -> str:
-    model = create_model(name, num_classes=8)
+    model = _infer_model(name)
     _randomize_bn_stats(model, rng)
     model.eval()
     x = rng.normal(size=(2, 3, res, res)).astype(np.float32)
     with nn.no_grad():
         eager = model(nn.Tensor(x)).numpy()
-    out = repro.compile(model, mode="infer").numpy_forward(x)
+    net = repro.compile(model, mode="infer")
+    out = net.numpy_forward(x)
     delta = float(np.abs(out - eager).max())
     if not np.allclose(out, eager, rtol=1e-3, atol=1e-3):
         raise AssertionError(f"{name}/infer drifted from eager: max|delta|={delta:.3g}")
+    batch = rng.normal(size=(8, 3, res, res)).astype(np.float32)
+    rows = net.numpy_forward(batch)
+    singles = np.concatenate([net.numpy_forward(batch[i : i + 1]) for i in range(len(batch))])
+    if not np.allclose(singles, rows, rtol=1e-4, atol=1e-5):
+        spread = float(np.abs(singles - rows).max())
+        raise AssertionError(f"{name}/infer batch-1 rows differ from batch 8: {spread:.3g}")
     return f"max|delta|={delta:.2e}"
 
 
@@ -92,26 +132,29 @@ def check_int8(name: str, res: int, rng) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--models", nargs="*", default=None, help="registry models (default: all)")
+    parser.add_argument(
+        "--models", nargs="*", default=None, help=f"registry models, {GIANT}, {RANK_HEAD} (default: all)"
+    )
     parser.add_argument("--resolution", type=int, default=16)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    models = args.models if args.models else available_models()
+    models = args.models if args.models else available_models() + [GIANT, RANK_HEAD]
+    runs = [(name, "infer", check_infer) for name in models]
+    runs += [(name, "int8", check_int8) for name in models if name in available_models()]
     failures = []
-    for name in models:
-        for mode, check in (("infer", check_infer), ("int8", check_int8)):
-            rng = np.random.default_rng(args.seed)
-            try:
-                detail = check(name, args.resolution, rng)
-                print(f"ok   {name:<18s} {mode:<6s} {detail}")
-            except Exception as error:  # noqa: BLE001 - report and keep going
-                failures.append(f"{name}/{mode}: {error}")
-                print(f"FAIL {name:<18s} {mode:<6s} {error}")
+    for name, mode, check in runs:
+        rng = np.random.default_rng(args.seed)
+        try:
+            detail = check(name, args.resolution, rng)
+            print(f"ok   {name:<22s} {mode:<6s} {detail}")
+        except Exception as error:  # noqa: BLE001 - report and keep going
+            failures.append(f"{name}/{mode}: {error}")
+            print(f"FAIL {name:<22s} {mode:<6s} {error}")
     if failures:
         print(f"\n{len(failures)} failure(s)", file=sys.stderr)
         return 1
-    print(f"\ncompile smoke passed: {len(models)} models x 2 modes")
+    print(f"\ncompile smoke passed: {len(runs)} checks")
     return 0
 
 

@@ -5,7 +5,7 @@ compiled inference engines::
 
     import repro
 
-    net  = repro.compile(model)                  # fused float inference
+    net  = repro.compile(model)                  # planned float inference
     qnet = repro.compile(model, mode="int8")     # true-integer engine
 
 Training does not compile: :class:`repro.train.Trainer` runs the eager

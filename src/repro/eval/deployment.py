@@ -147,7 +147,7 @@ class DeploymentReport:
     ``planned_peak_int8_bytes`` is the compiled runtime's arena-planner peak
     working set (liveness-packed buffers at one logical byte per activation):
     the *executable* plan of the int8 engine for calibrated quantized models,
-    or the float program's planning-pass accounting otherwise —
+    or the float program's executable plan otherwise —
     ``planner_backend`` records which.  It sits next to the analytic
     ``peak_sram_bytes`` approximation (``max(layer input + output)``).
     """
@@ -212,7 +212,7 @@ def _planned_peak_bytes(
     """Arena-planner peak working set of the compiled runtime, in int8 bytes.
 
     Uses the int8 engine's executable plan when the model is quantized and
-    calibrated, the float program's planning-pass accounting otherwise;
+    calibrated, the float program's executable plan otherwise;
     ``(None, None)`` when the model cannot be compiled at all.
     """
     import repro

@@ -123,15 +123,13 @@ def _pad2d(x: np.ndarray, padding: int, reuse: bool = False) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _conv_windows(
-    x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int, reuse_pad: bool = False
-) -> np.ndarray:
+def _conv_windows(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
     """Zero-copy sliding windows of shape ``(N, C, out_h, out_w, kH, kW)``.
 
     The result is a strided view into (a padded copy of) ``x`` — no patch data
     is materialised.
     """
-    xp = _pad2d(x, padding, reuse=reuse_pad)
+    xp = _pad2d(x, padding)
     windows = sliding_window_view(xp, kernel, axis=(2, 3))
     if stride > 1:
         windows = windows[:, :, ::stride, ::stride]

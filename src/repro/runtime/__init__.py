@@ -7,7 +7,7 @@ exported at the top level as :func:`repro.compile` — picks the backend::
 
     import repro
 
-    net = repro.compile(model)             # fused float inference (CompiledNet)
+    net = repro.compile(model)             # planned float inference (CompiledNet)
     logits = net(images)                   # Tensor in, detached Tensor out
     raw = net.numpy_forward(arr)           # ndarray in, ndarray out
     print(net.describe())                  # trace -> passes -> backend report
@@ -42,14 +42,7 @@ from .artifact import (
     read_artifact_info,
     save_artifact,
 )
-from .compiler import (
-    CompiledNet,
-    QuantConvOp,
-    QuantLinearOp,
-    activation_spec,
-    compile_net,
-    fold_conv_bn,
-)
+from .compiler import CompiledNet, activation_spec, compile_net, fold_conv_bn
 from .frontend import (
     EngineSpec,
     available_engines,
@@ -95,8 +88,6 @@ __all__ = [
     "compile_quantized",
     # backend building blocks
     "QuantCompileError",
-    "QuantConvOp",
-    "QuantLinearOp",
     "ArenaPlanner",
     "MemoryPlan",
     "IOPlan",

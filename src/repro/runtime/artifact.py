@@ -11,7 +11,7 @@ fresh process needs to rebuild a bit-identical executor —
   calibration grids (so no calibration data is needed at load time),
 * the quantization spec and the exact set of quantized layers (int8),
 * a structural record of the annotated IR graph — node kinds/names/attrs,
-  pass trail, layout, activation specs, int8 grids, inferred shapes — plus
+  pass trail, layout, activation specs, int8 grids — plus
   the arena-plan accounting at a declared input shape,
 * a SHA-256 content fingerprint over the model structure and state.
 
@@ -71,12 +71,8 @@ __all__ = [
 MAGIC = "repro-artifact"
 FORMAT_VERSION = 1
 
-# Node-meta keys recorded in (and compared against) the graph record.
-# "out_shape" is excluded — InferShapes re-annotates the live graph for
-# whatever concrete shape memory_plan()/describe() saw last, so recording it
-# would make an artifact saved after those calls fail its own drift check;
-# the plan record already witnesses shape behaviour at the canonical input
-# shape.
+# Node-meta keys recorded in (and compared against) the graph record; the
+# plan record witnesses shape behaviour at the canonical input shape.
 _RECORDED_META = ("grid", "act", "spec", "bn_folds")
 
 

@@ -8,7 +8,7 @@ backend::
 
     import repro
 
-    net  = repro.compile(model)                       # fused float inference
+    net  = repro.compile(model)                       # planned float inference
     qnet = repro.compile(model, mode="int8")          # true-integer engine
 
 Both executors share a uniform surface: ``__call__`` (Tensor in / detached
@@ -96,7 +96,7 @@ def compile_model(model: nn.Module, mode: str = "infer"):
     model:
         The eager :class:`~repro.nn.module.Module` tree to lower.
     mode:
-        ``"infer"`` (default) for the fused float program
+        ``"infer"`` (default) for the planned float program
         (:class:`~repro.runtime.CompiledNet`), ``"int8"`` for the planned
         true-integer engine (:class:`~repro.runtime.QuantizedNet`; the model
         must be quantized and calibrated first).  ``"float"``/``"quantized"``
@@ -196,7 +196,7 @@ def available_engines() -> list[str]:
     return sorted(_ENGINES)
 
 
-register_engine("float", "infer", "fused float32 inference (CompiledNet)")
+register_engine("float", "infer", "planned float32 inference (CompiledNet)")
 register_engine("int8", "int8", "planned true-integer engine (QuantizedNet)")
 
 

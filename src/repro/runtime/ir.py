@@ -1,7 +1,7 @@
 """Shared graph IR for the compiled runtimes.
 
-Both engines in :mod:`repro.runtime` — the fused float inference program and
-the true-integer int8 engine — used to walk the eager module tree with their
+Both engines in :mod:`repro.runtime` — the planned float inference program
+and the true-integer int8 engine — used to walk the eager module tree with their
 own private lowering functions, re-implementing structure recognition
 (``ConvBNAct``, ``InvertedResidual``, classifier heads, …) per engine.  This
 module owns that knowledge once:
@@ -11,14 +11,14 @@ module owns that knowledge once:
   (``conv`` / ``qconv`` / ``linear`` / ``qlinear`` / ``bn`` / ``act`` /
   ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``);
 * the passes in :mod:`repro.runtime.passes` transform and annotate the graph
-  (BN folding, activation fusion, int8 grid annotation, layout, shape
-  inference, arena planning);
+  (BN folding, activation fusion, int8 grid annotation, layout);
 * each backend (:mod:`repro.runtime.compiler`, :mod:`repro.runtime.quantized`)
-  is a thin consumer that turns the annotated graph into executable kernels.
+  is a thin consumer that lowers the annotated graph onto the one planned
+  executor in :mod:`repro.runtime.quantized`.
 
 Nodes hold a *reference* to their source module, never copied weights — what a
 backend snapshots (or binds live) is a backend decision.  Pass results live in
-``OpNode.meta`` (``bn_folds``, ``act``, ``spec``, ``grid``, ``out_shape``) and
+``OpNode.meta`` (``bn_folds``, ``act``, ``spec``, ``grid``) and
 ``Graph.meta`` (``layout``, ``passes``, ``mode``), which is also what the
 executors' ``describe()`` reports render.
 """
@@ -169,8 +169,7 @@ class OpNode:
         Structural attributes fixed at trace time (stride, padding, groups,
         pool kind, dropout rate, …).
     meta:
-        Pass annotations (``bn_folds``, ``act``, ``spec``, ``grid``,
-        ``out_shape``, …).  Mutated by :class:`~repro.runtime.passes.Pass`
+        Pass annotations (``bn_folds``, ``act``, ``spec``, ``grid``, …).  Mutated by :class:`~repro.runtime.passes.Pass`
         instances, consumed by backends and ``describe()``.
     body:
         Nested :class:`Graph` for ``residual`` nodes, ``None`` otherwise.
@@ -201,8 +200,6 @@ class OpNode:
         if "grid" in self.meta:
             scale, zp, nbits = self.meta["grid"]
             bits.append(f"grid=(s={scale:.4g}, zp={zp:.4g}, {nbits}b)")
-        if "out_shape" in self.meta:
-            bits.append("-> " + "x".join(str(s) for s in self.meta["out_shape"]))
         return "  ".join(bits)
 
 
@@ -217,8 +214,7 @@ class Graph:
         The eager module the graph was traced from (``None`` for nested
         residual bodies).
     meta:
-        Graph-level annotations (``layout``, ``mode``, applied ``passes``,
-        deferred ``memory_plan``).
+        Graph-level annotations (``layout``, ``mode``, applied ``passes``).
     """
 
     def __init__(self, nodes: list[OpNode], source: nn.Module | None = None):

@@ -2,8 +2,7 @@
 
 A :class:`PassManager` runs an ordered list of :class:`Pass` instances over a
 traced :class:`~repro.runtime.ir.Graph` and enforces the pipeline's ordering
-invariants (BN folding before activation fusion, shape inference and layout
-assignment before arena planning).  The mode pipelines —
+invariants (BN folding before activation fusion).  The mode pipelines —
 :func:`inference_pipeline` and :func:`int8_pipeline` — are what the
 :func:`repro.compile` frontend schedules; backends only consume the
 annotations the passes leave in ``node.meta`` / ``graph.meta``:
@@ -15,24 +14,16 @@ pass                   annotation
 ``fold_batchnorm``     ``node.meta["bn_folds"] = [(scale, shift), ...]``
 ``fuse_activations``   ``node.meta["act"]`` (fused) / ``node.meta["spec"]``
 ``lower_int8``         ``node.meta["grid"]`` (+ calibration validation)
-``assign_layout``      ``graph.meta["layout"] = "NCHW" | "CNHW"``
-``infer_shapes``       ``node.meta["out_shape"]`` for a concrete input shape
-``plan_memory``        ``graph.meta["memory_plan"]`` — liveness-packed
-                       :class:`~repro.runtime.planner.MemoryPlan`
+``assign_layout``      ``graph.meta["layout"] = "CNHW"``
 =====================  =====================================================
 
-Arena planning is deliberately a *pass* (not an int8-engine private): the
-float inference program gets the same deployment-style peak-working-set
-accounting through :func:`plan_graph_memory` /
-:meth:`repro.runtime.CompiledNet.memory_plan`.
+Arena planning is not a pass: both engines plan the arena they run in, per
+input shape, when they build an execution plan (see
+:meth:`repro.runtime.CompiledNet.memory_plan`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .. import nn
-from ..nn.functional import conv_output_size
 from .ir import (
     CompileError,
     Graph,
@@ -41,7 +32,6 @@ from .ir import (
     activation_spec,
     bn_scale_shift,
 )
-from .planner import ArenaPlanner, MemoryPlan
 
 __all__ = [
     "Pass",
@@ -52,11 +42,8 @@ __all__ = [
     "FuseActivations",
     "LowerInt8",
     "AssignLayout",
-    "InferShapes",
-    "PlanMemory",
     "inference_pipeline",
     "int8_pipeline",
-    "plan_graph_memory",
 ]
 
 
@@ -118,15 +105,12 @@ class PassManager:
                         f"pass {p.name!r} must run after {predecessor!r}"
                     )
 
-    def run(self, graph: Graph, record: bool = True) -> Graph:
-        """Run the pipeline; ``record=False`` keeps ``graph.meta["passes"]``
-        untouched (used for the deferred per-shape planning passes, which may
-        run many times on one compiled graph)."""
-        applied = graph.meta.setdefault("passes", []) if record else None
+    def run(self, graph: Graph) -> Graph:
+        """Run the pipeline, recording each pass in ``graph.meta["passes"]``."""
+        applied = graph.meta.setdefault("passes", [])
         for p in self.passes:
             p.run(graph)
-            if applied is not None:
-                applied.append(p.describe())
+            applied.append(p.describe())
         return graph
 
 
@@ -288,14 +272,10 @@ class LowerInt8(Pass):
 
 
 class AssignLayout(Pass):
-    """Record the backend buffer layout (``NCHW`` float, ``CNHW`` int8)."""
+    """Record the buffer layout both engines run in: channels outermost."""
 
     name = "assign_layout"
-
-    def __init__(self, layout: str):
-        if layout not in ("NCHW", "CNHW"):
-            raise ValueError(f"unknown layout {layout!r}")
-        self.layout = layout
+    layout = "CNHW"
 
     def run(self, graph: Graph) -> None:
         graph.meta["layout"] = self.layout
@@ -304,127 +284,16 @@ class AssignLayout(Pass):
         return f"assign_layout({self.layout})"
 
 
-class InferShapes(Pass):
-    """Annotate every node with its output shape for a concrete input shape.
-
-    Shapes are logical ``NCHW`` regardless of the assigned buffer layout.
-    Opaque ``eager`` nodes are probed with a zero batch (eval mode, no grad),
-    exactly like the int8 emitter does.
-    """
-
-    name = "infer_shapes"
-
-    def __init__(self, input_shape: tuple[int, ...]):
-        self.input_shape = tuple(int(s) for s in input_shape)
-
-    def run(self, graph: Graph) -> None:
-        graph.meta["input_shape"] = self.input_shape
-        self._walk(graph, self.input_shape)
-
-    def _walk(self, graph: Graph, shape: tuple[int, ...]) -> tuple[int, ...]:
-        for node in graph.nodes:
-            shape = self._node_shape(node, shape)
-            node.meta["out_shape"] = shape
-        return shape
-
-    def _node_shape(self, node: OpNode, shape: tuple[int, ...]) -> tuple[int, ...]:
-        kind = node.kind
-        if kind in ("conv", "qconv"):
-            n, _, h, w = shape
-            kh, kw = node.attrs["kernel"]
-            stride, padding = node.attrs["stride"], node.attrs["padding"]
-            return (
-                n,
-                node.attrs["out_channels"],
-                conv_output_size(h, kh, stride, padding),
-                conv_output_size(w, kw, stride, padding),
-            )
-        if kind in ("linear", "qlinear"):
-            return (shape[0], node.attrs["out_channels"])
-        if kind == "pool":
-            n, c, h, w = shape
-            k, stride, padding = node.attrs["kernel"], node.attrs["stride"], node.attrs["padding"]
-            return (n, c, conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding))
-        if kind == "gap":
-            return (shape[0], shape[1], 1, 1)
-        if kind == "flatten":
-            return (shape[0], int(np.prod(shape[1:])))
-        if kind == "residual":
-            return self._walk(node.body, shape)
-        if kind == "eager":
-            probe = nn.Tensor(np.zeros(shape, dtype=np.float32))
-            module = node.module
-            was_training = module.training
-            module.eval()
-            try:
-                with nn.no_grad():
-                    out = module(probe)
-            finally:
-                module.train(was_training)
-            data = out.data if isinstance(out, nn.Tensor) else np.asarray(out)
-            return tuple(int(s) for s in data.shape)
-        # bn / act / dropout and other elementwise nodes preserve the shape.
-        return shape
-
-
-class PlanMemory(Pass):
-    """Liveness-based arena planning over the graph's value buffers.
-
-    Promotes the int8 engine's :class:`~repro.runtime.planner.ArenaPlanner`
-    to a generic pass: one step per executed op, the input and output of each
-    step live simultaneously, residual identities pinned until their add.
-    The resulting :class:`~repro.runtime.planner.MemoryPlan` (stored in
-    ``graph.meta["memory_plan"]``) is the deployment-style accounting an
-    arena-backed execution of the program would need — the float engine
-    reports it via :meth:`~repro.runtime.CompiledNet.memory_plan`, directly
-    comparable to the int8 planner's peak working set and to
-    :func:`repro.eval.deployment.peak_activation_memory`.
-    """
-
-    name = "plan_memory"
-    requires = ("infer_shapes",)
-    after = ("assign_layout",)
-
-    def run(self, graph: Graph) -> None:
-        if "layout" not in graph.meta:
-            raise PassOrderError("assign_layout must run before plan_memory")
-        planner = ArenaPlanner()
-        in_shape = graph.meta.get("input_shape")
-        buf = planner.alloc(in_shape, "value", "input")
-        buf.touch(planner.advance())
-        self._plan(graph, planner, buf)
-        _, plan = planner.solve(materialize=False)
-        graph.meta["memory_plan"] = plan
-
-    def _plan(self, graph: Graph, planner: ArenaPlanner, buf):
-        for node in graph.nodes:
-            if node.kind == "flatten":
-                continue  # a reshape view: no new buffer, no step
-            if node.kind == "residual":
-                identity = buf
-                buf = self._plan(node.body, planner, buf)
-                step = planner.advance()  # the residual add
-                identity.touch(step)
-                buf.touch(step)
-                continue
-            out = planner.alloc(node.meta["out_shape"], "value", node.name or node.kind)
-            step = planner.advance()
-            buf.touch(step)
-            out.touch(step)
-            buf = out
-        return buf
-
-
 # --------------------------------------------------------------------------- #
 # mode pipelines
 # --------------------------------------------------------------------------- #
 def inference_pipeline() -> list[Pass]:
-    """Passes for ``mode="infer"`` (the fused float engine)."""
+    """Passes for ``mode="infer"`` (the planned float program)."""
     return [
         EliminateDropout(),
         FoldBatchNorm(),
         FuseActivations(),
-        AssignLayout("NCHW"),
+        AssignLayout(),
     ]
 
 
@@ -435,17 +304,5 @@ def int8_pipeline() -> list[Pass]:
         FoldBatchNorm(targets=("qconv", "qlinear"), repeat=False),
         FuseActivations(int8=True),
         LowerInt8(),
-        AssignLayout("CNHW"),
+        AssignLayout(),
     ]
-
-
-def plan_graph_memory(graph: Graph, input_shape: tuple[int, ...]) -> MemoryPlan:
-    """Run shape inference + arena planning for a concrete input shape.
-
-    The compile pipelines defer these two passes because a compiled program
-    is input-shape agnostic; executors call this from ``memory_plan()``.
-    Repeated calls re-annotate ``out_shape`` for the *latest* shape (what
-    ``describe()`` then renders) without growing the recorded pass trail.
-    """
-    PassManager([InferShapes(input_shape), PlanMemory()]).run(graph, record=False)
-    return graph.meta["memory_plan"]

@@ -194,9 +194,7 @@ class ArenaPlanner:
     # ------------------------------------------------------------------ #
     # packing
     # ------------------------------------------------------------------ #
-    def solve(
-        self, tail_slack: int = 0, materialize: bool = True
-    ) -> tuple[np.ndarray | None, MemoryPlan]:
+    def solve(self, tail_slack: int = 0) -> tuple[np.ndarray, MemoryPlan]:
         """Pack all requested buffers and return ``(arena, plan)``.
 
         Greedy offset assignment: process buffers by decreasing size, place
@@ -206,11 +204,6 @@ class ArenaPlanner:
         ``tail_slack`` appends extra elements past the last buffer so kernels
         using shifted overlapping views (the flat-tap depthwise strategy) can
         read harmlessly past a buffer's end without leaving the allocation.
-
-        ``materialize=False`` skips allocating the backing arena (``arena`` is
-        ``None`` and no buffer gets a view) — used by the planning *pass* when
-        only the :class:`MemoryPlan` accounting is wanted, e.g. the float
-        engine's peak-working-set report.
         """
         for buf in self.buffers:  # never-touched requests get a zero-length life
             if buf.birth is None:
@@ -232,11 +225,9 @@ class ArenaPlanner:
             buf.offset = offset
             placed.append(buf)
         total = max((b.offset + b.size for b in self.buffers), default=0)
-        arena = None
-        if materialize:
-            arena = np.zeros(total + tail_slack, dtype=np.float32)
-            for buf in self.buffers:
-                buf.a = arena[buf.offset : buf.offset + buf.size].reshape(buf.shape)
+        arena = np.zeros(total + tail_slack, dtype=np.float32)
+        for buf in self.buffers:
+            buf.a = arena[buf.offset : buf.offset + buf.size].reshape(buf.shape)
         peak_value, peak_total = self._peaks()
         plan = MemoryPlan(
             arena_elements=total,

@@ -1,4 +1,4 @@
-"""True-integer (int8) inference engine.
+"""True-integer (int8) inference engine, and the planned executor of both engines.
 
 This module is the ``mode="int8"`` lowering target of :func:`repro.compile`.
 It consumes a model processed by :func:`repro.compress.quantize_model` +
@@ -45,6 +45,14 @@ integers, so the rule never affects results.
 
 The fake-quant eager model remains the accuracy oracle: engine logits match
 it to within dequantization tolerance (asserted in the test-suite).
+
+The float engine (``mode="infer"``, :mod:`repro.runtime.compiler`) runs this
+same planned program without grids: plain convs and linears lower grid-less
+with float32 weights, their requantization step becomes the float output
+pass (multiplier, offset, fused activation), and a calibrated wrapper
+quantizes its own float input and dequantizes its output.  Float kernels
+differ only in float reassociation, so float results match across kernels
+and batch sizes to round-off, not bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import nn
-from ..compress.quantization import _QuantizedWrapper
 from ..nn.functional import conv_output_size
 from . import kernels
 from .ir import Graph, OpNode, QuantCompileError, bn_scale_shift
@@ -74,58 +81,60 @@ _TAP_BUDGET = 1 << 16
 # --------------------------------------------------------------------------- #
 # IR nodes
 # --------------------------------------------------------------------------- #
-class _QConvIR:
-    """Integer conv op: int8 weight, input grid, folded BN, fused activation."""
+class _ConvIR:
+    """Conv op: weight, optional input grid, folded BN, fused activation.
 
-    def __init__(self, wrapper: _QuantizedWrapper, name: str):
-        self.name = name or "qconv"
-        self.weight_q = wrapper.weight_q
-        self.w_scale = np.atleast_1d(np.asarray(wrapper.weight_scale, dtype=np.float32))
-        layer = wrapper.wrapped
+    A calibrated quantized wrapper lowers with its int8 ``weight_q``, weight
+    scale and input ``grid`` ``(scale, zero_point, bits)``; a plain layer
+    lowers grid-less, with a float32 copy of its weight, and runs in float.
+    """
+
+    def __init__(self, layer: nn.Module, name: str, weight: np.ndarray, grid=None, w_scale=None):
+        self.name = name or "conv"
+        self.weight = weight
+        self.grid = grid
+        self.w_scale = w_scale
         self.bias = None if layer.bias is None else layer.bias.data.astype(np.float32)
         self.stride = getattr(layer, "stride", 1)
         self.padding = getattr(layer, "padding", 0)
         self.groups = getattr(layer, "groups", 1)
-        self.bits = wrapper.spec.bits
-        qparams = wrapper.input_qparams() if not wrapper.observing else None
-        if qparams is None:
-            raise QuantCompileError(
-                f"quantized layer {self.name!r} has no frozen activation range; "
-                "run repro.compress.calibrate first"
-            )
-        self.in_scale, self.in_zp = qparams
         self.bn_scale: np.ndarray | None = None
         self.bn_shift: np.ndarray | None = None
         self.act: tuple | None = None  # ("relu",) / ("relu6",) fuse into the clamp
 
     @property
     def c_out(self) -> int:
-        return self.weight_q.shape[0]
-
-    @property
-    def grid(self) -> tuple[float, float, int]:
-        return (self.in_scale, self.in_zp, self.bits)
+        return self.weight.shape[0]
 
     def fold_bn(self, scale: np.ndarray, shift: np.ndarray) -> None:
-        self.bn_scale = scale.astype(np.float32)
-        self.bn_shift = shift.astype(np.float32)
+        if self.bn_scale is None:
+            self.bn_scale = scale.astype(np.float32)
+            self.bn_shift = shift.astype(np.float32)
+        else:  # the float pipeline folds consecutive BNs, in order
+            self.bn_scale = self.bn_scale * scale
+            self.bn_shift = self.bn_shift * scale + shift
 
     def needs_float64(self) -> bool:
-        k = int(np.prod(self.weight_q.shape[1:]))
-        max_w = float(np.abs(self.weight_q.astype(np.int32)).max(initial=1))
-        return k * max_w * float(2**self.bits - 1) >= _EXACT_F32_BOUND
+        if self.grid is None:
+            return False
+        k = int(np.prod(self.weight.shape[1:]))
+        max_w = float(np.abs(self.weight.astype(np.int32)).max(initial=1))
+        return k * max_w * float(2 ** self.grid[2] - 1) >= _EXACT_F32_BOUND
 
     def requant_constants(self, out_scale: float | None):
         """Fused multiplier/offset mapping raw accumulators to the output.
 
-        ``out_scale=None`` yields the dequantize-to-float constants.
+        ``out_scale=None`` yields the float (dequantized) output constants.
         """
         bn_scale = self.bn_scale if self.bn_scale is not None else np.float64(1.0)
         bn_shift = self.bn_shift if self.bn_shift is not None else np.float64(0.0)
-        w_scale = self.w_scale.astype(np.float64)
-        if w_scale.size == 1:
-            w_scale = np.full(self.c_out, w_scale[0])
-        m = float(self.in_scale) * w_scale * bn_scale
+        if self.grid is None:
+            m = np.ones(self.c_out) * bn_scale
+        else:
+            w_scale = self.w_scale.astype(np.float64)
+            if w_scale.size == 1:
+                w_scale = np.full(self.c_out, w_scale[0])
+            m = float(self.grid[0]) * w_scale * bn_scale
         bias = np.zeros(self.c_out) if self.bias is None else self.bias.astype(np.float64)
         c = bias * bn_scale + bn_shift
         if out_scale is not None:
@@ -134,14 +143,15 @@ class _QConvIR:
         return m.astype(np.float32), np.asarray(c, dtype=np.float32)
 
 
-class _QLinearIR(_QConvIR):
+class _LinearIR(_ConvIR):
     pass
 
 
 class _AffineIR:
-    def __init__(self, scale: np.ndarray, shift: np.ndarray):
+    def __init__(self, scale: np.ndarray, shift: np.ndarray, act: tuple | None):
         self.scale = scale.astype(np.float32)
         self.shift = shift.astype(np.float32)
+        self.act = act
 
 
 class _ActIR:
@@ -169,8 +179,18 @@ class _ResidualIR:
 
 
 class _EagerIR:
-    def __init__(self, module: nn.Module):
+    """An opaque module run eagerly in float, in eval mode, under no_grad.
+
+    ``wrapper`` is set for a quantized wrapper that is still observing: its
+    output shape is computed from the node, never probed, so no plan-time
+    zeros batch reaches its range observer.  The lock serialises the
+    eval/train toggle when threads share the module.
+    """
+
+    def __init__(self, module: nn.Module, wrapper: OpNode | None = None):
         self.module = module
+        self.wrapper = wrapper
+        self.lock = threading.Lock()
 
 
 # --------------------------------------------------------------------------- #
@@ -179,22 +199,35 @@ class _EagerIR:
 def _ir_from_node(node: OpNode) -> list:
     """Convert one annotated graph node into the emitter's internal IR.
 
-    The int8 pass pipeline already made every fusion decision —
-    ``meta["bn_folds"]`` and ``meta["act"]`` are simply applied here; plain
-    (unquantized) convs/linears and unknown modules run eagerly in the float
-    domain — correct, merely unfused.
+    The pass pipeline already made every fusion decision —
+    ``meta["bn_folds"]`` and ``meta["act"]`` are simply applied here.  Plain
+    convs/linears lower grid-less; a quantized wrapper still observing
+    activation ranges runs eagerly so calibration keeps recording; unknown
+    modules run eagerly in the float domain — correct, merely unfused.
     """
     kind = node.kind
-    if kind in ("qconv", "qlinear"):
-        ir = (_QConvIR if kind == "qconv" else _QLinearIR)(node.module, node.name)
+    if kind in ("conv", "linear", "qconv", "qlinear"):
+        cls = _LinearIR if kind.endswith("linear") else _ConvIR
+        module = node.module
+        if kind in ("conv", "linear"):
+            ir = cls(module, node.name, module.weight.data.astype(np.float32))
+        else:
+            qparams = None if module.observing else module.input_qparams()
+            if qparams is None:
+                return [_EagerIR(module, wrapper=node)]
+            ir = cls(
+                module.wrapped,
+                node.name,
+                module.weight_q,
+                grid=(qparams[0], qparams[1], module.spec.bits),
+                w_scale=np.atleast_1d(np.asarray(module.weight_scale, dtype=np.float32)),
+            )
         for scale, shift in node.meta.get("bn_folds", ()):
             ir.fold_bn(scale, shift)
-        act = node.meta.get("act")
-        if act is not None:
-            ir.act = act
+        ir.act = node.meta.get("act")
         return [ir]
     if kind == "bn":
-        return [_AffineIR(*bn_scale_shift(node.module))]
+        return [_AffineIR(*bn_scale_shift(node.module), node.meta.get("act"))]
     if kind == "act":
         return [_ActIR(node.meta["spec"])]
     if kind == "pool":
@@ -205,8 +238,6 @@ def _ir_from_node(node: OpNode) -> list:
         return [_FlattenIR()]
     if kind == "residual":
         return [_ResidualIR(_ir_from_graph(node.body))]
-    if isinstance(node.module, _QuantizedWrapper):  # pragma: no cover - future wrappers
-        raise QuantCompileError(f"unsupported quantized wrapper {type(node.module).__name__}")
     return [_EagerIR(node.module)]
 
 
@@ -217,6 +248,10 @@ def _ir_from_graph(graph: Graph) -> list:
     return nodes
 
 
+def _is_spatial_conv(node) -> bool:
+    return isinstance(node, _ConvIR) and not isinstance(node, _LinearIR)
+
+
 # --------------------------------------------------------------------------- #
 # emission: IR -> planned steps
 # --------------------------------------------------------------------------- #
@@ -225,39 +260,50 @@ class _Val:
 
     ``viewer`` maps the backing slot array to the logical tensor — the
     identity for plain contiguous buffers, an interior slice for values
-    written straight into a consumer's padded scratch.
+    written straight into a consumer's padded scratch.  ``shared`` marks a
+    residual identity inside its body: no step may overwrite it.
     """
 
-    __slots__ = ("buf", "shape", "viewer", "grid")
+    __slots__ = ("buf", "shape", "viewer", "grid", "shared")
 
-    def __init__(self, buf, shape, viewer, grid):
+    def __init__(self, buf, shape, viewer, grid, shared=False):
         self.buf = buf
         self.shape = tuple(shape)
         self.viewer = viewer
         self.grid = grid
+        self.shared = shared
 
 
 def _identity_view(a):
     return a
 
 
-def _grid_target(nodes: list, index: int, tail):
-    """What representation does the value produced at ``index`` feed into?
+def _swap01(ndim: int) -> tuple[int, ...]:
+    """Axes that swap the two leading dims (``NC..`` <-> ``CN..``)."""
+    return (1, 0) + tuple(range(2, ndim))
 
-    The *grid* (scale/zero-point) propagates through grid-preserving ops
-    (pooling, flatten), so the producer requantizes straight onto the grid of
-    the next integer op even when such ops intervene.  Returns
-    ``("grid", consumer_ir)``, ``("float", None)``, or ``tail`` when the
-    chain is exhausted.
+
+def _grid_target(em, nodes: list, index: int, tail):
+    """What does the value produced at ``index`` feed into?
+
+    Returns ``("grid", consumer)`` when the next compute op is an integer op
+    that takes its input on its grid, ``("float", consumer)`` when it is a
+    grid-less conv or linear, ``("float", None)`` otherwise, or ``tail`` when
+    the chain is exhausted.  The *grid* (scale/zero-point) propagates through
+    grid-preserving ops (pooling, flatten), so the producer requantizes
+    straight onto the grid of the next integer op even when such ops
+    intervene.  Only the int8 engine hands grids from op to op; a float
+    program's integer ops each quantize their own float input.
     """
     for node in nodes[index + 1 :]:
         if isinstance(node, (_PoolIR, _GapIR, _FlattenIR)):
             continue
-        if isinstance(node, (_QConvIR, _QLinearIR)):
-            return ("grid", node)
+        if isinstance(node, _ConvIR):
+            if node.grid is None:
+                return ("float", node)
+            return ("grid", node) if em.grids else ("float", None)
         if isinstance(node, _ResidualIR):
-            inner = _grid_target(node.body, -1, ("float", None))
-            return inner if inner[0] == "grid" else ("float", None)
+            return _grid_target(em, node.body, -1, ("float", None))
         return ("float", None)
     return tail
 
@@ -275,8 +321,9 @@ def _direct_consumer(nodes: list, index: int, consumer) -> bool:
 
 
 class _Emitter:
-    def __init__(self, planner: ArenaPlanner):
+    def __init__(self, planner: ArenaPlanner, grids: bool):
         self.planner = planner
+        self.grids = grids  # hand integer grids from op to op (int8 engine)
         self.factories: list = []
         self.slot_for: dict[int, tuple] = {}  # id(consumer ir) -> (buf, viewer)
         self.op_log: list[str] = []
@@ -329,15 +376,13 @@ def _requantize(acc, m, c, lo, hi, mode, float_act, target, scratch=None):
     if mode == "grid":
         np.rint(work, out=work)
         np.clip(work, lo, hi, out=work)
-    elif mode == "float" and float_act is not None:
-        result = kernels.apply_activation(work, float_act, inplace=True)
-        if result is not work:
-            work[...] = result
+    elif mode == "float":
+        kernels.apply_activation(work, float_act)
     if work is not target:
         target[...] = work
 
 
-def _make_conv_slot(em: _Emitter, ir: _QConvIR, c: int, n: int, h: int, w: int):
+def _make_conv_slot(em: _Emitter, ir: _ConvIR, c: int, n: int, h: int, w: int):
     """Allocate the (possibly padded) input slot owned by a conv.
 
     Padded slots get a zero-fill step immediately before the interior write —
@@ -364,7 +409,7 @@ def _make_conv_slot(em: _Emitter, ir: _QConvIR, c: int, n: int, h: int, w: int):
 
 
 def _emit_quantize(em: _Emitter, val, grid, slot_buf, slot_viewer, external_ctx=None):
-    """Quantize a float value (or the external NCHW input) into a grid slot.
+    """Quantize a float value (or the external ``NCHW`` input) into a grid slot.
 
     Padded-interior targets are strided, so the rounding chain runs in a
     contiguous scratch buffer and lands with one strided copy.
@@ -435,7 +480,7 @@ def _tap_kernels(n: int, taps: int) -> bool:
     return n == 1 or taps <= _TAP_BUDGET
 
 
-def _plan_depthwise(em: _Emitter, ir: _QConvIR, pbuf, n, oh, ow):
+def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, oh, ow):
     """Plan the depthwise kernel the :func:`_tap_kernels` rule picks.
 
     Either the conv materializes its tap stack and sums the taps, or it runs
@@ -456,11 +501,11 @@ def _plan_depthwise(em: _Emitter, ir: _QConvIR, pbuf, n, oh, ow):
     accumulator, which doubles as requantization staging.
     """
     planner = em.planner
-    c = ir.weight_q.shape[0]
-    kh, kw = ir.weight_q.shape[2], ir.weight_q.shape[3]
+    c = ir.weight.shape[0]
+    kh, kw = ir.weight.shape[2], ir.weight.shape[3]
     stride = ir.stride
     hp, wp = pbuf.shape[2], pbuf.shape[3]
-    w_f32 = ir.weight_q.astype(np.float32)[:, 0]  # (C, kh, kw)
+    w_f32 = ir.weight.astype(np.float32)[:, 0]  # (C, kh, kw)
     w6 = np.ascontiguousarray(w_f32.transpose(1, 2, 0)).reshape(kh, kw, c, 1, 1, 1)
     acc = planner.alloc((c, n, oh, ow), "scratch", f"{ir.name}.acc")
     stack = _tap_kernels(n, kh * kw * c * n * hp * wp)
@@ -548,7 +593,7 @@ def _plan_depthwise(em: _Emitter, ir: _QConvIR, pbuf, n, oh, ow):
     return make_flat, [acc, acc_pad, prod]
 
 
-def _plan_dense(em: _Emitter, ir: _QConvIR, pbuf, pview, n, oh, ow, exact64: bool):
+def _plan_dense(em: _Emitter, ir: _ConvIR, pbuf, pview, n, oh, ow, exact64: bool):
     """Plan the :func:`_tap_kernels` pick for a dense (non-depthwise) spatial conv.
 
     Grouped and float64 convs run the per-tap gemm (``tap_gemm``); other
@@ -558,10 +603,10 @@ def _plan_dense(em: _Emitter, ir: _QConvIR, pbuf, pview, n, oh, ow, exact64: boo
     """
     planner = em.planner
     c_out = ir.c_out
-    c_in_g = ir.weight_q.shape[1]
-    kh, kw = ir.weight_q.shape[2], ir.weight_q.shape[3]
+    c_in_g = ir.weight.shape[1]
+    kh, kw = ir.weight.shape[2], ir.weight.shape[3]
     c_in, _, hp, wp = pbuf.shape  # the (possibly padded) input slot
-    w_taps = ir.weight_q.astype(np.float64 if exact64 else np.float32)
+    w_taps = ir.weight.astype(np.float64 if exact64 else np.float32)
     groups, stride = ir.groups, ir.stride
     acc = planner.alloc((c_out, n, oh, ow), "scratch", f"{ir.name}.acc")
 
@@ -643,9 +688,9 @@ def _plan_dense(em: _Emitter, ir: _QConvIR, pbuf, pview, n, oh, ow, exact64: boo
     return make_flat, [acc, acc_pad]
 
 
-def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, tail) -> _Val:
+def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, tail) -> _Val:
     c_in, n, h, w = val.shape
-    kh, kw = ir.weight_q.shape[2], ir.weight_q.shape[3]
+    kh, kw = ir.weight.shape[2], ir.weight.shape[3]
     oh = conv_output_size(h, kh, ir.stride, ir.padding)
     ow = conv_output_size(w, kw, ir.stride, ir.padding)
     c_out = ir.c_out
@@ -653,11 +698,11 @@ def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, 
     # ---- input slot: pre-filled by the producer, borrowed, or built here.
     if id(ir) in em.slot_for:
         pbuf, pview = em.slot_for.pop(id(ir))
-    elif val.grid is not None and ir.padding == 0 and val.viewer is _identity_view:
+    elif (val.grid is not None or ir.grid is None) and ir.padding == 0 and val.viewer is _identity_view:
         pbuf, pview = val.buf, _identity_view  # borrow the producer's buffer
     else:
         pbuf, pview = _make_conv_slot(em, ir, c_in, n, h, w)
-        if val.grid is None:
+        if val.grid is None and ir.grid is not None:
             _emit_quantize(em, val, ir.grid, pbuf, pview)
         else:
 
@@ -672,28 +717,20 @@ def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, 
             em.emit(copy_factory, [val.buf, pbuf], f"copy.{ir.name}")
 
     # ---- output destination.
-    request = _grid_target(nodes, index, tail)
-    mode = "grid"
+    request = _grid_target(em, nodes, index, tail)
     out_view = _identity_view
     if request[0] == "defer":
         _, out_grid, (out_buf, out_view) = request
         mode = "defer"
-    elif request[0] == "grid":
+    else:
         consumer = request[1]
-        out_grid = consumer.grid
-        if (
-            _direct_consumer(nodes, index, consumer)
-            and isinstance(consumer, _QConvIR)
-            and not isinstance(consumer, _QLinearIR)
-        ):
+        out_grid = consumer.grid if request[0] == "grid" else None
+        mode = "grid" if out_grid else "float"
+        if _is_spatial_conv(consumer) and _direct_consumer(nodes, index, consumer):
             out_buf, out_view = _make_conv_slot(em, consumer, c_out, n, oh, ow)
             em.slot_for[id(consumer)] = (out_buf, out_view)
         else:
             out_buf = em.planner.alloc((c_out, n, oh, ow), "value", f"{ir.name}.out")
-    else:
-        out_grid = None
-        mode = "float"
-        out_buf = em.planner.alloc((c_out, n, oh, ow), "value", f"{ir.name}.out")
 
     m, c_const = ir.requant_constants(out_grid[0] if out_grid else None)
     m4 = m.reshape(c_out, 1, 1, 1)
@@ -702,11 +739,12 @@ def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, 
     float_act = ir.act if mode == "float" else None
     exact64 = ir.needs_float64()
 
-    depthwise = ir.groups == c_in and ir.weight_q.shape[1] == 1 and ir.groups == c_out
+    prefix = "conv" if ir.grid is None else "qconv"
+    depthwise = ir.groups == c_in and ir.weight.shape[1] == 1 and ir.groups == c_out
     pointwise = kh == 1 and kw == 1 and ir.groups == 1 and ir.stride == 1 and ir.padding == 0
 
     if pointwise:
-        w2 = ir.weight_q.astype(np.float64 if exact64 else np.float32).reshape(c_out, c_in)
+        w2 = ir.weight.astype(np.float64 if exact64 else np.float32).reshape(c_out, c_in)
         direct = out_view is _identity_view  # gemm can target the slot itself
         acc = out_buf if direct else em.planner.alloc((c_out, n, oh, ow), "scratch", f"{ir.name}.acc")
 
@@ -725,14 +763,14 @@ def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, 
             return run
 
         em.emit(factory, [pbuf, acc, out_buf], f"pw.{ir.name}")
-        em.log("qconv.pw")
+        em.log(f"{prefix}.pw")
     else:
         if depthwise:
             make, bufs = _plan_depthwise(em, ir, pbuf, n, oh, ow)
-            label, kind = f"dw.{ir.name}", "qconv.dw"
+            label, kind = f"dw.{ir.name}", f"{prefix}.dw"
         else:
             make, bufs = _plan_dense(em, ir, pbuf, pview, n, oh, ow, exact64)
-            label, kind = f"im2col.{ir.name}", "qconv.im2col"
+            label, kind = f"im2col.{ir.name}", f"{prefix}.im2col"
 
         def factory(out_buf=out_buf, out_view=out_view, staging=bufs[0]):
             gemm, acc_arr = make()
@@ -751,20 +789,20 @@ def _emit_qconv(em: _Emitter, ir: _QConvIR, val: _Val, nodes: list, index: int, 
     return _Val(out_buf, out_shape, out_view, out_grid)
 
 
-def _emit_qlinear(em: _Emitter, ir: _QLinearIR, val: _Val, nodes: list, index: int, tail) -> _Val:
+def _emit_linear(em: _Emitter, ir: _LinearIR, val: _Val, nodes: list, index: int, tail) -> _Val:
     if len(val.shape) != 2:
         val = _emit_flatten(em, val)
     f, n = val.shape
-    m_out = ir.weight_q.shape[0]
+    m_out = ir.weight.shape[0]
 
-    if val.grid is not None:
+    if val.grid is not None or ir.grid is None:
         in_buf, in_view = val.buf, val.viewer
     else:
         in_buf = em.planner.alloc((f, n), "value", f"{ir.name}.in")
         in_view = _identity_view
         _emit_quantize(em, val, ir.grid, in_buf, in_view)
 
-    request = _grid_target(nodes, index, tail)
+    request = _grid_target(em, nodes, index, tail)
     out_grid = request[1].grid if request[0] == "grid" else None
     mode = "grid" if out_grid else "float"
     out_buf = em.planner.alloc((m_out, n), "value", f"{ir.name}.out")
@@ -773,7 +811,7 @@ def _emit_qlinear(em: _Emitter, ir: _QLinearIR, val: _Val, nodes: list, index: i
     lo, hi = _q_bounds(out_grid, ir.act) if mode == "grid" else (None, None)
     float_act = ir.act if mode == "float" else None
     exact64 = ir.needs_float64()
-    w2 = ir.weight_q.astype(np.float64 if exact64 else np.float32)
+    w2 = ir.weight.astype(np.float64 if exact64 else np.float32)
 
     def factory(in_buf=in_buf, in_view=in_view, out_buf=out_buf):
         x2 = in_view(in_buf.a).reshape(f, n)
@@ -788,7 +826,7 @@ def _emit_qlinear(em: _Emitter, ir: _QLinearIR, val: _Val, nodes: list, index: i
         return run
 
     em.emit(factory, [in_buf, out_buf], f"linear.{ir.name}")
-    em.log("qlinear")
+    em.log("linear" if ir.grid is None else "qlinear")
     return _Val(out_buf, (m_out, n), _identity_view, out_grid)
 
 
@@ -861,71 +899,93 @@ def _emit_pool(em: _Emitter, ir: _PoolIR, val: _Val) -> _Val:
 def _emit_flatten(em: _Emitter, val: _Val) -> _Val:
     if len(val.shape) == 2:
         return val
-    c, n, h, w = val.shape
-    if h == 1 and w == 1 and val.viewer is _identity_view:
-        buf = val.buf
-        return _Val(buf, (c, n), lambda a: a.reshape(c, n), val.grid)
-    out = em.planner.alloc((c * h * w, n), "value", "flatten")
+    c, n = val.shape[:2]
+    f = c * int(np.prod(val.shape[2:]))
+    if f == c and val.viewer is _identity_view:
+        return _Val(val.buf, (c, n), lambda a: a.reshape(c, n), val.grid, val.shared)
+    out = em.planner.alloc((f, n), "value", "flatten")
 
     def factory(src=val.buf, sview=val.viewer, out=out):
         def run():
             x = sview(src.a)  # (C, N, H, W) -> rows ordered (c, h, w)
-            out.a[...] = x.transpose(0, 2, 3, 1).reshape(c * h * w, n)
+            out.a[...] = np.moveaxis(x, 1, -1).reshape(f, n)
 
         return run
 
     em.emit(factory, [val.buf, out], "flatten")
     em.log("flatten")
-    return _Val(out, (c * h * w, n), _identity_view, val.grid)
+    return _Val(out, (f, n), _identity_view, val.grid)
 
 
 def _emit_float_apply(em: _Emitter, val: _Val, fn, kind: str) -> _Val:
-    """Dequantize if needed, then apply an in-place float transform."""
+    """Dequantize if needed, then apply a float transform ``fn(src, dst)``.
+
+    It runs in place (``dst is src``) unless the value is shared, in which
+    case it writes a fresh buffer.
+    """
     if val.grid is not None:
         val = _emit_dequantize(em, val)
+    out = val
+    if val.shared:
+        out = _Val(em.planner.alloc(val.shape, "value", kind), val.shape, _identity_view, None)
 
-    def factory(src=val.buf, sview=val.viewer):
+    def factory(src=val.buf, sview=val.viewer, dst=out.buf, dview=out.viewer):
+        a, b = sview(src.a), dview(dst.a)
+
         def run():
-            a = sview(src.a)
-            result = fn(a)
-            if result is not None and result is not a:
-                a[...] = result
+            fn(a, b)
 
         return run
 
-    em.emit(factory, [val.buf], kind)
+    em.emit(factory, [val.buf, out.buf], kind)
     em.log(kind)
-    return val
+    return out
+
+
+def _eager_call(ir: _EagerIR, x: np.ndarray) -> np.ndarray:
+    module = ir.module
+    with ir.lock:
+        was_training = module.training
+        module.eval()
+        try:
+            with nn.no_grad():
+                result = module(nn.Tensor(x))
+        finally:
+            module.train(was_training)
+    return result.data if isinstance(result, nn.Tensor) else np.asarray(result)
+
+
+def _wrapper_shape(node: OpNode, nc_in: tuple) -> tuple:
+    """Analytic ``NC..`` output shape of a qconv/qlinear node."""
+    if node.kind == "qlinear":
+        return tuple(nc_in[:-1]) + (node.attrs["out_channels"],)
+    n, _, h, w = nc_in
+    (kh, kw), stride, padding = node.attrs["kernel"], node.attrs["stride"], node.attrs["padding"]
+    return (
+        n,
+        node.attrs["out_channels"],
+        conv_output_size(h, kh, stride, padding),
+        conv_output_size(w, kw, stride, padding),
+    )
 
 
 def _emit_eager(em: _Emitter, ir: _EagerIR, val: _Val) -> _Val:
     if val.grid is not None:
         val = _emit_dequantize(em, val)
-    module = ir.module
-    # infer the output shape once, at plan time
-    probe_shape = (val.shape[1], val.shape[0]) + tuple(val.shape[2:])  # CN.. -> NC..
-    was_training = module.training
-    module.eval()
-    with nn.no_grad():
-        probe_out = module(nn.Tensor(np.zeros(probe_shape, dtype=np.float32)))
-    module.train(was_training)
-    nchw = probe_out.data.shape
-    out_shape = (nchw[1], nchw[0]) + tuple(nchw[2:]) if len(nchw) > 1 else nchw
+    in_axes = _swap01(len(val.shape))
+    nc_in = tuple(val.shape[i] for i in in_axes)
+    if ir.wrapper is not None:
+        nc_out = _wrapper_shape(ir.wrapper, nc_in)
+    else:  # infer the output shape once, at plan time
+        nc_out = _eager_call(ir, np.zeros(nc_in, dtype=np.float32)).shape
+    out_axes = _swap01(len(nc_out))
+    out_shape = tuple(nc_out[i] for i in out_axes)
     out = em.planner.alloc(out_shape, "value", "eager")
-    axes = (1, 0) + tuple(range(2, len(out_shape)))
 
     def factory(src=val.buf, sview=val.viewer, out=out):
         def run():
-            x = np.ascontiguousarray(sview(src.a).transpose(axes))
-            was = module.training
-            module.eval()
-            try:
-                with nn.no_grad():
-                    result = module(nn.Tensor(x))
-            finally:
-                module.train(was)
-            data = result.data if isinstance(result, nn.Tensor) else np.asarray(result)
-            out.a[...] = data.transpose(axes)
+            x = np.ascontiguousarray(sview(src.a).transpose(in_axes))
+            out.a[...] = _eager_call(ir, x).transpose(out_axes)
 
         return run
 
@@ -936,12 +996,13 @@ def _emit_eager(em: _Emitter, ir: _EagerIR, val: _Val) -> _Val:
 
 def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index: int, tail) -> _Val:
     identity = val
-    request = _grid_target(nodes, index, tail)
+    shared = _Val(val.buf, val.shape, val.viewer, val.grid, shared=True)
+    request = _grid_target(em, nodes, index, tail)
     body_last = ir.body[-1] if ir.body else None
     can_integer_add = (
         request[0] == "grid"
-        and isinstance(body_last, _QConvIR)
-        and not isinstance(body_last, _QLinearIR)
+        and _is_spatial_conv(body_last)
+        and body_last.grid is not None
         and body_last.act is None
     )
     if can_integer_add:
@@ -949,11 +1010,7 @@ def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index:
         out_grid = consumer.grid
         c_out = body_last.c_out
         _, n, h, w = val.shape  # residual blocks preserve the spatial dims
-        if (
-            _direct_consumer(nodes, index, consumer)
-            and isinstance(consumer, _QConvIR)
-            and not isinstance(consumer, _QLinearIR)
-        ):
+        if _is_spatial_conv(consumer) and _direct_consumer(nodes, index, consumer):
             out_buf, out_view = _make_conv_slot(em, consumer, c_out, n, h, w)
             em.slot_for[id(consumer)] = (out_buf, out_view)
         else:
@@ -961,7 +1018,7 @@ def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index:
             out_view = _identity_view
         # body's last conv writes unrounded grid values into the slot; the
         # identity contribution is added on the same grid, then one round+clamp
-        _emit_chain(em, ir.body, val, ("defer", out_grid, (out_buf, out_view)))
+        _emit_chain(em, ir.body, shared, ("defer", out_grid, (out_buf, out_view)))
         tmp = em.planner.alloc((c_out, n, h, w), "scratch", "resid.tmp")
         k = np.float32((identity.grid[0] if identity.grid else 1.0) / out_grid[0])
         lo, hi = _q_bounds(out_grid, None)
@@ -981,10 +1038,12 @@ def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index:
         em.log("resid.add")
         return _Val(out_buf, (c_out, n, h, w), out_view, out_grid)
 
-    # float fallback: body dequantizes, identity is added in float
-    body_val = _emit_chain(em, ir.body, val, ("float", None))
+    # float add: the body's float output plus the (dequantized) identity
+    body_val = _emit_chain(em, ir.body, shared, ("float", None))
     if body_val.grid is not None:
         body_val = _emit_dequantize(em, body_val)
+    if body_val.shared:  # the body wrote no fresh buffer: add into a copy
+        body_val = _emit_float_apply(em, body_val, lambda a, out: np.copyto(out, a), "copy")
     tmp = em.planner.alloc(body_val.shape, "scratch", "resid.tmp")
     id_scale = np.float32(identity.grid[0]) if identity.grid else None
 
@@ -1007,10 +1066,10 @@ def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index:
 
 def _emit_chain(em: _Emitter, nodes: list, val: _Val, tail) -> _Val:
     for i, node in enumerate(nodes):
-        if isinstance(node, _QLinearIR):
-            val = _emit_qlinear(em, node, val, nodes, i, tail)
-        elif isinstance(node, _QConvIR):
-            val = _emit_qconv(em, node, val, nodes, i, tail)
+        if isinstance(node, _LinearIR):
+            val = _emit_linear(em, node, val, nodes, i, tail)
+        elif isinstance(node, _ConvIR):
+            val = _emit_conv(em, node, val, nodes, i, tail)
         elif isinstance(node, _ResidualIR):
             val = _emit_residual(em, node, val, nodes, i, tail)
         elif isinstance(node, _GapIR):
@@ -1020,20 +1079,22 @@ def _emit_chain(em: _Emitter, nodes: list, val: _Val, tail) -> _Val:
         elif isinstance(node, _FlattenIR):
             val = _emit_flatten(em, val)
         elif isinstance(node, _ActIR):
-            spec = node.spec
-            val = _emit_float_apply(
-                em,
-                val,
-                lambda a, s=spec: kernels.apply_activation(a, s, inplace=True),
-                f"act.{spec[0]}",
-            )
-        elif isinstance(node, _AffineIR):
-            scale = node.scale.reshape(-1, 1, 1, 1)
-            shift = node.shift.reshape(-1, 1, 1, 1)
 
-            def affine(a, s=scale, sh=shift):
-                a *= s
-                a += sh
+            def act(a, out, spec=node.spec):
+                if out is not a:
+                    out[...] = a
+                kernels.apply_activation(out, spec)
+
+            val = _emit_float_apply(em, val, act, f"act.{node.spec[0]}")
+        elif isinstance(node, _AffineIR):
+            per_channel = (-1,) + (1,) * (len(val.shape) - 1)
+            scale = node.scale.reshape(per_channel)
+            shift = node.shift.reshape(per_channel)
+
+            def affine(a, out, s=scale, sh=shift, spec=node.act):
+                np.multiply(a, s, out=out)
+                out += sh
+                kernels.apply_activation(out, spec)
 
             val = _emit_float_apply(em, val, affine, "affine")
         elif isinstance(node, _EagerIR):
@@ -1067,30 +1128,28 @@ class _ExecPlan:
         # CN.. -> NC..; always copy — the result must not alias the arena,
         # which the next run overwrites (a batch-1 transpose would otherwise
         # stay contiguous and escape as a live view).
-        if result.ndim == 2:  # (M, N) -> (N, M)
-            return result.T.copy()
-        return result.transpose((1, 0) + tuple(range(2, result.ndim))).copy()
+        return result.transpose(_swap01(result.ndim)).copy()
 
 
-class QuantizedNet:
-    """A quantized model lowered to the planned integer engine.
+class _PlannedNet:
+    """A model lowered to a planned program: the executor of both engines.
 
-    Callable like :class:`~repro.runtime.compiler.CompiledNet`: Tensor or
-    ndarray in, detached Tensor out; :meth:`numpy_forward` stays in ndarray
-    land.  Execution plans (arena + bound kernels) are built lazily per input
-    shape and cached **per thread**, so a server can run one worker per thread
-    against a single :class:`QuantizedNet` without sharing scratch memory.
+    Tensor or ndarray in, detached Tensor out; :meth:`numpy_forward` stays in
+    ndarray land.  Execution plans (arena + bound kernels) are built lazily
+    per input shape and cached **per thread**, so a server can run one worker
+    per thread against a single net without sharing scratch memory.
 
     Attributes
     ----------
     source:
-        The calibrated fake-quant model this engine was compiled from
-        (integer weights are snapshotted — recalibrate/retrain requires
-        recompiling).
+        The model this program was compiled from (weights are snapshotted —
+        retraining or recalibrating requires recompiling).
     graph:
-        The annotated :class:`~repro.runtime.ir.Graph` the engine was built
+        The annotated :class:`~repro.runtime.ir.Graph` the program was built
         from (``None`` when constructed from a raw IR list).
     """
+
+    _grids = True  # hand integer grids from op to op
 
     def __init__(self, ir: list, source: nn.Module, graph: Graph | None = None):
         self._ir = ir
@@ -1104,8 +1163,8 @@ class QuantizedNet:
         self._op_log: list[str] | None = None
 
     # ------------------------------------------------------------------ #
-    def plan(self, input_shape: tuple[int, int, int, int]) -> _ExecPlan:
-        """Build (or fetch the thread-cached) plan for an ``(N, C, H, W)`` shape."""
+    def plan(self, input_shape: tuple[int, ...]) -> _ExecPlan:
+        """Build (or fetch the thread-cached) plan for an ``(N, C, ...)`` shape."""
         cache = getattr(self._local, "plans", None)
         if cache is None:
             cache = self._local.plans = {}
@@ -1120,29 +1179,33 @@ class QuantizedNet:
         return plan
 
     def _build(self, input_shape) -> _ExecPlan:
-        n, c, h, w = input_shape
         planner = ArenaPlanner()
-        em = _Emitter(planner)
+        em = _Emitter(planner, grids=self._grids)
         ctx: dict = {}
+        axes = _swap01(len(input_shape))
+        shape = tuple(input_shape[i] for i in axes)  # NC.. -> CN..
         first = self._ir[0] if self._ir else None
-        if isinstance(first, _QConvIR) and not isinstance(first, _QLinearIR):
-            # quantize the external input straight into the first conv's slot
-            pbuf, pview = _make_conv_slot(em, first, c, n, h, w)
-            _emit_quantize(em, None, first.grid, pbuf, pview, external_ctx=ctx)
-            em.slot_for[id(first)] = (pbuf, pview)
-            val = _Val(pbuf, (c, n, h, w), pview, first.grid)
+        if _is_spatial_conv(first) and len(shape) == 4:
+            # the input lands straight in the first conv's (padded) slot
+            buf, view = _make_conv_slot(em, first, *shape)
+            em.slot_for[id(first)] = (buf, view)
+            grid = first.grid
         else:
-            x_buf = planner.alloc((c, n, h, w), "value", "input")
+            buf, view, grid = planner.alloc(shape, "value", "input"), _identity_view, None
+        if grid is not None:
+            _emit_quantize(em, None, grid, buf, view, external_ctx=ctx)
+        else:
 
-            def input_factory(buf=x_buf):
+            def input_factory(buf=buf, view=view):
+                target = view(buf.a)
+
                 def run():
-                    buf.a[...] = ctx["x"].transpose(1, 0, 2, 3)
+                    target[...] = ctx["x"].transpose(axes)
 
                 return run
 
-            em.emit(input_factory, [x_buf], "input")
-            val = _Val(x_buf, (c, n, h, w), _identity_view, None)
-        out_val = _emit_chain(em, self._ir, val, ("float", None))
+            em.emit(input_factory, [buf], "input")
+        out_val = _emit_chain(em, self._ir, _Val(buf, shape, view, grid), ("float", None))
         arena, memory = planner.solve(tail_slack=em.tail_slack)
         steps = [factory() for factory, _ in em.factories]
         labels = [label for _, label in em.factories]
@@ -1156,23 +1219,20 @@ class QuantizedNet:
     def ops(self) -> list[str]:
         """Lowered op kinds (e.g. ``"qconv.dw"``); built with the first plan.
 
-        Contains no ``"eager"`` entries when every layer lowered to integer
-        kernels — the test-suite asserts this for calibrated registry models.
+        Contains no ``"eager"`` entries when every layer lowered to planned
+        kernels — the test-suite asserts this for the registry models.
         """
         if self._op_log is None:
             raise RuntimeError("no plan built yet; run a batch or call plan() first")
         return list(self._op_log)
 
-    def memory_report(self, input_shape: tuple[int, int, int, int]) -> MemoryPlan:
+    def memory_report(self, input_shape: tuple[int, ...]) -> MemoryPlan:
         """The arena plan (peak working set, buffer table) for a shape."""
         return self.plan(tuple(input_shape)).memory
 
-    def memory_plan(self, input_shape: tuple[int, int, int, int]) -> MemoryPlan:
-        """Uniform-frontend alias of :meth:`memory_report`.
-
-        Unlike the float engine's pass-computed accounting, this is the
-        *executable* plan — the exact arena the engine runs in.
-        """
+    def memory_plan(self, input_shape: tuple[int, ...]) -> MemoryPlan:
+        """Uniform-frontend alias of :meth:`memory_report`: the *executable*
+        plan — the exact arena the program runs in."""
         return self.memory_report(input_shape)
 
     def describe(self) -> str:
@@ -1188,7 +1248,7 @@ class QuantizedNet:
         return save_artifact(self, path, input_shape=input_shape, model_ref=model_ref)
 
     def numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the integer program on a raw ``(N, C, H, W)`` batch."""
+        """Run the program on a raw ``(N, C, ...)`` batch."""
         x = np.ascontiguousarray(x, dtype=np.float32)
         return self.plan(x.shape).run(x)
 
@@ -1197,7 +1257,15 @@ class QuantizedNet:
         return nn.Tensor(self.numpy_forward(data))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QuantizedNet(source={type(self.source).__name__})"
+        return f"{type(self).__name__}(source={type(self.source).__name__})"
+
+
+class QuantizedNet(_PlannedNet):
+    """A quantized model lowered to the planned integer engine.
+
+    Activations stay on their integer grids from op to op; see the module
+    docstring.  ``source`` is the calibrated fake-quant model.
+    """
 
 
 def build_quantized_program(graph: Graph) -> QuantizedNet:

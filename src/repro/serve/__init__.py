@@ -124,7 +124,7 @@ def build_server(
     :func:`repro.runtime.resolve_engine` registry and compiled with the
     unified :func:`repro.compile` frontend: ``"int8"`` (the default)
     quantizes and calibrates the model on synthetic data first, ``"float"``
-    serves the fused float runtime, and the special name ``"eager"`` serves
+    serves the planned float runtime, and the special name ``"eager"`` serves
     the plain module.  ``engine`` is an alias for ``backend`` (matching the
     ``repro.serve --engine`` CLI flag) and wins when both are given.  Extra
     keyword arguments configure the engine's batching policy (``max_batch``,

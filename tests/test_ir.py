@@ -20,14 +20,11 @@ from repro.runtime import (
 )
 from repro.runtime.ir import CompileError, Graph, OpNode
 from repro.runtime.passes import (
-    AssignLayout,
     EliminateDropout,
     FoldBatchNorm,
     FuseActivations,
-    InferShapes,
     PassManager,
     PassOrderError,
-    PlanMemory,
     inference_pipeline,
     int8_pipeline,
 )
@@ -110,20 +107,6 @@ class TestPassOrdering:
 
     def test_fold_then_fuse_is_valid(self):
         PassManager([FoldBatchNorm(), FuseActivations()])  # must not raise
-
-    def test_plan_memory_requires_shapes(self):
-        with pytest.raises(PassOrderError):
-            PassManager([PlanMemory()])
-
-    def test_plan_memory_requires_layout_on_graph(self):
-        graph = trace(ConvBNAct(3, 4, kernel_size=3))
-        with pytest.raises(PassOrderError):
-            PassManager([InferShapes((1, 3, 8, 8)), PlanMemory()]).run(graph)
-
-    def test_layout_before_plan_is_valid(self):
-        graph = trace(ConvBNAct(3, 4, kernel_size=3))
-        PassManager([AssignLayout("NCHW"), InferShapes((1, 3, 8, 8)), PlanMemory()]).run(graph)
-        assert graph.meta["memory_plan"].peak_value_int8_bytes > 0
 
     def test_declared_pipelines_are_valid(self):
         for pipeline in (inference_pipeline(), int8_pipeline()):

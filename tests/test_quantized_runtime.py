@@ -1,23 +1,17 @@
 """Tests for the true-integer (int8) inference engine and its memory planner."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.compress import QuantizationSpec, calibrate, quantize_model
-from repro.compress.quantization import QuantizedConv2d, QuantizedLinear, _QuantizedWrapper
+from repro.compress import calibrate, quantize_model
+from repro.compress.quantization import QuantizedLinear, _QuantizedWrapper
 from repro.eval.deployment import peak_activation_memory
 from repro.models import create_model
 from repro.models.blocks import ConvBNAct
-from repro.runtime import (
-    QuantCompileError,
-    QuantConvOp,
-    QuantLinearOp,
-    QuantizedNet,
-    compile_net,
-    compile_quantized,
-)
-from repro.runtime import compiler as compiler_mod
+from repro.runtime import QuantCompileError, QuantizedNet, compile_net, compile_quantized
 
 
 def _randomize_bn_stats(model: nn.Module, rng: np.random.Generator) -> None:
@@ -158,24 +152,13 @@ class TestIntegerLowering:
         """The float compiler must not silently drop calibrated wrappers to
         the eager fallback."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        program = compile_net(model)._program
-
-        kinds = []
-
-        def walk(op):
-            kinds.append(type(op).__name__)
-            if isinstance(op, compiler_mod.ChainOp):
-                for child in op.ops:
-                    walk(child)
-            if isinstance(op, compiler_mod.ResidualOp):
-                walk(op.body)
-
-        walk(program)
+        net = compile_net(model)
+        net.plan((1, 3, 20, 20))
         n_wrappers = sum(
             1 for _, m in model.named_modules() if isinstance(m, _QuantizedWrapper)
         )
-        assert "EagerOp" not in kinds
-        assert kinds.count("QuantConvOp") + kinds.count("QuantLinearOp") == n_wrappers
+        assert "eager" not in net.ops
+        assert sum(op.startswith("qconv") or op == "qlinear" for op in net.ops) == n_wrappers
 
     def test_compile_net_integer_ops_match_eager(self, rng):
         model = _quantized_model("mcunet", rng)
@@ -186,15 +169,56 @@ class TestIntegerLowering:
         np.testing.assert_allclose(out, eager, rtol=1e-4, atol=1e-5)
 
     def test_uncalibrated_wrapper_stays_eager_in_compile_net(self, rng):
-        from repro.runtime import trace
-        from repro.runtime.compiler import _op_from_node
+        """An observing wrapper runs eagerly and records the ranges an eager
+        forward records: no plan-time zeros probe ever reaches it."""
+        model = create_model("mobilenetv2-tiny", num_classes=4)
+        _randomize_bn_stats(model, rng)
+        model.eval()
+        quantize_model(model)  # observing, not calibrated
+        twin = copy.deepcopy(model)
+        x = rng.uniform(0.5, 1.5, size=(2, 3, 16, 16)).astype(np.float32)
+        compile_net(model).numpy_forward(x)
+        with nn.no_grad():
+            twin(nn.Tensor(x))
+        pairs = [
+            (m, t)
+            for (_, m), (_, t) in zip(model.named_modules(), twin.named_modules())
+            if isinstance(m, _QuantizedWrapper)
+        ]
+        assert pairs and all(m.observing for m, _ in pairs)
+        assert float(pairs[0][0].act_low[0]) >= 0.5
+        for m, t in pairs:
+            np.testing.assert_allclose(m.act_low, t.act_low, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(m.act_high, t.act_high, rtol=1e-5, atol=1e-6)
 
-        conv = nn.Conv2d(3, 4, 3, padding=1)
-        wrapper = QuantizedConv2d(conv, QuantizationSpec())
-        graph = trace(wrapper)
-        assert graph.kinds() == ["qconv"]  # still observing, but typed at trace
-        op = _op_from_node(graph.nodes[0])
-        assert isinstance(op, compiler_mod.EagerOp)
+    @pytest.mark.parametrize("mode", ["infer", "int8"])
+    def test_rank_changing_eager_head(self, rng, mode):
+        """An eager node whose output rank differs from its input's."""
+        import repro
+
+        class Head(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.linear = nn.Linear(4, 5)
+
+            def forward(self, x):
+                return self.linear(x.mean(axis=(2, 3)))
+
+        model = nn.Sequential(nn.Conv2d(3, 4, 3, padding=1), nn.ReLU(), Head())
+        model.eval()
+        quantize_model(model)
+        calibrate(model, [rng.normal(0.2, 0.8, size=(8, 3, 10, 10)).astype(np.float32)])
+        x = rng.normal(0.2, 0.8, size=(3, 3, 10, 10)).astype(np.float32)
+        with nn.no_grad():
+            oracle = model(nn.Tensor(x)).numpy()
+        net = repro.compile(model, mode=mode)
+        out = net.numpy_forward(x)
+        assert out.shape == oracle.shape == (3, 5)
+        assert net.ops.count("eager") == 1
+        if mode == "int8":
+            assert float(np.abs(out - oracle).max()) <= _dequant_tolerance(model)
+        else:
+            np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-5)
 
     def test_uncalibrated_model_rejected_by_compile_quantized(self):
         model = create_model("mobilenetv2-tiny", num_classes=4)

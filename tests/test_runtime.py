@@ -1,9 +1,11 @@
-"""Tests for the fused inference runtime and the stride-trick conv core."""
+"""Tests for the planned float inference runtime and the stride-trick conv core."""
 
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.core.expansion import expand_network
+from repro.core.plt import PLTSchedule
 from repro.nn import functional as F
 from repro.models import create_model
 from repro.models.blocks import BasicBlock, Bottleneck, ConvBNAct, InvertedResidual
@@ -16,6 +18,13 @@ def _randomize_bn_stats(model: nn.Module, rng: np.random.Generator) -> None:
         if isinstance(module, nn.BatchNorm2d):
             module.running_mean[...] = rng.normal(0.0, 0.2, size=module.num_features)
             module.running_var[...] = rng.uniform(0.5, 1.5, size=module.num_features)
+
+
+def _bn_first_basic_block(channels: int) -> BasicBlock:
+    """A residual block whose body starts with a standalone BN + activation."""
+    block = BasicBlock(channels, channels)
+    block.conv1.conv = nn.Identity()
+    return block
 
 
 class TestIm2ColEquivalence:
@@ -80,18 +89,29 @@ class TestBatchNormFolding:
 
 
 class TestCompiledNet:
-    @pytest.mark.parametrize("name", ["mobilenetv2-tiny", "mcunet"])
+    @pytest.mark.parametrize("name", ["mobilenetv2-tiny", "mcunet", "mobilenetv2-tiny-giant"])
     def test_compiled_matches_eager_model(self, rng, name):
-        model = create_model(name, num_classes=8)
+        if name.endswith("-giant"):
+            # The expanded giant mid-PLT: its expanded blocks run as eager
+            # nodes, each followed by a standalone BN with a fused activation.
+            model, _ = expand_network(create_model("mobilenetv2-tiny", num_classes=8))
+            schedule = PLTSchedule(model, total_steps=10)
+            for _ in range(4):
+                schedule.step()
+        else:
+            model = create_model(name, num_classes=8)
         _randomize_bn_stats(model, rng)
         model.eval()
-        x = rng.normal(size=(4, 3, 20, 20)).astype(np.float32)
-        with nn.no_grad():
-            eager = model(nn.Tensor(x)).numpy()
         net = compile_net(model)
         assert isinstance(net, CompiledNet)
-        compiled = net.numpy_forward(x)
-        np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
+        for batch in (1, 3, 4, 8):
+            x = rng.normal(size=(batch, 3, 20, 20)).astype(np.float32)
+            with nn.no_grad():
+                eager = model(nn.Tensor(x)).numpy()
+            compiled = net.numpy_forward(x)
+            np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
+        if name.endswith("-giant"):
+            assert net.ops.count("eager") == 4
 
     @pytest.mark.parametrize(
         "in_channels,block",
@@ -101,6 +121,7 @@ class TestCompiledNet:
             (6, lambda: InvertedResidual(6, 8, stride=2, expand_ratio=1, kernel_size=5)),
             (5, lambda: BasicBlock(5, 5)),
             (8, lambda: Bottleneck(8, 8)),
+            (4, lambda: _bn_first_basic_block(4)),  # in-place BN + act on the identity
         ],
     )
     def test_compiled_blocks_match_eager(self, rng, in_channels, block):
