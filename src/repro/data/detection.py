@@ -48,7 +48,9 @@ class DetectionDataset:
         return self.samples[index]
 
     def images(self) -> np.ndarray:
-        """Stacked ``(N, 3, R, R)`` image array."""
+        """Stacked ``(N, 3, R, R)`` float32 image array (``N`` may be 0)."""
+        if not self.samples:
+            return np.zeros((0, 3, self.resolution, self.resolution), dtype=np.float32)
         return np.stack([sample.image for sample in self.samples])
 
 
@@ -102,27 +104,32 @@ class SyntheticVOC:
 
     def _generate(self, count: int, seed: int, name: str) -> DetectionDataset:
         rng = np.random.default_rng(seed)
-        samples: list[DetectionSample] = []
+        images: list[np.ndarray] = []
+        objects: list[list[tuple[int, int, int]]] = []
+        latents: list[np.ndarray] = []
+        max_pos = self.resolution - self.object_size
         for _ in range(count):
-            image = self._background(rng)
+            images.append(self._background(rng))
             num_objects = int(rng.integers(1, self.max_objects + 1))
-            boxes = []
-            labels = []
+            placed = []
             for _ in range(num_objects):
                 label = int(rng.integers(self.num_classes))
-                latent = self._sampler.sample(label, rng)
-                patch = self._decoder.decode(latent)
-                max_pos = self.resolution - self.object_size
+                latents.append(self._sampler.sample(label, rng))
                 x0 = int(rng.integers(0, max_pos + 1))
                 y0 = int(rng.integers(0, max_pos + 1))
-                image[:, y0 : y0 + self.object_size, x0 : x0 + self.object_size] = patch
-                boxes.append([x0, y0, x0 + self.object_size, y0 + self.object_size])
-                labels.append(label)
+                placed.append((label, x0, y0))
+            objects.append(placed)
+        patches = iter(self._decoder.decode_batch(np.reshape(latents, (-1, self._decoder.spec.latent_dim))))
+        samples: list[DetectionSample] = []
+        for image, placed in zip(images, objects):
+            for _, x0, y0 in placed:
+                image[:, y0 : y0 + self.object_size, x0 : x0 + self.object_size] = next(patches)
+            boxes = [[x0, y0, x0 + self.object_size, y0 + self.object_size] for _, x0, y0 in placed]
             samples.append(
                 DetectionSample(
                     image=image.astype(np.float32),
                     boxes=np.asarray(boxes, dtype=np.float32),
-                    labels=np.asarray(labels, dtype=np.int64),
+                    labels=np.asarray([label for label, _, _ in placed], dtype=np.int64),
                 )
             )
         return DetectionDataset(samples, self.num_classes, self.resolution, name=name)

@@ -14,6 +14,7 @@ from repro.data import (
     SyntheticVOC,
     downstream_dataset,
 )
+from repro.data.generator import DECODE_CHUNK
 
 
 class TestRandomImageDecoder:
@@ -26,7 +27,7 @@ class TestRandomImageDecoder:
     def test_deterministic_given_latent(self, rng):
         decoder = RandomImageDecoder()
         z = rng.normal(size=32).astype(np.float32)
-        np.testing.assert_allclose(decoder.decode(z), decoder.decode(z))
+        assert np.array_equal(decoder.decode(z), decoder.decode(z))
 
     def test_same_seed_same_decoder(self, rng):
         z = rng.normal(size=32).astype(np.float32)
@@ -41,6 +42,10 @@ class TestRandomImageDecoder:
         latents = rng.normal(size=(5, 32)).astype(np.float32)
         images = decoder.decode_batch(latents)
         assert images.shape == (5, 3, 24, 24)
+
+    def test_empty_batch(self):
+        images = RandomImageDecoder().decode_batch(np.zeros((0, 32), np.float32))
+        assert images.shape == (0, 3, 24, 24) and images.dtype == np.float32
 
 
 class TestLatentClassSampler:
@@ -98,6 +103,12 @@ class TestSyntheticImageNet:
         with pytest.raises(ValueError):
             SyntheticImageNet(resolution=18)
 
+    def test_empty_val_split(self):
+        data = SyntheticImageNet(num_classes=3, samples_per_class=2, val_samples_per_class=0, resolution=16)
+        assert data.val.images.shape == (0, 3, 16, 16) and data.val.images.dtype == np.float32
+        assert data.val.labels.shape == (0,) and data.val.labels.dtype == np.int64
+        assert len(data.train) == 6
+
     def test_classes_are_visually_distinguishable(self):
         """Per-class mean images should differ more across classes than noise."""
         data = SyntheticImageNet(num_classes=4, samples_per_class=20, val_samples_per_class=2, resolution=16,
@@ -114,7 +125,8 @@ class TestSyntheticImageNet:
     def test_reproducible_with_seed(self):
         a = SyntheticImageNet(num_classes=3, samples_per_class=4, val_samples_per_class=2, resolution=16, seed=5)
         b = SyntheticImageNet(num_classes=3, samples_per_class=4, val_samples_per_class=2, resolution=16, seed=5)
-        np.testing.assert_allclose(a.train.images, b.train.images)
+        assert np.array_equal(a.train.images, b.train.images)
+        assert np.array_equal(a.val.images, b.val.images)
 
 
 class TestDownstreamDatasets:
@@ -160,6 +172,142 @@ class TestSyntheticVOC:
     def test_images_helper_stacks(self):
         voc = SyntheticVOC(num_classes=2, num_train=3, num_val=1, resolution=32)
         assert voc.train.images().shape == (3, 3, 32, 32)
+
+    def test_empty_val_split(self):
+        voc = SyntheticVOC(num_classes=2, num_train=2, num_val=0, resolution=32)
+        images = voc.val.images()
+        assert images.shape == (0, 3, 32, 32) and images.dtype == np.float32
+        assert len(voc.train) == 2
+
+
+# The per-image generator every corpus was first built with, re-created here
+# verbatim.  The batched generator must reproduce its bits exactly: recorded
+# accuracies repeat per seed only because the corpora do.
+
+
+def _reference_conv2d_same(x, kernels):
+    c_out, c_in, k, _ = kernels.shape
+    pad = k // 2
+    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    h, w = x.shape[1:]
+    out = np.zeros((c_out, h, w), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            patch = padded[:, i : i + h, j : j + w]
+            out += np.einsum("oc,chw->ohw", kernels[:, :, i, j], patch)
+    return out
+
+
+def _reference_upsample2x(x):
+    return x.repeat(2, axis=1).repeat(2, axis=2)
+
+
+def _reference_decode(decoder, latent):
+    s = decoder.spec
+    seed_map = np.tanh(latent @ decoder._w_seed).reshape(s.base_channels, s.base_size, s.base_size)
+    x = _reference_upsample2x(seed_map)
+    x = np.tanh(_reference_conv2d_same(x, decoder._k1) + decoder._b1)
+    x = _reference_upsample2x(x)
+    x = np.tanh(_reference_conv2d_same(x, decoder._k2) + decoder._b2)
+    return (0.5 * (x + 1.0)).astype(np.float32)
+
+
+def _reference_sample(sampler, label, rng):
+    centre = sampler.centres[label] * sampler.signal_mask
+    jitter = rng.normal(0.0, sampler.intra_class_std, size=sampler.latent_dim).astype(np.float32)
+    nuisance = (
+        rng.normal(0.0, sampler.nuisance_std, size=sampler.latent_dim).astype(np.float32)
+        * (1.0 - sampler.signal_mask)
+    )
+    return sampler.signal_scale * centre + jitter * sampler.signal_mask + nuisance
+
+
+def _reference_split(decoder, sampler, num_classes, samples_per_class, pixel_noise, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    rng.shuffle(labels)
+    latents = np.stack([_reference_sample(sampler, int(label), rng) for label in labels])
+    images = np.stack([_reference_decode(decoder, z) for z in latents])
+    if pixel_noise > 0:
+        images = images + rng.normal(0.0, pixel_noise, size=images.shape).astype(np.float32)
+        images = np.clip(images, 0.0, 1.0)
+    return images, labels
+
+
+def _reference_voc_split(voc, count, seed):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(count):
+        image = voc._background(rng)
+        num_objects = int(rng.integers(1, voc.max_objects + 1))
+        boxes, labels = [], []
+        for _ in range(num_objects):
+            label = int(rng.integers(voc.num_classes))
+            patch = _reference_decode(voc._decoder, _reference_sample(voc._sampler, label, rng))
+            max_pos = voc.resolution - voc.object_size
+            x0 = int(rng.integers(0, max_pos + 1))
+            y0 = int(rng.integers(0, max_pos + 1))
+            image[:, y0 : y0 + voc.object_size, x0 : x0 + voc.object_size] = patch
+            boxes.append([x0, y0, x0 + voc.object_size, y0 + voc.object_size])
+            labels.append(label)
+        samples.append((image.astype(np.float32), np.asarray(boxes, np.float32), np.asarray(labels, np.int64)))
+    return samples
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_synthetic_imagenet_at_benchmark_scale(self, seed):
+        kwargs = dict(num_classes=10, signal_scale=4.0, intra_class_std=0.4)
+        data = SyntheticImageNet(samples_per_class=60, val_samples_per_class=100, resolution=20, seed=seed, **kwargs)
+        for split, per_class, split_seed in ((data.train, 60, seed), (data.val, 100, seed + 1)):
+            images, labels = _reference_split(data.decoder, data.sampler, 10, per_class, 0.02, split_seed)
+            _assert_same_bits(split.images, images)
+            _assert_same_bits(split.labels, labels)
+
+    @pytest.mark.parametrize("name", sorted(DOWNSTREAM_SPECS))
+    def test_downstream_datasets(self, name):
+        spec = DOWNSTREAM_SPECS[name]
+        train, val = downstream_dataset(name)
+        decoder = RandomImageDecoder(DecoderSpec(base_size=6))
+        sampler = LatentClassSampler(spec.num_classes, 32, intra_class_std=spec.intra_class_std,
+                                     class_seed=spec.class_seed)
+        for split, per_class, seed in ((train, spec.samples_per_class, 0), (val, spec.val_samples_per_class, 1)):
+            images, labels = _reference_split(decoder, sampler, spec.num_classes, per_class, spec.pixel_noise, seed)
+            _assert_same_bits(split.images, images)
+            _assert_same_bits(split.labels, labels)
+
+    def test_synthetic_voc(self):
+        voc = SyntheticVOC(num_classes=4, num_train=24, num_val=8, max_objects=3, seed=3)
+        for split, count, seed in ((voc.train, 24, 3), (voc.val, 8, 4)):
+            expected = _reference_voc_split(voc, count, seed)
+            assert len(split) == count
+            for sample, (image, boxes, labels) in zip(split.samples, expected):
+                _assert_same_bits(sample.image, image)
+                _assert_same_bits(sample.boxes, boxes)
+                _assert_same_bits(sample.labels, labels)
+
+    @pytest.mark.parametrize("n", [1, DECODE_CHUNK - 1, DECODE_CHUNK, DECODE_CHUNK + 1, 2 * DECODE_CHUNK + 3])
+    def test_decode_batch_matches_rows_across_chunk_boundaries(self, n):
+        decoder = RandomImageDecoder(DecoderSpec(base_size=5))
+        latents = np.random.default_rng(n).normal(size=(n, 32)).astype(np.float32)
+        images = decoder.decode_batch(latents)
+        _assert_same_bits(images, np.stack([decoder.decode(z) for z in latents]))
+        _assert_same_bits(images, np.stack([_reference_decode(decoder, z) for z in latents]))
+
+    def test_sample_batch_matches_sequential_samples(self):
+        sampler = LatentClassSampler(6, 32, class_seed=9)
+        labels = np.random.default_rng(1).integers(6, size=50)
+        batch_rng, rng, reference_rng = (np.random.default_rng(7) for _ in range(3))
+        batched = sampler.sample_batch(labels, batch_rng)
+        _assert_same_bits(batched, np.stack([sampler.sample(int(label), rng) for label in labels]))
+        _assert_same_bits(batched, np.stack([_reference_sample(sampler, int(label), reference_rng) for label in labels]))
+        # All three leave the stream at the same point, so later draws match too.
+        assert batch_rng.bit_generator.state == rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestDataLoader:
