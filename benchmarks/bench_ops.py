@@ -208,22 +208,9 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
     model.eval()
     images = rng.normal(size=(infer_batch, 3, resolution, resolution)).astype(np.float32)
     probe = Tensor(images)
-    # Two independently compiled programs of the same model: one through
-    # repro.compile, one through the deprecated compile_net wrapper.  Today
-    # the wrapper forwards to the frontend, so the ratio ~1.0 documents that
-    # the graph-IR indirection is compile-time only; it is kept as a gated
-    # canary so any future divergence between the wrapper and the frontend
-    # (or a hot-path cost creeping into frontend-built programs) fails CI.
     # The cross-PR trajectory of compiled_median_ms in BENCH_ops.json is the
-    # regression record against the pre-IR engines.
+    # regression record of the planned float program.
     net = repro.compile(model)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.runtime import compile_net
-
-        net_legacy = compile_net(model)
 
     from repro.nn import layers as _layers  # noqa: F401  (layers resolve F.conv2d at call time)
 
@@ -242,17 +229,14 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
 
     eager_t = median_ms(eager_step, repeats)
     seed_t = median_ms(seed_step, repeats)
-    compiled_t = median_ms(lambda: net_legacy.numpy_forward(images), repeats)
-    frontend_t = median_ms(lambda: net.numpy_forward(images), repeats)
+    compiled_t = median_ms(lambda: net.numpy_forward(images), repeats)
     results["mobilenetv2_tiny_infer"] = {
         "compiled_median_ms": compiled_t,
-        "frontend_median_ms": frontend_t,
         "eager_median_ms": eager_t,
         "seed_median_ms": seed_t,
         "speedup": seed_t / compiled_t,
         "speedup_eager_vs_seed": seed_t / eager_t,
         "speedup_compiled_vs_eager": eager_t / compiled_t,
-        "frontend_vs_compiled": compiled_t / frontend_t,
     }
 
     return results

@@ -23,10 +23,7 @@ Dispatches on the report's ``suite`` field:
   shedding under the spike, actually serve work on the low rung, and recover
   to the top rung at idle with zero lost requests.
 * ``bench_ops`` (``BENCH_ops.json``) — the compiled inference program must
-  stay above the seed-speedup floor, a program built through
-  ``repro.compile`` must match one built through the legacy ``compile_net``
-  wrapper (a canary: the graph-IR indirection is compile-time only, and the
-  wrapper must never diverge from the frontend).
+  stay above the seed-speedup floor.
 
 Run after the corresponding benchmark::
 
@@ -372,20 +369,7 @@ def check_ops(report: dict, args) -> list[str]:
             f"compiled inference below seed floor: {speedup:.2f}x < "
             f"{args.min_ops_seed_ratio:.2f}x"
         )
-    frontend = infer.get("frontend_median_ms")
-    compiled = infer["compiled_median_ms"]
-    if frontend is None:
-        failures.append("report missing the repro.compile frontend lane")
-    elif frontend > compiled / args.ops_tolerance:
-        failures.append(
-            f"repro.compile frontend regressed vs direct compile: "
-            f"{frontend:.3f} ms > {compiled:.3f} ms / {args.ops_tolerance:.2f}"
-        )
-    if frontend is not None:
-        print(
-            f"infer — seed/compiled {speedup:.2f}x, compiled {compiled:.3f} ms, "
-            f"frontend {frontend:.3f} ms ({infer['frontend_vs_compiled']:.2f}x)"
-        )
+    print(f"infer — seed/compiled {speedup:.2f}x, compiled {infer['compiled_median_ms']:.3f} ms")
     return failures
 
 
@@ -481,12 +465,6 @@ def main() -> int:
         type=float,
         default=1.2,
         help="[ops] minimum compiled-inference/seed speedup",
-    )
-    parser.add_argument(
-        "--ops-tolerance",
-        type=float,
-        default=0.70,
-        help="[ops] frontend must reach this fraction of the direct compiled lane's speed",
     )
     args = parser.parse_args()
 

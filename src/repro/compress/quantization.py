@@ -18,7 +18,7 @@ int8 accuracy behaviour while keeping the NumPy execution path unchanged.
 The wrappers additionally store the **real** integer parameters — ``weight_q``
 (an ``int8`` array) with per-channel ``weight_scale`` — and, once calibrated,
 expose activation grids via :meth:`_QuantizedWrapper.input_qparams`.  The
-true-integer inference engine (:func:`repro.runtime.compile_quantized`)
+true-integer inference engine (``repro.compile(model, mode="int8")``)
 executes straight from these, with the fake-quant eager path serving as its
 accuracy oracle.
 

@@ -22,16 +22,13 @@ integer grids end to end, and a statically planned buffer arena::
     qnet = repro.compile(model, mode="int8")
     logits = qnet.numpy_forward(images)    # matches fake-quant within dequant tol
 
-``repro.serve`` resolves its ``--engine {float,int8}`` backends through the
-:func:`resolve_engine` registry here.  Training does not compile: the
-:class:`~repro.train.trainer.Trainer` runs every step on the eager autograd
-tape (:class:`repro.runtime.training.TrainStep`) plus ``FlatSGD``.
+Both engines run the one planned executor of :mod:`repro.runtime.program`.
+Training does not compile: the :class:`~repro.train.trainer.Trainer` runs
+every step on the eager autograd tape
+(:class:`repro.runtime.training.TrainStep`) plus ``FlatSGD``.
 
-``compile`` snapshots weights — recompile after further training.  The
-legacy entry points ``compile_net`` / ``compile_quantized`` remain importable
-as thin deprecated wrappers over the frontend (each warns once); the old
-builtin-shadowing ``repro.runtime.compile`` alias is gone — use
-``repro.compile`` or :func:`compile_model`.
+``compile`` snapshots weights — recompile after further training.
+:func:`repro.compile` (:func:`compile_model`) is the only way to compile.
 """
 
 from .artifact import (
@@ -42,20 +39,11 @@ from .artifact import (
     read_artifact_info,
     save_artifact,
 )
-from .compiler import CompiledNet, activation_spec, compile_net, fold_conv_bn
-from .frontend import (
-    EngineSpec,
-    available_engines,
-    compile_model,
-    register_artifact_engine,
-    register_engine,
-    resolve_engine,
-)
-from .ir import CompileError, Graph, OpNode, trace
+from .frontend import compile_model
+from .ir import CompileError, Graph, OpNode, QuantCompileError, activation_spec, trace
 from .passes import PassManager, PassOrderError
 from .planner import ArenaPlanner, IOPlan, MemoryPlan, plan_io
-from .quantized import QuantCompileError, QuantizedNet, compile_quantized
-from . import kernels
+from .program import CompiledNet, QuantizedNet
 
 __all__ = [
     # the unified frontend (exported at the top level as repro.compile)
@@ -74,25 +62,14 @@ __all__ = [
     "trace",
     "PassManager",
     "PassOrderError",
-    # engine registry (repro.serve --engine resolves through it)
-    "EngineSpec",
-    "register_engine",
-    "register_artifact_engine",
-    "resolve_engine",
-    "available_engines",
     # executors
     "CompiledNet",
     "QuantizedNet",
-    # deprecated legacy entry points (thin wrappers over repro.compile)
-    "compile_net",
-    "compile_quantized",
     # backend building blocks
     "QuantCompileError",
     "ArenaPlanner",
     "MemoryPlan",
     "IOPlan",
     "plan_io",
-    "fold_conv_bn",
     "activation_spec",
-    "kernels",
 ]

@@ -248,8 +248,7 @@ def _registry_ref(model: nn.Module, explicit: dict | None) -> dict:
 
 
 def _executor_mode(executor) -> tuple[str, nn.Module]:
-    from .compiler import CompiledNet
-    from .quantized import QuantizedNet
+    from .program import CompiledNet, QuantizedNet
 
     if isinstance(executor, QuantizedNet):
         return "int8", executor.source

@@ -12,9 +12,8 @@ module owns that knowledge once:
   ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``);
 * the passes in :mod:`repro.runtime.passes` transform and annotate the graph
   (BN folding, activation fusion, int8 grid annotation, layout);
-* each backend (:mod:`repro.runtime.compiler`, :mod:`repro.runtime.quantized`)
-  is a thin consumer that lowers the annotated graph onto the one planned
-  executor in :mod:`repro.runtime.quantized`.
+* :mod:`repro.runtime.program` lowers the annotated graph of either mode
+  onto its one planned executor.
 
 Nodes hold a *reference* to their source module, never copied weights — what a
 backend snapshots (or binds live) is a backend decision.  Pass results live in
@@ -104,7 +103,7 @@ def activation_spec(module: nn.Module) -> tuple | None:
     -------
     tuple or None
         A ``(kind, *params)`` spec consumed by
-        :func:`repro.runtime.kernels.apply_activation`, or ``None`` when the
+        :func:`repro.runtime.program.apply_activation`, or ``None`` when the
         activation is (or has decayed to) the identity.
 
     Raises

@@ -1,12 +1,20 @@
-"""True-integer (int8) inference engine, and the planned executor of both engines.
+"""The planned executor of both engines: lowering, kernels and the nets.
 
-This module is the ``mode="int8"`` lowering target of :func:`repro.compile`.
-It consumes a model processed by :func:`repro.compress.quantize_model` +
-:func:`repro.compress.calibrate` — traced by the shared
-:mod:`repro.runtime.ir` tracer and annotated by the int8 pass pipeline
-(BN-fold, integer clamp fusion, grid annotation, CNHW layout) — and lowers it
-to a statically planned program that *actually executes on the integer grid*,
-instead of round-tripping through float like the fake-quant eager path:
+This module is the lowering target of :func:`repro.compile` for both modes.
+The frontend traces the model once (:func:`repro.runtime.ir.trace`) and runs
+the mode's pass pipeline; :func:`build_inference_program` (``mode="infer"``)
+or :func:`build_quantized_program` (``mode="int8"``) then lowers the
+annotated graph to one statically planned program: a channel-first
+``(C, N, H, W)`` arena, plans built lazily and cached per input shape, a
+fixed shape rule that picks each conv's kernel, and producers writing
+straight into a padded consumer's slot.
+
+**The int8 engine** (:class:`QuantizedNet`) consumes a model processed by
+:func:`repro.compress.quantize_model` + :func:`repro.compress.calibrate`
+and annotated by the int8 pass pipeline (BN-fold, integer clamp fusion, grid
+annotation, CNHW layout).  Its program *actually executes on the integer
+grid*, instead of round-tripping through float like the fake-quant eager
+path:
 
 * **Weights stay int8.**  Each op reads the wrapper's ``weight_q`` /
   ``weight_scale`` buffers; the float weights are never touched.
@@ -46,13 +54,30 @@ integers, so the rule never affects results.
 The fake-quant eager model remains the accuracy oracle: engine logits match
 it to within dequantization tolerance (asserted in the test-suite).
 
-The float engine (``mode="infer"``, :mod:`repro.runtime.compiler`) runs this
-same planned program without grids: plain convs and linears lower grid-less
-with float32 weights, their requantization step becomes the float output
-pass (multiplier, offset, fused activation), and a calibrated wrapper
-quantizes its own float input and dequantizes its output.  Float kernels
-differ only in float reassociation, so float results match across kernels
-and batch sizes to round-off, not bit for bit.
+**The float engine** (:class:`CompiledNet`) runs this same program without
+grids:
+
+* plain convs / linears run grid-less on float32 weight copies; eval-mode
+  **BatchNorm folds** into their per-channel output multiplier and offset,
+  and a fused activation runs in the same output pass;
+* calibrated :class:`~repro.compress.QuantizedConv2d` /
+  :class:`~repro.compress.QuantizedLinear` wrappers run as **integer ops**
+  from the stored int8 weights: each quantizes its float input onto its own
+  grid and dequantizes its output (an uncalibrated wrapper, still observing
+  ranges, runs eagerly so observation keeps working);
+* anything unrecognised runs the eager module under ``no_grad`` — a
+  compiled net is therefore always *correct*, merely less fused.
+
+Float kernels differ only in float reassociation, so float results match
+across kernels and batch sizes to round-off, not bit for bit.  Compilation
+snapshots the weights: after further training, compile again to pick up the
+new parameters.
+
+Activation and pooling leaves run on raw ``ndarray`` payloads
+(:func:`apply_activation`, :func:`max_pool2d_raw`, :func:`avg_pool2d_raw`) —
+no tape nodes, no closures, no gradient bookkeeping.  Activations are
+described by small spec tuples ``(kind, *params)`` — e.g. ``("relu",)``,
+``("leaky", 0.3)`` — produced by :func:`repro.runtime.ir.activation_spec`.
 """
 
 from __future__ import annotations
@@ -64,18 +89,84 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import nn
-from ..nn.functional import conv_output_size
-from . import kernels
+from ..nn.functional import _pad2d, _pool_slices, conv_output_size
 from .ir import Graph, OpNode, QuantCompileError, bn_scale_shift
 from .planner import ArenaPlanner, MemoryPlan
 
-__all__ = ["QuantCompileError", "QuantizedNet", "compile_quantized", "build_quantized_program"]
+__all__ = [
+    "CompiledNet",
+    "QuantizedNet",
+    "QuantCompileError",
+    "build_inference_program",
+    "build_quantized_program",
+]
 
 # float32 mantissa capacity: integer sums below this are exact.
 _EXACT_F32_BOUND = float(2**24)
 
 # Conv kernel rule, see _tap_kernels.
 _TAP_BUDGET = 1 << 16
+
+
+# --------------------------------------------------------------------------- #
+# raw ndarray leaves
+# --------------------------------------------------------------------------- #
+def apply_activation(out: np.ndarray, act: tuple | None) -> None:
+    """Apply an activation spec to ``out`` in place (``None`` is the identity)."""
+    if act is None:
+        return
+    kind = act[0]
+    if kind == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif kind == "relu6":
+        np.clip(out, 0.0, 6.0, out=out)
+    elif kind == "tanh":
+        np.tanh(out, out=out)
+    elif kind == "leaky":
+        out[...] = np.where(out >= 0.0, out, act[1] * out)
+    elif kind == "relu6_interp":
+        # DecayableReLU6 mid-anneal: (1 - alpha) * clip(x, 0, 6) + alpha * x.
+        mixed = np.clip(out, 0.0, 6.0)
+        mixed *= 1.0 - act[1]
+        mixed += act[1] * out
+        out[...] = mixed
+    elif kind == "sigmoid":
+        out[...] = 1.0 / (1.0 + np.exp(-out))
+    elif kind == "swish":
+        out *= 1.0 / (1.0 + np.exp(-out))
+    elif kind == "hardsigmoid":
+        out[...] = np.clip(out * (1.0 / 6.0) + 0.5, 0.0, 1.0)
+    elif kind == "hardswish":
+        out *= np.clip(out * (1.0 / 6.0) + 0.5, 0.0, 1.0)
+    else:
+        raise ValueError(f"unknown activation spec {act!r}")
+
+
+def max_pool2d_raw(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Max pooling on ``(N, C, H, W)``; padded input comes from the shared
+    per-shape workspace cache of :mod:`repro.nn.functional`."""
+    out_h = conv_output_size(x.shape[2], kernel, stride, padding)
+    out_w = conv_output_size(x.shape[3], kernel, stride, padding)
+    xp = _pad2d(x, padding, reuse=True)
+    out = None
+    for _, _, piece in _pool_slices(xp, kernel, stride, out_h, out_w):
+        out = piece.copy() if out is None else np.maximum(out, piece, out=out)
+    return out
+
+
+def avg_pool2d_raw(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Average pooling on ``(N, C, H, W)``, like :func:`max_pool2d_raw`."""
+    out_h = conv_output_size(x.shape[2], kernel, stride, padding)
+    out_w = conv_output_size(x.shape[3], kernel, stride, padding)
+    xp = _pad2d(x, padding, reuse=True)
+    out = None
+    for _, _, piece in _pool_slices(xp, kernel, stride, out_h, out_w):
+        if out is None:
+            out = piece.astype(x.dtype, copy=True)
+        else:
+            out += piece
+    out *= 1.0 / (kernel * kernel)
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -377,7 +468,7 @@ def _requantize(acc, m, c, lo, hi, mode, float_act, target, scratch=None):
         np.rint(work, out=work)
         np.clip(work, lo, hi, out=work)
     elif mode == "float":
-        kernels.apply_activation(work, float_act)
+        apply_activation(work, float_act)
     if work is not target:
         target[...] = work
 
@@ -881,7 +972,7 @@ def _emit_pool(em: _Emitter, ir: _PoolIR, val: _Val) -> _Val:
     ow = conv_output_size(w, ir.kernel, ir.stride, ir.padding)
     out = em.planner.alloc((c, n, oh, ow), "value", f"{ir.kind}pool")
     round_back = val.grid is not None and ir.kind == "avg"
-    fn = kernels.max_pool2d_raw if ir.kind == "max" else kernels.avg_pool2d_raw
+    fn = max_pool2d_raw if ir.kind == "max" else avg_pool2d_raw
 
     def factory(src=val.buf, sview=val.viewer, out=out):
         def run():
@@ -1083,7 +1174,7 @@ def _emit_chain(em: _Emitter, nodes: list, val: _Val, tail) -> _Val:
             def act(a, out, spec=node.spec):
                 if out is not a:
                     out[...] = a
-                kernels.apply_activation(out, spec)
+                apply_activation(out, spec)
 
             val = _emit_float_apply(em, val, act, f"act.{node.spec[0]}")
         elif isinstance(node, _AffineIR):
@@ -1094,7 +1185,7 @@ def _emit_chain(em: _Emitter, nodes: list, val: _Val, tail) -> _Val:
             def affine(a, out, s=scale, sh=shift, spec=node.act):
                 np.multiply(a, s, out=out)
                 out += sh
-                kernels.apply_activation(out, spec)
+                apply_activation(out, spec)
 
             val = _emit_float_apply(em, val, affine, "affine")
         elif isinstance(node, _EagerIR):
@@ -1237,9 +1328,10 @@ class _PlannedNet:
 
     def describe(self) -> str:
         """Printable lowering report (passes applied + annotated node table)."""
-        from .frontend import describe_graph
-
-        return describe_graph(self.graph, self)
+        banner = f"{type(self).__name__} — compiled by repro.compile"
+        if self.graph is None:
+            return banner + " (no graph attached; compiled from a pre-built program)"
+        return banner + "\n" + self.graph.describe()
 
     def save(self, path: str, *, input_shape=None, model_ref: dict | None = None):
         """Serialize to a versioned artifact file (see :func:`repro.load`)."""
@@ -1273,34 +1365,18 @@ def build_quantized_program(graph: Graph) -> QuantizedNet:
     return QuantizedNet(_ir_from_graph(graph), graph.source, graph=graph)
 
 
-from .frontend import _deprecated
+class CompiledNet(_PlannedNet):
+    """A model lowered to a planned float program for inference.
 
-
-@_deprecated("repro.compile(model, mode='int8')")
-def compile_quantized(model: nn.Module) -> QuantizedNet:
-    """Deprecated alias of ``repro.compile(model, mode="int8")``.
-
-    Parameters
-    ----------
-    model:
-        A model processed by :func:`repro.compress.quantize_model` and
-        :func:`repro.compress.calibrate` (every wrapper must be frozen).
-
-    Returns
-    -------
-    QuantizedNet
-        The planned integer program.
-
-    Raises
-    ------
-    QuantCompileError
-        If the model contains no quantized layers, or a quantized layer has
-        not been calibrated.
-
-    .. deprecated::
-        Use :func:`repro.compile` — this wrapper emits a
-        :class:`DeprecationWarning` (once) and forwards to it.
+    Callable like the eager module: accepts a :class:`~repro.nn.tensor.Tensor`
+    or ``ndarray`` and returns a detached ``Tensor``.  Use
+    :meth:`numpy_forward` to stay entirely in ``ndarray`` land, and
+    :meth:`memory_plan` for the arena the program runs in.
     """
-    from .frontend import compile_model
 
-    return compile_model(model, mode="int8")
+    _grids = False  # integer ops quantize their own input
+
+
+def build_inference_program(graph: Graph) -> CompiledNet:
+    """Lower an annotated graph to a :class:`CompiledNet` (frontend backend hook)."""
+    return CompiledNet(_ir_from_graph(graph), graph.source, graph=graph)

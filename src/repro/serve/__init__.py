@@ -32,10 +32,9 @@ from the command line.  :class:`AutoscaleController` + :class:`SLOConfig`
 (``--autoscale`` / ``$REPRO_AUTOSCALE``) close the loop: the fleet resizes
 itself against a p99/queue-depth SLO and degrades gracefully at capacity.
 
-Inference backends are resolved by name through the
-:func:`repro.runtime.resolve_engine` registry (``--engine {float,int8}``) and
-compiled with the unified :func:`repro.compile` frontend; ``"eager"`` serves
-the uncompiled module.
+Engines are named by :data:`~repro.serve.fleet.ENGINES` (``--engine
+{eager,float,int8}``): ``float`` and ``int8`` are compiled with
+:func:`repro.compile`, ``eager`` serves the uncompiled module.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .autoscale import AutoscaleController, SLOConfig, parse_autoscale
 from .chaos import ChaosConfig, ChaosMonkey, parse_chaos
 from .engine import Engine, EngineConfig, ServeStats
 from .fleet import (
+    ENGINES,
     Fleet,
     FleetConfig,
     FleetStats,
@@ -71,7 +71,7 @@ __all__ = [
     "LoadReport",
     "run_load",
     "build_server",
-    "available_backends",
+    "ENGINES",
     # fleet tier
     "Fleet",
     "FleetConfig",
@@ -100,46 +100,34 @@ __all__ = [
 ]
 
 
-def available_backends() -> list[str]:
-    """Engine names :func:`build_server` accepts (registry engines + eager)."""
-    from ..runtime import available_engines
-
-    return sorted(available_engines() + ["eager"])
-
-
 def build_server(
     model_name: str = "mobilenetv2-tiny",
     resolution: int = 16,
     num_classes: int = 16,
-    backend: str = "int8",
+    engine: str = "int8",
     calibration_batches: int = 2,
     calibration_method: str = "minmax",
     seed: int = 0,
-    engine: str | None = None,
     **engine_kwargs,
 ) -> Engine:
     """Build a ready-to-serve :class:`Engine` for a registry model.
 
-    The inference backend is resolved by name through the
-    :func:`repro.runtime.resolve_engine` registry and compiled with the
-    unified :func:`repro.compile` frontend: ``"int8"`` (the default)
-    quantizes and calibrates the model on synthetic data first, ``"float"``
-    serves the planned float runtime, and the special name ``"eager"`` serves
-    the plain module.  ``engine`` is an alias for ``backend`` (matching the
-    ``repro.serve --engine`` CLI flag) and wins when both are given.  Extra
-    keyword arguments configure the engine's batching policy (``max_batch``,
+    ``engine`` is one of :data:`ENGINES`: ``"int8"`` (the default)
+    quantizes and calibrates the model on synthetic data first and compiles
+    it with :func:`repro.compile`, ``"float"`` serves the planned float
+    runtime, and ``"eager"`` serves the plain module.  Extra keyword
+    arguments configure the engine's batching policy (``max_batch``,
     ``max_wait_ms``, ``workers``...).
 
     The model construction is shared with the fleet's
     :func:`~repro.serve.fleet.model_backend` builder, so both serving tiers
     serve bit-identical backends.
     """
-    name = engine if engine is not None else backend
     net, input_shape = resolve_net(
         model_name=model_name,
         resolution=resolution,
         num_classes=num_classes,
-        engine=name,
+        engine=engine,
         calibration_batches=calibration_batches,
         calibration_method=calibration_method,
         seed=seed,

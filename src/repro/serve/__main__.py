@@ -24,9 +24,8 @@ resizes itself between ``--min-replicas`` and ``--max-replicas`` against the
 ``--duration-s`` / ``--traffic`` switch the load generator to open loop
 (fixed arrival schedule; the only mode that can genuinely overload).
 
-``--engine`` names resolve through the :func:`repro.runtime.resolve_engine`
-registry (plus the special ``eager`` backend); prints sustained req/s,
-latency percentiles and the batch-size mix.
+``--engine`` is one of ``eager``, ``float`` or ``int8`` (the default);
+prints sustained req/s, latency percentiles and the batch-size mix.
 
 Compiled artifacts (:mod:`repro.runtime.artifact`) plug in at three points::
 
@@ -52,7 +51,7 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
-from . import available_backends, build_server
+from . import ENGINES, build_server
 from .autoscale import ENV_VAR, SLOConfig, parse_autoscale
 from .loadgen import TRAFFIC_SHAPES, run_load
 
@@ -63,9 +62,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine",
         default=None,
-        help="inference engine, resolved through the repro.runtime engine registry",
+        help=f"inference engine, one of {', '.join(ENGINES)} (default: int8)",
     )
-    parser.add_argument("--backend", default="int8", help="deprecated alias of --engine")
     parser.add_argument("--resolution", type=int, default=16, help="input resolution")
     parser.add_argument("--workers", type=int, default=2, help="batching worker threads")
     parser.add_argument(
@@ -192,10 +190,9 @@ def main(argv=None) -> int:
             except ValueError as error:
                 parser.error(str(error))
     args.slo = slo
-    engine_name = args.engine if args.engine is not None else args.backend
-    known = available_backends()
-    if engine_name not in known:
-        parser.error(f"unknown engine {engine_name!r}; available: {known}")
+    engine_name = args.engine if args.engine is not None else "int8"
+    if engine_name not in ENGINES:
+        parser.error(f"unknown engine {engine_name!r}; available: {list(ENGINES)}")
     _validate_artifact_args(parser, args)
     if args.save_artifact is not None:
         return _do_save_artifact(parser, args, engine_name)
@@ -208,7 +205,7 @@ def main(argv=None) -> int:
     engine = build_server(
         args.model,
         resolution=args.resolution,
-        backend=engine_name,
+        engine=engine_name,
         seed=args.seed,
         workers=args.workers,
         max_batch=args.max_batch,

@@ -3,9 +3,9 @@
 The in-process :class:`~repro.serve.Engine` tops out at one GIL and has no
 recovery story.  :class:`Fleet` is the production-shaped tier above it:
 
-* **N replica processes**, each holding a compiled engine resolved through
-  the :func:`repro.runtime.resolve_engine` registry (``engine="int8"`` /
-  ``"float"``), supervised by :class:`~repro.serve.supervisor.Supervisor`
+* **N replica processes**, each holding an engine named by one of
+  :data:`ENGINES` (``engine="int8"`` / ``"float"`` / ``"eager"``) and built
+  by :func:`resolve_net`, supervised by :class:`~repro.serve.supervisor.Supervisor`
   (heartbeat watchdog, crash/hang detection, capped-exponential-backoff
   restart, graceful drain).
 * **Shared-memory slots** for tensor traffic: request and response tensors
@@ -78,6 +78,7 @@ __all__ = [
     "model_backend",
     "echo_backend",
     "resolve_net",
+    "ENGINES",
 ]
 
 # Retry-after base while the stats window holds no completions yet (ms).
@@ -108,6 +109,10 @@ class ServingBackend:
         return plan_io(self.net if self.net is not None else self.forward, self.input_shape)
 
 
+# The engine names the serving layer accepts; "eager" serves the plain module.
+ENGINES = ("eager", "float", "int8")
+
+
 def resolve_net(
     model_name: str = "mobilenetv2-tiny",
     resolution: int = 16,
@@ -120,9 +125,9 @@ def resolve_net(
 ):
     """Build and compile a registry model for serving.
 
-    Engines resolve by name through :func:`repro.runtime.resolve_engine`
-    (plus the special ``"eager"`` backend); unknown names raise ``ValueError``
-    listing the registry's known names.  Returns ``(net, input_shape)``.
+    ``engine`` is one of :data:`ENGINES`: ``"float"`` and ``"int8"`` compile
+    with :func:`repro.compile`, ``"eager"`` serves the plain module; any other
+    name raises ``ValueError`` listing them.  Returns ``(net, input_shape)``.
 
     ``artifact`` short-circuits compilation entirely: the executor is loaded
     from a pre-compiled artifact file (:mod:`repro.runtime.artifact`) —
@@ -131,7 +136,7 @@ def resolve_net(
     """
     from ..compress import calibrate, quantize_model
     from ..models import create_model
-    from ..runtime import available_engines, compile_model, resolve_engine
+    from ..runtime import compile_model
     from ..utils import seed_everything
 
     if artifact is not None:
@@ -141,6 +146,8 @@ def resolve_net(
         info = net.artifact
         shape = tuple(info.input_shape) if info.input_shape else (3, int(resolution), int(resolution))
         return net, shape
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; available: {list(ENGINES)}")
     seed_everything(seed)
     model = create_model(model_name, num_classes=num_classes)
     model.eval()
@@ -153,13 +160,7 @@ def resolve_net(
                 return _model(nn.Tensor(batch)).numpy()
 
         return eager_forward, input_shape
-    try:
-        spec = resolve_engine(engine)
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {engine!r}; available: {sorted(available_engines() + ['eager'])}"
-        ) from None
-    if spec.mode == "int8":
+    if engine == "int8":
         rng = np.random.default_rng(seed)
         quantize_model(model)
         batches = [
@@ -167,7 +168,7 @@ def resolve_net(
             for _ in range(calibration_batches)
         ]
         calibrate(model, batches, method=calibration_method)
-    return compile_model(model, mode=spec.mode), input_shape
+    return compile_model(model, mode=engine), input_shape
 
 
 def model_backend(

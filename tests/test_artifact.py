@@ -23,8 +23,6 @@ from repro.runtime import (
     load_artifact,
     model_fingerprint,
     read_artifact_info,
-    register_artifact_engine,
-    resolve_engine,
     save_artifact,
 )
 from repro.runtime import artifact as artifact_mod
@@ -263,30 +261,17 @@ class TestRobustness:
 
 
 # --------------------------------------------------------------------------- #
-# engine registry: artifact-backed engines
+# artifact-backed engines: the serving CLI and the save() entry points
 # --------------------------------------------------------------------------- #
 class TestArtifactEngines:
-    def test_register_and_compile(self, tmp_path):
-        model, rng = make_model()
-        path = tmp_path / "net.rpa"
-        repro.compile(model, mode="infer").save(str(path))
-        spec = register_artifact_engine("test-artifact-engine", str(path))
-        try:
-            assert spec.mode == "infer"
-            assert resolve_engine("test-artifact-engine") is spec
-            loaded = spec.compile()
-            x = batch_for(rng)
-            np.testing.assert_array_equal(
-                loaded.numpy_forward(x), repro.compile(model, mode="infer").numpy_forward(x)
-            )
-        finally:
-            from repro.runtime.frontend import _ENGINES
+    def test_cli_missing_artifact_fails_before_fork(self, tmp_path, capsys):
+        """The serving CLI validates --artifact in the parent, before any fork."""
+        from repro.serve.__main__ import main
 
-            _ENGINES.pop("test-artifact-engine", None)
-
-    def test_register_missing_file_fails_eagerly(self, tmp_path):
-        with pytest.raises(ArtifactError, match="does not exist"):
-            register_artifact_engine("doomed", str(tmp_path / "nope.rpa"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--artifact", str(tmp_path / "nope.rpa")])
+        assert exit_info.value.code == 2
+        assert "does not exist" in capsys.readouterr().err
 
     def test_save_artifact_function_matches_method(self, tmp_path):
         model, _ = make_model()

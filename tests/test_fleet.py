@@ -40,8 +40,6 @@ RES = 4
 CLASSES = 4
 SHAPE = (3, RES, RES)
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def fleet_config(**overrides) -> FleetConfig:
     """Fast-heartbeat echo fleet sized for tests."""

@@ -1,7 +1,5 @@
 """Tests for the unified graph IR, the pass pipelines and the repro.compile frontend."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,7 @@ from repro.models.blocks import ConvBNAct, InvertedResidual
 from repro.runtime import (
     CompiledNet,
     QuantizedNet,
-    available_engines,
     load_artifact,
-    resolve_engine,
     trace,
 )
 from repro.runtime.ir import CompileError, Graph, OpNode
@@ -136,31 +132,6 @@ class TestFrontend:
             with pytest.raises(CompileError):
                 repro.compile(model, mode=mode)
 
-    def test_infer_bit_identical_to_legacy_compile_net(self, rng):
-        """The redesign preserves the pre-IR engines bit for bit."""
-        from repro.runtime import compile_net
-
-        model = create_model("mobilenetv2-tiny", num_classes=8)
-        _randomize_bn_stats(model, rng)
-        model.eval()
-        x = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)
-        new = repro.compile(model).numpy_forward(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = compile_net(model).numpy_forward(x)
-        np.testing.assert_array_equal(new, legacy)
-
-    def test_int8_bit_identical_to_legacy_compile_quantized(self, rng):
-        from repro.runtime import compile_quantized
-
-        model = _quantized_model("mcunet", rng)
-        x = rng.normal(0.2, 0.8, size=(2, 3, 16, 16)).astype(np.float32)
-        new = repro.compile(model, mode="int8").numpy_forward(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = compile_quantized(model).numpy_forward(x)
-        np.testing.assert_array_equal(new, legacy)
-
     def test_describe_reports_passes_and_nodes(self, rng):
         model = create_model("mobilenetv2-tiny", num_classes=4)
         model.eval()
@@ -169,27 +140,6 @@ class TestFrontend:
         assert "features.0.conv" in report
         qreport = repro.compile(_quantized_model("mobilenetv2-tiny", rng), mode="int8").describe()
         assert "lower_int8" in qreport and "grid=" in qreport
-
-    def test_legacy_wrappers_warn_exactly_once(self):
-        from repro.runtime import compile_net, frontend
-
-        model = create_model("mobilenetv2-tiny", num_classes=4)
-        model.eval()
-        frontend._DEPRECATION_SEEN.discard("compile_net")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compile_net(model)
-            compile_net(model)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.compile" in str(deprecations[0].message)
-
-    def test_engine_registry_resolves_serving_backends(self):
-        assert {"float", "int8"} <= set(available_engines())
-        assert resolve_engine("float").mode == "infer"
-        assert resolve_engine("int8").mode == "int8"
-        with pytest.raises(KeyError):
-            resolve_engine("tpu")
 
     def test_unknown_option_is_a_type_error(self, tmp_path):
         """The compile and load entry points take no tuning knobs at all."""

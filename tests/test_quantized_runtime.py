@@ -5,13 +5,14 @@ import copy
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.compress import calibrate, quantize_model
 from repro.compress.quantization import QuantizedLinear, _QuantizedWrapper
 from repro.eval.deployment import peak_activation_memory
 from repro.models import create_model
 from repro.models.blocks import ConvBNAct
-from repro.runtime import QuantCompileError, QuantizedNet, compile_net, compile_quantized
+from repro.runtime import QuantCompileError, QuantizedNet
 
 
 def _randomize_bn_stats(model: nn.Module, rng: np.random.Generator) -> None:
@@ -62,7 +63,7 @@ class TestInt8Parity:
         x = rng.normal(0.2, 0.8, size=(batch, 3, 20, 20)).astype(np.float32)
         with nn.no_grad():
             oracle = model(nn.Tensor(x)).numpy()
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         out = engine.numpy_forward(x)
         assert out.shape == oracle.shape
         tolerance = _dequant_tolerance(model)
@@ -80,7 +81,7 @@ class TestInt8Parity:
             x = rng.normal(0.2, 0.8, size=(2, 3, 16, 16)).astype(np.float32)
             with nn.no_grad():
                 oracle = model(nn.Tensor(x)).numpy()
-            out = compile_quantized(model).numpy_forward(x)
+            out = repro.compile(model, mode="int8").numpy_forward(x)
             assert float(np.abs(out - oracle).max()) <= _dequant_tolerance(model), name
 
     def test_bitwise_batch_invariance(self, rng):
@@ -90,7 +91,7 @@ class TestInt8Parity:
         kernel rule's tap budget, so this also pins the tap-stack and einsum
         kernels to the same integers."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         x = rng.normal(0.2, 0.8, size=(6, 3, 20, 20)).astype(np.float32)
         batched = engine.numpy_forward(x)
         for size in (1, 2, 3):
@@ -112,12 +113,12 @@ class TestInt8Parity:
         x = rng.normal(0.0, 1.0, size=(2, 3, 10, 10)).astype(np.float32)
         with nn.no_grad():
             oracle = block(nn.Tensor(x)).numpy()
-        out = compile_quantized(block).numpy_forward(x)
+        out = repro.compile(block, mode="int8").numpy_forward(x)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-5)
 
     def test_tensor_in_tensor_out(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         out = engine(nn.Tensor(rng.normal(size=(1, 3, 20, 20)).astype(np.float32)))
         assert isinstance(out, nn.Tensor)
         assert not out.requires_grad
@@ -143,7 +144,7 @@ class TestIntegerLowering:
     def test_engine_has_no_eager_fallback_for_registry_models(self, rng):
         for name in ("mobilenetv2-tiny", "mcunet"):
             model = _quantized_model(name, rng)
-            engine = compile_quantized(model)
+            engine = repro.compile(model, mode="int8")
             engine.plan((1, 3, 20, 20))
             assert "eager" not in engine.ops
             assert sum(op.startswith("qconv") for op in engine.ops) > 10
@@ -152,7 +153,7 @@ class TestIntegerLowering:
         """The float compiler must not silently drop calibrated wrappers to
         the eager fallback."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        net = compile_net(model)
+        net = repro.compile(model)
         net.plan((1, 3, 20, 20))
         n_wrappers = sum(
             1 for _, m in model.named_modules() if isinstance(m, _QuantizedWrapper)
@@ -165,7 +166,7 @@ class TestIntegerLowering:
         x = rng.normal(0.2, 0.8, size=(3, 3, 20, 20)).astype(np.float32)
         with nn.no_grad():
             eager = model(nn.Tensor(x)).numpy()
-        out = compile_net(model).numpy_forward(x)
+        out = repro.compile(model).numpy_forward(x)
         np.testing.assert_allclose(out, eager, rtol=1e-4, atol=1e-5)
 
     def test_uncalibrated_wrapper_stays_eager_in_compile_net(self, rng):
@@ -177,7 +178,7 @@ class TestIntegerLowering:
         quantize_model(model)  # observing, not calibrated
         twin = copy.deepcopy(model)
         x = rng.uniform(0.5, 1.5, size=(2, 3, 16, 16)).astype(np.float32)
-        compile_net(model).numpy_forward(x)
+        repro.compile(model).numpy_forward(x)
         with nn.no_grad():
             twin(nn.Tensor(x))
         pairs = [
@@ -224,12 +225,12 @@ class TestIntegerLowering:
         model = create_model("mobilenetv2-tiny", num_classes=4)
         quantize_model(model)  # no calibrate()
         with pytest.raises(QuantCompileError):
-            compile_quantized(model)
+            repro.compile(model, mode="int8")
 
     def test_unquantized_model_rejected(self):
         model = create_model("mobilenetv2-tiny", num_classes=4)
         with pytest.raises(QuantCompileError):
-            compile_quantized(model)
+            repro.compile(model, mode="int8")
 
     def test_mixed_model_with_skipped_layers_still_correct(self, rng):
         """Skip-prefixed (unquantized) layers run in the float domain."""
@@ -241,7 +242,7 @@ class TestIntegerLowering:
         x = rng.normal(0.2, 0.8, size=(2, 3, 16, 16)).astype(np.float32)
         with nn.no_grad():
             oracle = model(nn.Tensor(x)).numpy()
-        out = compile_quantized(model).numpy_forward(x)
+        out = repro.compile(model, mode="int8").numpy_forward(x)
         assert out.shape == oracle.shape
         assert float(np.abs(out - oracle).max()) <= 0.5  # loose: float head amplifies nothing
 
@@ -264,14 +265,14 @@ class TestMemoryPlanner:
         """For a padding-free chain the planner's peak working set equals the
         analytic MCU approximation max(input + output) exactly."""
         model, channels, res = self._pointwise_chain(rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         report = engine.memory_report((1, channels[0], res, res))
         analytic = peak_activation_memory(model, (channels[0], res, res), bytes_per_element=1)
         assert report.peak_value_int8_bytes == analytic
 
     def test_arena_reuses_buffers(self, rng):
         model, channels, res = self._pointwise_chain(rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         report = engine.memory_report((1, channels[0], res, res))
         total_requested = sum(b.size for b in report.buffers)
         assert report.arena_elements < total_requested
@@ -283,14 +284,14 @@ class TestMemoryPlanner:
         down (the eager trace double-counts a tensor as one layer's output and
         the next layer's input) — the two accountings agree to within 2x."""
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         report = engine.memory_report((1, 3, 16, 16))
         analytic = peak_activation_memory(model, (3, 16, 16), bytes_per_element=1)
         assert analytic / 2 <= report.peak_value_int8_bytes <= 2 * analytic
 
     def test_forward_allocates_into_planned_arena(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         plan = engine.plan((2, 3, 16, 16))
         out1 = plan.run(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
         assert plan.arena.size >= max(b.offset + b.size for b in plan.memory.buffers)
@@ -303,7 +304,7 @@ class TestMemoryPlanner:
         """Only the picked kernels' scratch is planned, and no tap stack
         exceeds the rule's budget: scratch stays well under twice the values."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        report = compile_quantized(model).memory_report((8, 3, 20, 20))
+        report = repro.compile(model, mode="int8").memory_report((8, 3, 20, 20))
         assert report.peak_total_int8_bytes < 3 * report.peak_value_int8_bytes
 
     def test_plan_io_propagates_memory_plan_errors(self):
@@ -321,14 +322,14 @@ class TestMemoryPlanner:
 
     def test_memory_plan_summary_mentions_peak(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        summary = compile_quantized(model).memory_report((1, 3, 16, 16)).summary()
+        summary = repro.compile(model, mode="int8").memory_report((1, 3, 16, 16)).summary()
         assert "peak working set" in summary
 
 
 class TestQuantizedNetApi:
     def test_ops_requires_a_plan(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         with pytest.raises(RuntimeError):
             engine.ops
         engine.plan((1, 3, 16, 16))
@@ -336,4 +337,4 @@ class TestQuantizedNetApi:
 
     def test_is_quantized_net(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
-        assert isinstance(compile_quantized(model), QuantizedNet)
+        assert isinstance(repro.compile(model, mode="int8"), QuantizedNet)

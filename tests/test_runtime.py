@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.core.expansion import expand_network
 from repro.core.plt import PLTSchedule
 from repro.nn import functional as F
 from repro.models import create_model
 from repro.models.blocks import BasicBlock, Bottleneck, ConvBNAct, InvertedResidual
-from repro.runtime import CompiledNet, compile_net, fold_conv_bn
+from repro.runtime import CompiledNet
 
 
 def _randomize_bn_stats(model: nn.Module, rng: np.random.Generator) -> None:
@@ -67,27 +68,6 @@ class TestIm2ColEquivalence:
         np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-10)
 
 
-class TestBatchNormFolding:
-    def test_fold_conv_bn_math(self, rng):
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
-        scale = rng.uniform(0.5, 1.5, size=4).astype(np.float32)
-        shift = rng.normal(size=4).astype(np.float32)
-        folded_w, folded_b = fold_conv_bn(w, b, scale, shift)
-        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        with nn.no_grad():
-            raw = F.conv2d(nn.Tensor(x), nn.Tensor(w), nn.Tensor(b), stride=1, padding=1).numpy()
-            folded = F.conv2d(nn.Tensor(x), nn.Tensor(folded_w), nn.Tensor(folded_b), stride=1, padding=1).numpy()
-        expected = raw * scale.reshape(1, 4, 1, 1) + shift.reshape(1, 4, 1, 1)
-        np.testing.assert_allclose(folded, expected, rtol=1e-4, atol=1e-5)
-
-    def test_fold_without_bias_uses_shift(self):
-        w = np.ones((2, 1, 1, 1), dtype=np.float32)
-        folded_w, folded_b = fold_conv_bn(w, None, np.array([2.0, 3.0], np.float32), np.array([1.0, -1.0], np.float32))
-        np.testing.assert_allclose(folded_w[:, 0, 0, 0], [2.0, 3.0])
-        np.testing.assert_allclose(folded_b, [1.0, -1.0])
-
-
 class TestCompiledNet:
     @pytest.mark.parametrize("name", ["mobilenetv2-tiny", "mcunet", "mobilenetv2-tiny-giant"])
     def test_compiled_matches_eager_model(self, rng, name):
@@ -102,7 +82,7 @@ class TestCompiledNet:
             model = create_model(name, num_classes=8)
         _randomize_bn_stats(model, rng)
         model.eval()
-        net = compile_net(model)
+        net = repro.compile(model)
         assert isinstance(net, CompiledNet)
         for batch in (1, 3, 4, 8):
             x = rng.normal(size=(batch, 3, 20, 20)).astype(np.float32)
@@ -131,7 +111,7 @@ class TestCompiledNet:
         x = rng.normal(size=(2, in_channels, 12, 12)).astype(np.float32)
         with nn.no_grad():
             eager = module(nn.Tensor(x)).numpy()
-        compiled = compile_net(module).numpy_forward(x)
+        compiled = repro.compile(module).numpy_forward(x)
         np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
 
     def test_decayable_activations_supported(self, rng):
@@ -143,7 +123,7 @@ class TestCompiledNet:
         x = rng.normal(size=(2, 3, 10, 10)).astype(np.float32)
         with nn.no_grad():
             eager = block(nn.Tensor(x)).numpy()
-        compiled = compile_net(block).numpy_forward(x)
+        compiled = repro.compile(block).numpy_forward(x)
         np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
 
     def test_unknown_module_falls_back_to_eager(self, rng):
@@ -159,13 +139,13 @@ class TestCompiledNet:
         x = rng.normal(size=(3, 6)).astype(np.float32)
         with nn.no_grad():
             eager = model(nn.Tensor(x)).numpy()
-        compiled = compile_net(model).numpy_forward(x)
+        compiled = repro.compile(model).numpy_forward(x)
         np.testing.assert_allclose(compiled, eager, rtol=1e-5, atol=1e-6)
 
     def test_accepts_tensor_and_returns_detached_tensor(self, rng):
         model = create_model("mobilenetv2-tiny", num_classes=4)
         model.eval()
-        net = compile_net(model)
+        net = repro.compile(model)
         out = net(nn.Tensor(rng.normal(size=(1, 3, 16, 16)).astype(np.float32)))
         assert isinstance(out, nn.Tensor)
         assert not out.requires_grad
@@ -175,7 +155,7 @@ class TestCompiledNet:
         block.eval()
         x = rng.normal(size=(1, 6, 8, 8)).astype(np.float32)
         x_before = x.copy()
-        compile_net(block).numpy_forward(x)
+        repro.compile(block).numpy_forward(x)
         np.testing.assert_array_equal(x, x_before)
 
     def test_compiled_evaluate_matches_eager_evaluate(self, rng):

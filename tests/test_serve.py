@@ -6,10 +6,10 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.compress import calibrate, quantize_model
 from repro.models import create_model
-from repro.runtime import compile_quantized
 from repro.serve import Engine, EngineConfig, build_server, run_load
 
 
@@ -25,7 +25,7 @@ def qnet():
     model.eval()
     quantize_model(model)
     calibrate(model, [rng.normal(0.2, 0.8, size=(8,) + SHAPE).astype(np.float32)])
-    return compile_quantized(model)
+    return repro.compile(model, mode="int8")
 
 
 def _samples(n, seed=1):
@@ -230,15 +230,17 @@ class TestLoadGenAndBuilder:
 
     def test_build_server_float_backend(self):
         engine = build_server(
-            "mobilenetv2-tiny", resolution=RES, num_classes=8, backend="float", max_batch=4
+            "mobilenetv2-tiny", resolution=RES, num_classes=8, engine="float", max_batch=4
         )
         with engine:
             out = engine.predict(np.zeros(SHAPE, dtype=np.float32), timeout=30.0)
         assert out.shape == (8,)
 
     def test_build_server_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            build_server("mobilenetv2-tiny", backend="tpu")
+        for name in ("tpu", "quantized", "infer"):
+            with pytest.raises(ValueError) as error:
+                build_server("mobilenetv2-tiny", engine=name)
+            assert all(known in str(error.value) for known in ("eager", "float", "int8"))
 
     def test_float_and_int8_servers_agree_roughly(self, qnet):
         """The served int8 predictions track the eager fake-quant model."""
