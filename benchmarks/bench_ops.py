@@ -12,10 +12,20 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_ops.py --smoke    # CI-sized
 
 This is a standalone script (not a pytest-benchmark suite) so CI can invoke
-it cheaply.
+it cheaply.  Each lane times its new and seed kernels interleaved and records
+the median with its quartiles (``<key>_p25`` / ``<key>_p75``) and the host's
+CPU count, so a run is read against its own noise.
 """
 
 from __future__ import annotations
+
+import os
+
+if __name__ == "__main__":
+    # One BLAS thread, set before NumPy loads (as perfbench does): a
+    # multi-threaded GEMM on a small shared host swings a lane by several x.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse
 import json
@@ -98,15 +108,38 @@ def seed_max_pool2d(x: Tensor, kernel: int, stride=None, padding=0):
 # --------------------------------------------------------------------------- #
 # harness
 # --------------------------------------------------------------------------- #
-def median_ms(fn, repeats: int, warmup: int = 1) -> float:
-    for _ in range(warmup):
-        fn()
-    timings = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        timings.append((time.perf_counter() - start) * 1e3)
-    return float(np.median(timings))
+def interleaved_ms(fns: dict, repeats: int, warmup: int = 1) -> dict[str, list[float]]:
+    """Time each callable ``repeats`` times, one call of each per round.
+
+    The order rotates every round, so slow drift of a shared machine (and
+    the cache state one call leaves the next) biases every callable equally.
+    """
+    for fn in fns.values():
+        for _ in range(warmup):
+            fn()
+    names = list(fns)
+    timings: dict[str, list[float]] = {name: [] for name in names}
+    for round_index in range(repeats):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            start = time.perf_counter()
+            fns[name]()
+            timings[name].append((time.perf_counter() - start) * 1e3)
+    return timings
+
+
+def quartiles(key: str, values) -> dict[str, float]:
+    """``{key: median, key_p25: ..., key_p75: ...}`` of ``values``."""
+    p25, median, p75 = np.percentile(values, [25, 50, 75])
+    return {key: float(median), f"{key}_p25": float(p25), f"{key}_p75": float(p75)}
+
+
+def versus_seed(new_fn, seed_fn, repeats: int) -> dict[str, float]:
+    """Interleaved timings of a kernel and its seed re-creation."""
+    timings = interleaved_ms({"new": new_fn, "seed": seed_fn}, repeats)
+    row = {**quartiles("median_ms", timings["new"]), **quartiles("seed_median_ms", timings["seed"])}
+    row["speedup"] = row["seed_median_ms"] / row["median_ms"]
+    return row
 
 
 def run_benchmarks(smoke: bool, repeats: int) -> dict:
@@ -137,13 +170,11 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
 
     # ---------------------------------------------------------- conv2d forward
     with nn.no_grad():
-        new_t = median_ms(lambda: F.conv2d(Tensor(conv_x), Tensor(conv_w), stride=1, padding=1), repeats)
-        seed_t = median_ms(lambda: seed_conv2d(Tensor(conv_x), Tensor(conv_w), stride=1, padding=1), repeats)
-    results["conv2d_fwd_3x3_s1"] = {
-        "median_ms": new_t,
-        "seed_median_ms": seed_t,
-        "speedup": seed_t / new_t,
-    }
+        results["conv2d_fwd_3x3_s1"] = versus_seed(
+            lambda: F.conv2d(Tensor(conv_x), Tensor(conv_w), stride=1, padding=1),
+            lambda: seed_conv2d(Tensor(conv_x), Tensor(conv_w), stride=1, padding=1),
+            repeats,
+        )
 
     # --------------------------------------------------- conv2d forward+backward
     def fwd_bwd(conv_fn):
@@ -152,44 +183,34 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
         out = conv_fn(x, w, stride=1, padding=1)
         out.backward(np.ones_like(out.data))
 
-    new_t = median_ms(lambda: fwd_bwd(F.conv2d), repeats)
-    seed_t = median_ms(lambda: fwd_bwd(seed_conv2d), repeats)
-    results["conv2d_fwd_bwd_3x3_s1"] = {
-        "median_ms": new_t,
-        "seed_median_ms": seed_t,
-        "speedup": seed_t / new_t,
-    }
+    results["conv2d_fwd_bwd_3x3_s1"] = versus_seed(
+        lambda: fwd_bwd(F.conv2d), lambda: fwd_bwd(seed_conv2d), repeats
+    )
 
     # ------------------------------------------------------------ depthwise conv
     groups = dw_x.shape[1]
     with nn.no_grad():
-        new_t = median_ms(lambda: F.conv2d(Tensor(dw_x), Tensor(dw_w), stride=1, padding=1, groups=groups), repeats)
-        seed_t = median_ms(lambda: seed_conv2d(Tensor(dw_x), Tensor(dw_w), stride=1, padding=1, groups=groups), repeats)
-    results["depthwise_conv_fwd_3x3"] = {
-        "median_ms": new_t,
-        "seed_median_ms": seed_t,
-        "speedup": seed_t / new_t,
-    }
+        results["depthwise_conv_fwd_3x3"] = versus_seed(
+            lambda: F.conv2d(Tensor(dw_x), Tensor(dw_w), stride=1, padding=1, groups=groups),
+            lambda: seed_conv2d(Tensor(dw_x), Tensor(dw_w), stride=1, padding=1, groups=groups),
+            repeats,
+        )
 
     # ------------------------------------------------------------ pointwise conv
     with nn.no_grad():
-        new_t = median_ms(lambda: F.conv2d(Tensor(conv_x), Tensor(pw_w)), repeats)
-        seed_t = median_ms(lambda: seed_conv2d(Tensor(conv_x), Tensor(pw_w)), repeats)
-    results["pointwise_conv_fwd_1x1"] = {
-        "median_ms": new_t,
-        "seed_median_ms": seed_t,
-        "speedup": seed_t / new_t,
-    }
+        results["pointwise_conv_fwd_1x1"] = versus_seed(
+            lambda: F.conv2d(Tensor(conv_x), Tensor(pw_w)),
+            lambda: seed_conv2d(Tensor(conv_x), Tensor(pw_w)),
+            repeats,
+        )
 
     # ---------------------------------------------------------------- max pool
     with nn.no_grad():
-        new_t = median_ms(lambda: F.max_pool2d(Tensor(pool_x), 2), repeats)
-        seed_t = median_ms(lambda: seed_max_pool2d(Tensor(pool_x), 2), repeats)
-    results["max_pool_fwd_2x2"] = {
-        "median_ms": new_t,
-        "seed_median_ms": seed_t,
-        "speedup": seed_t / new_t,
-    }
+        results["max_pool_fwd_2x2"] = versus_seed(
+            lambda: F.max_pool2d(Tensor(pool_x), 2),
+            lambda: seed_max_pool2d(Tensor(pool_x), 2),
+            repeats,
+        )
 
     # -------------------------------------------------------------- batch norm
     gamma = Tensor(np.ones(bn_x.shape[1], dtype=np.float32))
@@ -197,11 +218,11 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
     running_mean = np.zeros(bn_x.shape[1], dtype=np.float32)
     running_var = np.ones(bn_x.shape[1], dtype=np.float32)
     with nn.no_grad():
-        bn_t = median_ms(
-            lambda: F.batch_norm2d(Tensor(bn_x), gamma, beta, running_mean, running_var, training=True),
+        bn = interleaved_ms(
+            {"new": lambda: F.batch_norm2d(Tensor(bn_x), gamma, beta, running_mean, running_var, training=True)},
             repeats,
         )
-    results["batch_norm_fwd_train"] = {"median_ms": bn_t}
+    results["batch_norm_fwd_train"] = quartiles("median_ms", bn["new"])
 
     # ----------------------------------------- MobileNetV2-Tiny inference step
     model = create_model("mobilenetv2-tiny", num_classes=16)
@@ -227,17 +248,22 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
         finally:
             F.conv2d = original
 
-    eager_t = median_ms(eager_step, repeats)
-    seed_t = median_ms(seed_step, repeats)
-    compiled_t = median_ms(lambda: net.numpy_forward(images), repeats)
-    results["mobilenetv2_tiny_infer"] = {
-        "compiled_median_ms": compiled_t,
-        "eager_median_ms": eager_t,
-        "seed_median_ms": seed_t,
-        "speedup": seed_t / compiled_t,
-        "speedup_eager_vs_seed": seed_t / eager_t,
-        "speedup_compiled_vs_eager": eager_t / compiled_t,
+    infer = interleaved_ms(
+        {"compiled": lambda: net.numpy_forward(images), "eager": eager_step, "seed": seed_step},
+        repeats,
+    )
+    row = {
+        **quartiles("compiled_median_ms", infer["compiled"]),
+        **quartiles("eager_median_ms", infer["eager"]),
+        **quartiles("seed_median_ms", infer["seed"]),
     }
+    compiled_t, eager_t, seed_t = (row[f"{k}_median_ms"] for k in ("compiled", "eager", "seed"))
+    row.update(
+        speedup=seed_t / compiled_t,
+        speedup_eager_vs_seed=seed_t / eager_t,
+        speedup_compiled_vs_eager=eager_t / compiled_t,
+    )
+    results["mobilenetv2_tiny_infer"] = row
 
     return results
 
@@ -261,6 +287,7 @@ def main() -> None:
         "suite": "bench_ops",
         "mode": "smoke" if args.smoke else "full",
         "repeats": repeats,
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

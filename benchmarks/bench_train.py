@@ -5,17 +5,18 @@ MobileNetV2-Tiny in two lanes:
 
 * ``seed``      — the seed repo's training path, re-created: copy-based
   im2col convolution, log-softmax-chain cross-entropy, per-parameter SGD
-  loop, per-image transforms, no prefetch;
+  loop, per-image transforms;
 * ``trainer``   — the current :class:`~repro.train.Trainer` (eager autograd
   tape with optimised kernels, fused cross-entropy, flat-buffer SGD, batched
-  transforms, prefetching loader);
+  transforms);
 
-plus two data-pipeline microbenchmarks (batched vs per-image transforms, and
-the trainer lane with prefetch off) and a ``distributed`` lane (aggregate
-steps/s of the data-parallel :class:`~repro.train.DistributedTrainer` vs
-worker count, with a single-worker bitwise-parity check).  Results are
-written to ``BENCH_train.json``; ``scripts/check_bench.py`` gates
-regressions in CI.
+plus a data-pipeline microbenchmark (batched vs per-image transforms) and a
+``distributed`` lane (aggregate steps/s of the data-parallel
+:class:`~repro.train.DistributedTrainer` vs worker count, with a
+single-worker bitwise-parity check).  Every median is recorded with its
+quartiles (``<key>_p25`` / ``<key>_p75``), and the report records the host's
+CPU count.  Results are written to ``BENCH_train.json``;
+``scripts/check_bench.py`` gates regressions in CI.
 
 Run with::
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -42,7 +44,7 @@ from repro.optim import SGD
 from repro.train import DistributedTrainer, Trainer
 from repro.utils import ExperimentConfig, seed_everything
 
-from bench_ops import seed_conv2d
+from bench_ops import interleaved_ms, quartiles, seed_conv2d
 
 
 # --------------------------------------------------------------------------- #
@@ -163,8 +165,7 @@ class _SeedLane:
         self.model = mobilenet_v2("tiny", num_classes=dataset.num_classes)
         self.optimizer = SGD(self.model.parameters(), lr=0.05, momentum=0.9, weight_decay=4e-5)
         self.loader = DataLoader(
-            dataset, batch_size=batch, transform=_transform(per_image=True),
-            prefetch=False, seed=0,
+            dataset, batch_size=batch, transform=_transform(per_image=True), seed=0,
         )
 
     def _step(self, images, labels):
@@ -186,15 +187,13 @@ class _SeedLane:
 
 
 class _TrainerLane:
-    """Current Trainer path, prefetch on or off."""
+    """Current Trainer path."""
 
-    def __init__(self, dataset, batch: int, prefetch: bool = True):
+    def __init__(self, dataset, batch: int):
         seed_everything(0)
         model = mobilenet_v2("tiny", num_classes=dataset.num_classes)
         self.trainer = Trainer(model, ExperimentConfig(batch_size=batch, lr=0.05))
-        self.loader = DataLoader(
-            dataset, batch_size=batch, transform=_transform(), prefetch=prefetch, seed=0
-        )
+        self.loader = DataLoader(dataset, batch_size=batch, transform=_transform(), seed=0)
 
     def measure(self, min_steps: int) -> float:
         return _one_pass(self.trainer.train_step, self.loader, min_steps)
@@ -207,23 +206,16 @@ def bench_transforms(dataset, batch: int, repeats: int) -> dict:
     images = dataset.images[:batch]
     pipeline = _transform()
     rng = np.random.default_rng(0)
-
-    def timed(fn, r):
-        fn()
-        times = []
-        for _ in range(r):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return float(np.median(times))
-
-    batched = timed(lambda: pipeline.batch(images, rng), repeats)
-    per_image = timed(lambda: np.stack([pipeline(img, rng) for img in images]), repeats)
-    return {
-        "batched_ms": batched * 1e3,
-        "per_image_ms": per_image * 1e3,
-        "speedup": per_image / batched,
-    }
+    timings = interleaved_ms(
+        {
+            "batched": lambda: pipeline.batch(images, rng),
+            "per_image": lambda: np.stack([pipeline(img, rng) for img in images]),
+        },
+        repeats,
+    )
+    row = {**quartiles("batched_ms", timings["batched"]), **quartiles("per_image_ms", timings["per_image"])}
+    row["speedup"] = row["per_image_ms"] / row["batched_ms"]
+    return row
 
 
 def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
@@ -234,8 +226,6 @@ def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
     workers time-slice one core and the ratio hovers near 1.0 (the
     ``check_train_dp`` gate is CPU-count-aware for exactly this reason).
     """
-    import os
-
     cpu_count = os.cpu_count() or 1
     if smoke:
         batch, resolution, samples, epochs = 8, 16, 64, 1
@@ -303,7 +293,6 @@ def run_benchmarks(smoke: bool, max_workers: int | None = None) -> dict:
     lanes = {
         "seed": _SeedLane(dataset, batch),
         "trainer": _TrainerLane(dataset, batch),
-        "trainer_noprefetch": _TrainerLane(dataset, batch, prefetch=False),
     }
     rates: dict[str, list[float]] = {name: [] for name in lanes}
     for lane in lanes.values():
@@ -315,10 +304,13 @@ def run_benchmarks(smoke: bool, max_workers: int | None = None) -> dict:
         # predecessor.
         for name in names[round_index % len(names) :] + names[: round_index % len(names)]:
             rates[name].append(lanes[name].measure(min_steps))
-    medians = {name: float(np.median(values)) for name, values in rates.items()}
-    seed_sps = medians["seed"]
-    trainer_sps = medians["trainer"]
-    noprefetch_sps = medians["trainer_noprefetch"]
+    train_step = {
+        **quartiles("seed_steps_per_sec", rates["seed"]),
+        **quartiles("trainer_steps_per_sec", rates["trainer"]),
+    }
+    train_step["speedup_trainer_vs_seed"] = (
+        train_step["trainer_steps_per_sec"] / train_step["seed_steps_per_sec"]
+    )
 
     return {
         "config": {
@@ -329,16 +321,7 @@ def run_benchmarks(smoke: bool, max_workers: int | None = None) -> dict:
             "min_steps": min_steps,
             "repeats": repeats,
         },
-        "train_step": {
-            "seed_steps_per_sec": seed_sps,
-            "trainer_steps_per_sec": trainer_sps,
-            "speedup_trainer_vs_seed": trainer_sps / seed_sps,
-        },
-        "loader": {
-            "prefetch_on_steps_per_sec": trainer_sps,
-            "prefetch_off_steps_per_sec": noprefetch_sps,
-            "speedup_prefetch": trainer_sps / noprefetch_sps,
-        },
+        "train_step": train_step,
         "transforms": bench_transforms(dataset, batch, repeats=5),
         "distributed": bench_distributed(smoke, max_workers),
     }
@@ -365,6 +348,7 @@ def main() -> None:
     report = {
         "suite": "bench_train",
         "mode": "smoke" if args.smoke else "full",
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
@@ -378,8 +362,6 @@ def main() -> None:
     for lane in ("seed", "trainer"):
         print(f"{lane:<10s} {train[f'{lane}_steps_per_sec']:>10.2f}")
     print(f"\ntrainer vs seed:   {train['speedup_trainer_vs_seed']:.2f}x")
-    loader = results["loader"]
-    print(f"prefetch on/off:   {loader['speedup_prefetch']:.2f}x")
     tf = results["transforms"]
     print(f"batched transforms: {tf['speedup']:.2f}x vs per-image")
     dp = results["distributed"]

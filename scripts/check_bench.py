@@ -25,6 +25,10 @@ Dispatches on the report's ``suite`` field:
 * ``bench_ops`` (``BENCH_ops.json``) — the compiled inference program must
   stay above the seed-speedup floor.
 
+A train or ops report must also record the host's ``cpu_count`` and, next to
+every timed median ``<key>``, its quartiles ``<key>_p25`` / ``<key>_p75``: a
+median without its CPU count and spread cannot be read against noise.
+
 Run after the corresponding benchmark::
 
     PYTHONPATH=src python benchmarks/bench_train.py --smoke --output /tmp/BENCH_train.json
@@ -46,12 +50,33 @@ import sys
 from pathlib import Path
 
 
+def check_spread(report: dict, medians: list[tuple[str, str]]) -> list[str]:
+    """Require ``cpu_count`` and the quartiles of each ``(lane, key)`` median."""
+    failures = []
+    if not report.get("cpu_count"):
+        failures.append(f"{report['suite']} report does not record cpu_count")
+    for lane, key in medians:
+        row = report["benchmarks"].get(lane, {})
+        missing = [f"{key}_{q}" for q in ("p25", "p75") if f"{key}_{q}" not in row]
+        if missing:
+            failures.append(f"lane {lane!r} records {key} without {' / '.join(missing)}")
+    return failures
+
+
 def check_train(report: dict, args) -> list[str]:
     """Gate the training-throughput report; returns failure messages."""
     train = report["benchmarks"]["train_step"]
     trainer = train["trainer_steps_per_sec"]
     seed = train["seed_steps_per_sec"]
-    failures = []
+    failures = check_spread(
+        report,
+        [
+            ("train_step", "seed_steps_per_sec"),
+            ("train_step", "trainer_steps_per_sec"),
+            ("transforms", "batched_ms"),
+            ("transforms", "per_image_ms"),
+        ],
+    )
     if trainer < args.min_seed_ratio * seed:
         failures.append(
             f"trainer-vs-seed speedup below floor: {trainer / seed:.2f}x < "
@@ -362,7 +387,15 @@ def check_fidelity(lane: dict | None, args) -> list[str]:
 def check_ops(report: dict, args) -> list[str]:
     """Gate the operator/inference report; returns failure messages."""
     infer = report["benchmarks"]["mobilenetv2_tiny_infer"]
-    failures = []
+    failures = check_spread(
+        report,
+        [
+            (lane, key)
+            for lane, row in report["benchmarks"].items()
+            for key in row
+            if key.endswith("median_ms")
+        ],
+    )
     speedup = infer["speedup"]
     if speedup < args.min_ops_seed_ratio:
         failures.append(

@@ -1,21 +1,14 @@
-"""Minibatch iteration: batched transforms + double-buffered prefetch.
+"""Minibatch iteration with batched transforms.
 
 The loader is a small pipeline:
 
 1. at the start of an epoch the shuffle order and one RNG seed *per batch*
    are drawn from the loader's private generator — all randomness is fixed
-   up front, so batch construction is order-independent;
+   up front, so a batch's contents depend only on its index;
 2. each batch is assembled by fancy-indexing the dataset and applying the
-   transform *vectorised across the batch* (:meth:`Transform.batch`);
-3. with ``prefetch`` enabled, a daemon thread assembles batches ahead of the
-   consumer into a small bounded queue (double buffering), overlapping
-   augmentation with the training step.
+   transform *vectorised across the batch* (:meth:`Transform.batch`).
 
-Because of step 1 the sample stream is **identical with prefetch on or off**
-— toggling the pipeline never perturbs training trajectories or cache
-fingerprints.
-
-Sharded loading (``shard=(rank, world)``) rides on the same property: every
+Sharded loading (``shard=(rank, world)``) rides on step 1: every
 worker of a data-parallel run draws the *same* epoch plan (the shuffle order
 and per-batch seeds consume the loader RNG identically regardless of the
 shard), then yields only the global batch indices assigned to its rank
@@ -26,8 +19,6 @@ builds it, and ``shard=(0, 1)`` is byte-identical to an unsharded loader.
 
 from __future__ import annotations
 
-import queue
-import threading
 from typing import Callable, Iterator
 
 import numpy as np
@@ -38,7 +29,6 @@ from .transforms import Transform
 __all__ = ["DataLoader"]
 
 _SEED_MAX = 2**63
-_ERROR = object()  # prefetch-queue marker for producer-side exceptions
 
 
 def _apply_transform(transform, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -73,12 +63,6 @@ class DataLoader:
         Drop the final short batch.
     seed:
         Seed of the loader's private RNG (shuffling and augmentations).
-    prefetch:
-        Assemble batches on a background thread, ``prefetch_depth`` batches
-        ahead.  The sample stream is identical either way; disabling simply
-        assembles each batch inline (eager fallback).
-    prefetch_depth:
-        Queue capacity of the prefetcher (default 2: double buffering).
     shard:
         Optional ``(rank, world_size)`` pair for data-parallel training.  The
         epoch plan (shuffle order + per-batch transform seeds) is drawn for
@@ -95,14 +79,10 @@ class DataLoader:
         transform: Transform | Callable | None = None,
         drop_last: bool = False,
         seed: int = 0,
-        prefetch: bool = True,
-        prefetch_depth: int = 2,
         shard: tuple[int, int] | None = None,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if prefetch_depth <= 0:
-            raise ValueError("prefetch_depth must be positive")
         if shard is not None:
             rank, world = shard
             if world <= 0 or not 0 <= rank < world:
@@ -112,8 +92,6 @@ class DataLoader:
         self.shuffle = shuffle
         self.transform = transform
         self.drop_last = drop_last
-        self.prefetch = prefetch
-        self.prefetch_depth = prefetch_depth
         self.shard = shard
         self._rng = np.random.default_rng(seed)
 
@@ -141,9 +119,9 @@ class DataLoader:
     def _epoch_plan(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Draw the epoch's shuffle order and per-batch transform seeds.
 
-        All RNG consumption happens here, synchronously, so the resulting
-        batches do not depend on *when* (or on which thread) they are built —
-        the stream is byte-identical with prefetch on or off.  Consumption is
+        All RNG consumption happens here, up front, so a batch does not
+        depend on *when* it is built or on which batches were built before
+        it (an abandoned epoch leaves the next one intact).  Consumption is
         also shard-independent (the plan always covers the whole epoch), so
         every worker of a data-parallel run derives the identical plan from
         the same seed.
@@ -173,52 +151,5 @@ class DataLoader:
     # ------------------------------------------------------------------ #
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         indices, seeds = self._epoch_plan()
-        assigned = self._assigned_batches()
-        if not self.prefetch or len(assigned) <= 1:
-            for batch_index in assigned:
-                yield self._make_batch(indices, seeds, batch_index)
-            return
-        yield from self._iter_prefetched(indices, seeds, assigned)
-
-    def _iter_prefetched(
-        self, indices: np.ndarray, seeds: np.ndarray | None, assigned: range
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        out: queue.Queue = queue.Queue(maxsize=self.prefetch_depth)
-        stop = threading.Event()
-        sentinel = object()
-
-        def produce() -> None:
-            try:
-                for batch_index in assigned:
-                    if stop.is_set():
-                        return
-                    item = self._make_batch(indices, seeds, batch_index)
-                    while not stop.is_set():
-                        try:
-                            out.put(item, timeout=0.1)
-                            break
-                        except queue.Full:
-                            continue
-            except BaseException as exc:  # surfaced on the consumer side
-                out.put((_ERROR, exc))
-                return
-            out.put(sentinel)
-
-        worker = threading.Thread(target=produce, name="dataloader-prefetch", daemon=True)
-        worker.start()
-        try:
-            while True:
-                item = out.get()
-                if item is sentinel:
-                    break
-                if item[0] is _ERROR:
-                    raise item[1]
-                yield item
-        finally:
-            stop.set()
-            # Unblock a producer waiting on a full queue, then let it exit.
-            try:
-                while True:
-                    out.get_nowait()
-            except queue.Empty:
-                pass
+        for batch_index in self._assigned_batches():
+            yield self._make_batch(indices, seeds, batch_index)

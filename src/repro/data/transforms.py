@@ -10,7 +10,7 @@ Every transform has two entry points:
 
 * ``__call__(image, rng)`` — the original per-image form;
 * ``batch(images, rng)`` — vectorised across a ``(N, 3, H, W)`` batch, used
-  by the prefetching :class:`~repro.data.dataloader.DataLoader`.  The default
+  by :class:`~repro.data.dataloader.DataLoader`.  The default
   implementation falls back to the per-image loop, so custom transforms only
   need ``__call__``.
 """

@@ -403,7 +403,7 @@ def _pipeline_fingerprint() -> str:
         distributed, allreduce,  # data-parallel trainer + collectives
         baselines.vanilla, baselines.netaug, baselines.kd, baselines.regularization,
         data.datasets, data.generator, data.detection,
-        data.dataloader, data.transforms,  # batching/prefetch + RNG scheme
+        data.dataloader, data.transforms,  # batching + RNG scheme
         models.mobilenetv2, models.mcunet, models.blocks, models.detector,
         eval_pkg.complexity, nn.layers, nn.norm, nn.functional,
         optim.sgd, optim.schedulers, optim.flat,

@@ -54,15 +54,14 @@ class EngineConfig:
         before running it.  ``0`` serves whatever is immediately available.
     workers:
         Number of batching worker threads sharing the request queue.
-    pad_to_pow2:
-        Pad assembled batches up to the next power of two (bounding the number
-        of distinct execution plans); disable to run exact request counts.
+
+    Assembled batches are always padded up to the next power of two (capped
+    at ``max_batch``), bounding the number of distinct execution plans.
     """
 
     max_batch: int = 16
     max_wait_ms: float = 2.0
     workers: int = 1
-    pad_to_pow2: bool = True
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -254,8 +253,6 @@ class Engine:
         return batch
 
     def _padded_size(self, count: int) -> int:
-        if not self.config.pad_to_pow2:
-            return count
         size = 1
         while size < count:
             size *= 2
@@ -268,7 +265,7 @@ class Engine:
             if batch is None:
                 return
             count = len(batch)
-            padded = max(self._padded_size(count), count)
+            padded = self._padded_size(count)
             for i, request in enumerate(batch):
                 buffer[i] = request.sample
             if padded > count:

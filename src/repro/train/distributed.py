@@ -139,7 +139,6 @@ class _WorkerSpec:
     topology: str
     loss_computer: LossComputer | None
     train_transform: object | None
-    prefetch: bool
     resume_from: str | None
     barrier_timeout_s: float
 
@@ -196,7 +195,6 @@ def _worker_main(rank, spec, train_set, val_set, epochs, arena_name, barrier_con
             shuffle=True,
             transform=spec.train_transform,
             seed=config.seed,
-            prefetch=spec.prefetch,
             shard=(rank, world) if world > 1 else None,
         )
         total_batches = loader.num_global_batches
@@ -281,7 +279,7 @@ class DistributedTrainer:
     topology:
         ``"allreduce"`` (synchronous global gradient averaging) or
         ``"gossip"`` (DACFL-style ring neighbour averaging of parameters).
-    loss_computer / train_transform / prefetch:
+    loss_computer / train_transform:
         Forwarded to each worker's :class:`Trainer` / loader.
     start_method:
         ``multiprocessing`` start method; defaults to ``"fork"`` where
@@ -312,7 +310,6 @@ class DistributedTrainer:
         topology: str = "allreduce",
         loss_computer: LossComputer | None = None,
         train_transform=None,
-        prefetch: bool = True,
         start_method: str | None = None,
         resume_from: str | None = None,
         barrier_timeout_s: float = 120.0,
@@ -334,7 +331,6 @@ class DistributedTrainer:
             topology=topology,
             loss_computer=loss_computer,
             train_transform=train_transform,
-            prefetch=prefetch,
             resume_from=resume_from,
             barrier_timeout_s=barrier_timeout_s,
         )

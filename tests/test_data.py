@@ -355,14 +355,14 @@ class TestDataLoader:
 class TestShardedLoader:
     """Sharded loading contract for data-parallel training: disjoint shards,
     exact epoch coverage, identical batch contents regardless of which worker
-    (or pipeline mode) assembles them."""
+    assembles them."""
 
     def _dataset(self, n=23):
         rng = np.random.default_rng(11)
         return ClassificationDataset(rng.random((n, 3, 8, 8)).astype(np.float32), np.arange(n) % 3, 3)
 
-    def _loader(self, ds, shard=None, prefetch=True, seed=7):
-        return DataLoader(ds, batch_size=4, shuffle=True, seed=seed, shard=shard, prefetch=prefetch)
+    def _loader(self, ds, shard=None, seed=7):
+        return DataLoader(ds, batch_size=4, shuffle=True, seed=seed, shard=shard)
 
     def test_invalid_shard(self):
         for shard in [(2, 2), (-1, 2), (0, 0)]:
@@ -393,15 +393,14 @@ class TestShardedLoader:
             np.testing.assert_array_equal(a_img, b_img)
             np.testing.assert_array_equal(a_lab, b_lab)
 
-    def test_replay_identical_across_runs_and_prefetch_modes(self):
+    def test_replay_identical_across_runs(self):
         ds = self._dataset()
-        reference = [list(self._loader(ds, shard=(1, 2), prefetch=False)) for _ in range(1)][0]
-        for prefetch in (False, True):
-            run = list(self._loader(ds, shard=(1, 2), prefetch=prefetch))
-            assert len(run) == len(reference)
-            for (images, labels), (ref_images, ref_labels) in zip(run, reference):
-                np.testing.assert_array_equal(images, ref_images)
-                np.testing.assert_array_equal(labels, ref_labels)
+        reference = list(self._loader(ds, shard=(1, 2)))
+        run = list(self._loader(ds, shard=(1, 2)))
+        assert len(run) == len(reference)
+        for (images, labels), (ref_images, ref_labels) in zip(run, reference):
+            np.testing.assert_array_equal(images, ref_images)
+            np.testing.assert_array_equal(labels, ref_labels)
 
     def test_sharding_with_transform_keeps_per_batch_seeds_aligned(self):
         """Batch b gets the same augmentation no matter which rank builds it."""

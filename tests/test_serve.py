@@ -171,7 +171,7 @@ class TestDynamicBatching:
         assert stats.batch_size_counts == {1: 5}
 
     def test_padded_assembly_preserves_results(self, qnet):
-        """pad_to_pow2 runs odd request counts at padded batch sizes without
+        """Odd request counts run at power-of-two padded batch sizes without
         affecting any result."""
         samples = _samples(5)
         expected = [qnet.numpy_forward(s[None])[0] for s in samples]

@@ -2,7 +2,7 @@
 
 Covers ``Trainer.train_step`` (batch-norm statistics, flat-buffer gradients,
 live PLT alphas), the flat-buffer optimisers (`repro.optim.flat`), flat EMA /
-clipping, and the prefetching data pipeline's RNG stability.
+clipping, and the data pipeline's RNG stability.
 """
 
 import numpy as np
@@ -207,33 +207,29 @@ class TestFlatOptim:
 
 
 class TestPrefetchingLoader:
-    def _loader(self, prefetch, transform=None, seed=9):
+    def _loader(self, transform=None, seed=9):
         return DataLoader(
-            _dataset(), batch_size=16, shuffle=True, transform=transform,
-            seed=seed, prefetch=prefetch,
+            _dataset(), batch_size=16, shuffle=True, transform=transform, seed=seed,
         )
 
-    def test_prefetch_on_off_identical_stream(self):
+    def test_same_seed_replays_identically_across_epochs(self):
         transform = Compose([RandomHorizontalFlip(), RandomCrop(2), Normalize()])
-        batches_off = [(i.copy(), l.copy()) for i, l in self._loader(False, transform)]
-        batches_on = [(i.copy(), l.copy()) for i, l in self._loader(True, transform)]
-        assert len(batches_on) == len(batches_off) == 4
-        for (img_a, lab_a), (img_b, lab_b) in zip(batches_on, batches_off):
-            np.testing.assert_array_equal(img_a, img_b)
-            np.testing.assert_array_equal(lab_a, lab_b)
-
-    def test_prefetch_on_off_identical_across_epochs(self):
-        a, b = self._loader(True), self._loader(False)
+        a, b = self._loader(transform), self._loader(transform)
+        epochs = []
         for _ in range(3):  # RNG state must advance identically epoch to epoch
-            for (img_a, lab_a), (img_b, lab_b) in zip(a, b):
+            batches_a, batches_b = list(a), list(b)
+            assert len(batches_a) == len(batches_b) == 4
+            for (img_a, lab_a), (img_b, lab_b) in zip(batches_a, batches_b):
                 np.testing.assert_array_equal(img_a, img_b)
                 np.testing.assert_array_equal(lab_a, lab_b)
+            epochs.append(np.concatenate([images for images, _ in batches_a]))
+        assert not np.array_equal(epochs[0], epochs[1])
 
     def test_early_break_then_reiterate(self):
-        loader = self._loader(True)
+        loader = self._loader()
         iterator = iter(loader)
         next(iterator)
-        del iterator  # abandon mid-epoch; thread must not wedge the loader
+        del iterator  # abandon mid-epoch; the next epoch must still be full
         batches = list(loader)
         assert len(batches) == 4
 
@@ -245,9 +241,9 @@ class TestPrefetchingLoader:
             def __call__(self, image, rng):
                 raise Boom()
 
-        loader = DataLoader(_dataset(), batch_size=16, transform=Exploding(), prefetch=True)
+        loader = DataLoader(_dataset(), batch_size=16, transform=Exploding())
         with pytest.raises(Boom):
-            list(loader)
+            next(iter(loader))
 
     def test_batched_transforms_match_shapes_and_determinism(self):
         transform = Compose([RandomHorizontalFlip(), RandomCrop(2), Normalize()])
@@ -267,6 +263,6 @@ class TestPrefetchingLoader:
                 calls.append(1)
                 return image
 
-        loader = DataLoader(_dataset(n=8), batch_size=8, transform=Marker(), prefetch=True)
+        loader = DataLoader(_dataset(n=8), batch_size=8, transform=Marker())
         next(iter(loader))
         assert len(calls) == 8
