@@ -3,8 +3,11 @@
 Times the hot primitives (conv2d forward/backward, depthwise conv, pointwise
 conv, max-pool, batch-norm) and an end-to-end MobileNetV2-Tiny inference step,
 comparing the stride-trick/fused implementations against the seed's
-copy-based im2col implementation (re-created here verbatim).  Results are
-written to ``BENCH_ops.json`` so successive PRs can track the perf trajectory.
+copy-based im2col implementation (re-created here verbatim).  The
+``small_map_kernels_b*`` lanes time the planned executor's small-map conv
+kernels against the kernels they replace, at MobileNetV2-Tiny res-20 shapes.
+Results are written to ``BENCH_ops.json`` so successive PRs can track the
+perf trajectory.
 
 Run with::
 
@@ -31,6 +34,7 @@ import argparse
 import json
 import platform
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,7 @@ from repro import nn
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.models import create_model
+from repro.runtime import program
 from repro.utils import seed_everything
 
 
@@ -139,6 +144,65 @@ def versus_seed(new_fn, seed_fn, repeats: int) -> dict[str, float]:
     timings = interleaved_ms({"new": new_fn, "seed": seed_fn}, repeats)
     row = {**quartiles("median_ms", timings["new"]), **quartiles("seed_median_ms", timings["seed"])}
     row["speedup"] = row["seed_median_ms"] / row["median_ms"]
+    return row
+
+
+@contextmanager
+def _small_map_kernels_off():
+    """Plans built inside run the kernels the small-map rules replace."""
+    saved = program._OPERATOR_SIDE, program._GATHER_BUDGET
+    program._OPERATOR_SIDE, program._GATHER_BUDGET = 0, -1
+    try:
+        yield
+    finally:
+        program._OPERATOR_SIDE, program._GATHER_BUDGET = saved
+
+
+def small_map_kernels(batch: int, repeats: int) -> dict[str, float]:
+    """The small-map conv kernels against the kernels they replace.
+
+    Two float plans of MobileNetV2-Tiny at res 20: one as the rule picks
+    (every depthwise conv on the operator matmul, the stem on the gathered
+    gemm), one with the small-map rules off (tap-stack / einsum depthwise
+    kernels on padded slots, the stem on the windowed einsum; the flat-tap
+    einsum that ran the stem at batch 1 is deleted).  Both time
+    their spatial-conv steps (the kernel plus its epilogue and pad fill) and
+    the whole forward, interleaved.
+    """
+    model = create_model("mobilenetv2-tiny", num_classes=16)
+    model.eval()
+    x = np.random.default_rng(0).normal(size=(batch, 3, 20, 20)).astype(np.float32)
+    plan = repro.compile(model).plan(x.shape)
+    with _small_map_kernels_off():
+        replaced = repro.compile(model).plan(x.shape)
+
+    def conv_steps(p):
+        steps = [s for s, label in zip(p.steps, p.step_labels) if label.split(".")[0] in ("dw", "im2col", "fill")]
+        p.run(x)  # leave real values in the arena
+
+        def run():
+            for step in steps:
+                step()
+
+        return run
+
+    timings = interleaved_ms(
+        {
+            "new": conv_steps(plan),
+            "replaced": conv_steps(replaced),
+            "forward": lambda: plan.run(x),
+            "replaced_forward": lambda: replaced.run(x),
+        },
+        repeats,
+    )
+    row = {
+        **quartiles("median_ms", timings["new"]),
+        **quartiles("replaced_median_ms", timings["replaced"]),
+        **quartiles("forward_median_ms", timings["forward"]),
+        **quartiles("replaced_forward_median_ms", timings["replaced_forward"]),
+    }
+    row["speedup"] = row["replaced_median_ms"] / row["median_ms"]
+    row["speedup_forward"] = row["replaced_forward_median_ms"] / row["forward_median_ms"]
     return row
 
 
@@ -264,6 +328,10 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
         speedup_compiled_vs_eager=eager_t / compiled_t,
     )
     results["mobilenetv2_tiny_infer"] = row
+
+    # --------------------------- small-map conv kernels vs what they replace
+    for batch in (1, 8):
+        results[f"small_map_kernels_b{batch}"] = small_map_kernels(batch, repeats * 3)
 
     return results
 

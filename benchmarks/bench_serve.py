@@ -8,7 +8,10 @@ across PRs and gated by ``scripts/check_bench.py``:
    runtime (``repro.compile(model)``) on MobileNetV2-Tiny at batch
    1 / 8 / 64.  Both engines run the same planned program and kernels, the
    int8 one on integer grids; the gate caps the grid overhead at
-   ``int8_ms <= 1.25 * float_ms`` at batches 1 and 8.
+   ``int8_ms <= 1.25 * float_ms`` at batches 1 and 8.  The two engines are
+   timed interleaved (bench_ops' ``interleaved_ms``), and each median is
+   recorded with its quartiles (``<key>_p25`` / ``<key>_p75``) next to the
+   report's ``cpu_count``.
 2. **Serving lane** — sustained req/s of the dynamic-batching engine
    (max-batch window, padded assembly) vs serial batch-1 serving, both driven
    by the closed-loop load generator.  The acceptance floor is batched >= 2x
@@ -80,6 +83,8 @@ from repro.serve.fleet import Fleet, FleetConfig
 from repro.serve.loadgen import run_load
 from repro.utils import seed_everything
 
+from bench_ops import interleaved_ms, quartiles
+
 FLEET_REPLICAS = 4
 FLEET_CHAOS = "kill:prob=0.02,max=2;corrupt:prob=0.01,max=5;slow:prob=0.05,ms=2"
 
@@ -87,27 +92,6 @@ AUTOSCALE_SPIKE_MULT = 3.0
 AUTOSCALE_SPIKE_WINDOW = (0.25, 0.55)
 # one submitting thread must outrun the schedule, so the spike peak is capped
 AUTOSCALE_MAX_SPIKE_RATE = 2400.0
-
-
-def interleaved_median_ms(fn_a, fn_b, repeats: int, warmup: int = 5) -> tuple[float, float]:
-    """Median wall time of two competing lanes, measured strictly interleaved.
-
-    Alternating the lanes rep-by-rep means both see the same machine state
-    (thermal drift, cache pressure), which keeps the *ratio* stable across
-    runs — the ratio is what the gate checks.
-    """
-    for _ in range(warmup):
-        fn_a()
-        fn_b()
-    times_a, times_b = [], []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn_a()
-        times_a.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        times_b.append(time.perf_counter() - start)
-    return float(np.median(times_a) * 1e3), float(np.median(times_b) * 1e3)
 
 
 def build_engines(model_name: str, resolution: int, seed: int = 0):
@@ -131,16 +115,18 @@ def engine_lane(float_net, int8_net, model, resolution: int, repeats: int, rng) 
     for batch in (1, 8, 64):
         x = rng.normal(0.2, 0.8, size=(batch, 3, resolution, resolution)).astype(np.float32)
         n = repeats if batch < 64 else max(3, repeats // 3)
-        float_ms, int8_ms = interleaved_median_ms(
-            lambda: float_net.numpy_forward(x), lambda: int8_net.numpy_forward(x), n
+        timings = interleaved_ms(
+            {"float": lambda: float_net.numpy_forward(x), "int8": lambda: int8_net.numpy_forward(x)},
+            n,
+            warmup=5,
         )
-        results[f"batch{batch}"] = {
-            "float_ms": float_ms,
-            "int8_ms": int8_ms,
-            "float_imgs_per_sec": batch / float_ms * 1e3,
-            "int8_imgs_per_sec": batch / int8_ms * 1e3,
-            "speedup_int8_vs_float": float_ms / int8_ms,
-        }
+        row = {**quartiles("float_ms", timings["float"]), **quartiles("int8_ms", timings["int8"])}
+        row.update(
+            float_imgs_per_sec=batch / row["float_ms"] * 1e3,
+            int8_imgs_per_sec=batch / row["int8_ms"] * 1e3,
+            speedup_int8_vs_float=row["float_ms"] / row["int8_ms"],
+        )
+        results[f"batch{batch}"] = row
     # parity: the integer engine must track the fake-quant oracle
     x = rng.normal(0.2, 0.8, size=(8, 3, resolution, resolution)).astype(np.float32)
     with nn.no_grad():
@@ -590,6 +576,7 @@ def main() -> None:
         "suite": "bench_serve",
         "mode": "smoke" if args.smoke else "full",
         "repeats": repeats,
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

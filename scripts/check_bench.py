@@ -25,9 +25,10 @@ Dispatches on the report's ``suite`` field:
 * ``bench_ops`` (``BENCH_ops.json``) — the compiled inference program must
   stay above the seed-speedup floor.
 
-A train or ops report must also record the host's ``cpu_count`` and, next to
-every timed median ``<key>``, its quartiles ``<key>_p25`` / ``<key>_p75``: a
-median without its CPU count and spread cannot be read against noise.
+A train or ops report, and a serve report's engine lane, must also record the
+host's ``cpu_count`` and, next to every timed median ``<key>``, its quartiles
+``<key>_p25`` / ``<key>_p75``: a median without its CPU count and spread
+cannot be read against noise.
 
 Run after the corresponding benchmark::
 
@@ -51,12 +52,17 @@ from pathlib import Path
 
 
 def check_spread(report: dict, medians: list[tuple[str, str]]) -> list[str]:
-    """Require ``cpu_count`` and the quartiles of each ``(lane, key)`` median."""
+    """Require ``cpu_count`` and the quartiles of each ``(lane, key)`` median.
+
+    A dotted ``lane`` (``"engine.batch1"``) names a nested row.
+    """
     failures = []
     if not report.get("cpu_count"):
         failures.append(f"{report['suite']} report does not record cpu_count")
     for lane, key in medians:
-        row = report["benchmarks"].get(lane, {})
+        row = report["benchmarks"]
+        for part in lane.split("."):
+            row = row.get(part, {})
         missing = [f"{key}_{q}" for q in ("p25", "p75") if f"{key}_{q}" not in row]
         if missing:
             failures.append(f"lane {lane!r} records {key} without {' / '.join(missing)}")
@@ -135,7 +141,10 @@ def check_serve(report: dict, args) -> list[str]:
     bench = report["benchmarks"]
     engine = bench["engine"]
     serving = bench["serving"]
-    failures = []
+    failures = check_spread(
+        report,
+        [(f"engine.batch{batch}", key) for batch in (1, 8, 64) for key in ("float_ms", "int8_ms")],
+    )
     for batch in (1, 8):
         row = engine[f"batch{batch}"]
         if row["int8_ms"] > args.max_int8_overhead * row["float_ms"]:

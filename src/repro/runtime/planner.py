@@ -76,6 +76,9 @@ class MemoryPlan:
     over *value* buffers at one logical byte per activation element — directly
     comparable to
     :func:`repro.eval.deployment.peak_activation_memory(..., bytes_per_element=1)`.
+    ``constant_bytes`` counts the host bytes of constant arrays the program
+    reads outside the arena (conv kernels' spatial operators and gather
+    indices), so the arena size does not hide them.
     """
 
     arena_elements: int
@@ -83,6 +86,7 @@ class MemoryPlan:
     peak_value_int8_bytes: int
     peak_total_int8_bytes: int
     buffers: list = field(default_factory=list)
+    constant_bytes: int = 0
 
     def summary(self) -> str:
         lines = [
@@ -91,6 +95,8 @@ class MemoryPlan:
             f"peak working set  : {self.peak_value_int8_bytes / 1024:.2f} kB int8 activations "
             f"({self.peak_total_int8_bytes / 1024:.2f} kB incl. scratch)",
             f"buffers           : {len(self.buffers)}",
+            f"constants         : {self.constant_bytes / 1024:.1f} kB host outside the arena "
+            "(spatial operators, gather indices)",
         ]
         return "\n".join(lines)
 
@@ -170,6 +176,7 @@ class ArenaPlanner:
 
     def __init__(self):
         self.buffers: list[Buffer] = []
+        self.constants: dict[int, np.ndarray] = {}
         self._step = 0
 
     # ------------------------------------------------------------------ #
@@ -190,6 +197,12 @@ class ArenaPlanner:
         buf = Buffer(shape, kind, name or f"buf{len(self.buffers)}")
         self.buffers.append(buf)
         return buf
+
+    def constant(self, array: np.ndarray) -> np.ndarray:
+        """Record a constant array the program reads outside the arena (a
+        kernel's operator or index); returns it."""
+        self.constants[id(array)] = array
+        return array
 
     # ------------------------------------------------------------------ #
     # packing
@@ -235,6 +248,7 @@ class ArenaPlanner:
             peak_value_int8_bytes=peak_value,
             peak_total_int8_bytes=peak_total,
             buffers=list(self.buffers),
+            constant_bytes=sum(a.nbytes for a in self.constants.values()),
         )
         return arena, plan
 

@@ -43,13 +43,24 @@ Buffers use a channel-outermost ``(C, N, H, W)`` layout so a pointwise
 convolution over the whole batch is a single ``(C_out, C_in) @ (C_in, N*H*W)``
 sgemm.  Spatial convolutions pick their kernel by a fixed rule on shapes the
 planner already knows (see :func:`_plan_depthwise` and :func:`_plan_dense`):
-a single sample, or a conv whose tap stack (``kh*kw*C_in*N*Hp*Wp``
-elements) fits ``_TAP_BUDGET``, runs a tap-stack kernel, a larger one a
-single einsum pass, each either *flat* (over the whole padded grid) or
-*windowed* (over the output positions only, for strided and larger depthwise
-kernels).  Grouped and float64 convs run the per-tap gemm.  Only the picked
-kernel's scratch is planned, and every kernel computes the same exact
-integers, so the rule never affects results.
+
+* a depthwise conv on a small map (at most ``_OPERATOR_SIDE`` pixels a side,
+  operator within ``_OPERATOR_BUDGET``) runs one batched matmul against its
+  per-channel spatial operator, with padding and stride folded in, so it
+  reads an unpadded slot (no pad fill, no strided producer epilogue);
+* a larger depthwise conv runs a tap-stack kernel for a single sample or a
+  tap stack (``kh*kw*C_in*N*Hp*Wp`` elements) within ``_TAP_BUDGET``, a
+  single einsum pass otherwise, each either *flat* (over the whole padded
+  grid) or *windowed* (over the output positions only, for strided and
+  larger kernels);
+* a dense conv (the stem) whose column matrix fits ``_GATHER_BUDGET``
+  gathers it with a plan-time index and runs one gemm, and a larger one runs
+  a windowed einsum; grouped and float64 convs always gather.
+
+Only the picked kernel's scratch is planned; operators and gather indices are
+constants outside the arena, reported by :meth:`MemoryPlan.summary`.  Every
+kernel computes the same exact integers, so the rule never affects int8
+results.
 
 The fake-quant eager model remains the accuracy oracle: engine logits match
 it to within dequantization tolerance (asserted in the test-suite).
@@ -104,13 +115,27 @@ __all__ = [
 # float32 mantissa capacity: integer sums below this are exact.
 _EXACT_F32_BOUND = float(2**24)
 
-# Conv kernel rule, see _tap_kernels.
+# Conv kernel rules, see _operator_kernel, _tap_kernels and _gather_kernel
+# (elements, except the side in pixels).
+_OPERATOR_SIDE = 12
+_OPERATOR_BUDGET = 1 << 20
 _TAP_BUDGET = 1 << 16
+_GATHER_BUDGET = 1 << 18
 
 
 # --------------------------------------------------------------------------- #
 # raw ndarray leaves
 # --------------------------------------------------------------------------- #
+def _bounds(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp bounds as 0-d float32 arrays.  ``a.clip(lo, hi, out=a)`` with
+    these costs a third of ``np.clip`` with Python floats on small maps,
+    where the call's dispatch outweighs the clamp itself."""
+    return np.array(lo, dtype=np.float32), np.array(hi, dtype=np.float32)
+
+
+_RELU6_BOUNDS = _bounds(0.0, 6.0)
+
+
 def apply_activation(out: np.ndarray, act: tuple | None) -> None:
     """Apply an activation spec to ``out`` in place (``None`` is the identity)."""
     if act is None:
@@ -119,7 +144,7 @@ def apply_activation(out: np.ndarray, act: tuple | None) -> None:
     if kind == "relu":
         np.maximum(out, 0.0, out=out)
     elif kind == "relu6":
-        np.clip(out, 0.0, 6.0, out=out)
+        out.clip(*_RELU6_BOUNDS, out=out)
     elif kind == "tanh":
         np.tanh(out, out=out)
     elif kind == "leaky":
@@ -192,6 +217,7 @@ class _ConvIR:
         self.bn_scale: np.ndarray | None = None
         self.bn_shift: np.ndarray | None = None
         self.act: tuple | None = None  # ("relu",) / ("relu6",) fuse into the clamp
+        self.operators: dict = {}  # (h, w) -> spatial operator, see _spatial_operator
 
     @property
     def c_out(self) -> int:
@@ -435,7 +461,7 @@ class _Emitter:
         self.op_log.append(kind)
 
 
-def _q_bounds(grid, act: tuple | None) -> tuple[float, float]:
+def _q_bounds(grid, act: tuple | None) -> tuple[np.ndarray, np.ndarray]:
     """Integer-domain clamp for a centred grid, with the activation fused in."""
     scale, zp, bits = grid
     qmax = float(2**bits - 1)
@@ -444,7 +470,7 @@ def _q_bounds(grid, act: tuple | None) -> tuple[float, float]:
         lo = max(lo, 0.0)
         if act[0] == "relu6":
             hi = min(hi, float(np.rint(6.0 / scale)))
-    return lo, hi
+    return _bounds(lo, hi)
 
 
 def _requantize(acc, m, c, lo, hi, mode, float_act, target, scratch=None):
@@ -466,7 +492,7 @@ def _requantize(acc, m, c, lo, hi, mode, float_act, target, scratch=None):
     work += c
     if mode == "grid":
         np.rint(work, out=work)
-        np.clip(work, lo, hi, out=work)
+        work.clip(lo, hi, out=work)
     elif mode == "float":
         apply_activation(work, float_act)
     if work is not target:
@@ -479,8 +505,9 @@ def _make_conv_slot(em: _Emitter, ir: _ConvIR, c: int, n: int, h: int, w: int):
     Padded slots get a zero-fill step immediately before the interior write —
     the arena slot is shared with other buffers, so the pad ring must be
     re-zeroed each run (zero *is* the grid zero: values are zero-point
-    centred)."""
-    p = ir.padding
+    centred).  A conv on the operator kernel folds its padding into the
+    operator, so it reads an unpadded slot."""
+    p = 0 if _operator_kernel(ir, c, h, w) else ir.padding
     if p > 0:
         buf = em.planner.alloc((c, n, h + 2 * p, w + 2 * p), "value", f"{ir.name}.in")
 
@@ -502,63 +529,43 @@ def _make_conv_slot(em: _Emitter, ir: _ConvIR, c: int, n: int, h: int, w: int):
 def _emit_quantize(em: _Emitter, val, grid, slot_buf, slot_viewer, external_ctx=None):
     """Quantize a float value (or the external ``NCHW`` input) into a grid slot.
 
-    Padded-interior targets are strided, so the rounding chain runs in a
-    contiguous scratch buffer and lands with one strided copy.
+    The scaled values land in the slot's interior; rounding and clamping then
+    run over the whole slot, contiguous.  A padded slot's ring stays zero:
+    zero is a grid point inside every grid's bounds.
     """
     scale, zp, bits = grid
     inv = np.float32(1.0 / scale)
-    lo, hi = -zp, float(2**bits - 1) - zp
-    strided = slot_viewer is not _identity_view
-    scratch = em.planner.alloc(
-        _viewer_shape(slot_buf, slot_viewer), "scratch", "quantize.tmp"
-    ) if strided else None
-
+    lo, hi = _bounds(-zp, float(2**bits - 1) - zp)
     if external_ctx is not None:
 
-        def factory(buf=slot_buf, viewer=slot_viewer, ctx=external_ctx, scratch=scratch):
-            view = viewer(buf.a)
-            work = scratch.a if scratch is not None else view
+        def source(ctx=external_ctx):
+            return ctx["x"].transpose(1, 0, 2, 3)  # NCHW -> CNHW
 
-            def run():
-                x = ctx["x"].transpose(1, 0, 2, 3)  # NCHW -> CNHW
-                np.multiply(x, inv, out=work)
-                np.rint(work, out=work)
-                np.clip(work, lo, hi, out=work)
-                if work is not view:
-                    view[...] = work
-
-            return run
-
-        uses = [slot_buf] if scratch is None else [slot_buf, scratch]
-        em.emit(factory, uses, "quantize.input")
+        uses, label = [slot_buf], "quantize.input"
     else:
 
-        def factory(src=val.buf, sview=val.viewer, buf=slot_buf, viewer=slot_viewer, scratch=scratch):
-            view = viewer(buf.a)
-            work = scratch.a if scratch is not None else view
+        def source(src=val.buf, sview=val.viewer):
+            return sview(src.a)
 
-            def run():
-                np.multiply(sview(src.a), inv, out=work)
-                np.rint(work, out=work)
-                np.clip(work, lo, hi, out=work)
-                if work is not view:
-                    view[...] = work
+        uses, label = [val.buf, slot_buf], "quantize"
 
-            return run
+    def factory(buf=slot_buf, viewer=slot_viewer):
+        view = viewer(buf.a)
 
-        uses = [val.buf, slot_buf] if scratch is None else [val.buf, slot_buf, scratch]
-        em.emit(factory, uses, "quantize")
+        def run():
+            np.multiply(source(), inv, out=view)
+            np.rint(buf.a, out=buf.a)
+            buf.a.clip(lo, hi, out=buf.a)
+
+        return run
+
+    em.emit(factory, uses, label)
     em.log("quantize")
 
 
-def _viewer_shape(buf, viewer) -> tuple[int, ...]:
-    """Logical shape a slot viewer exposes (computed from the slot's shape)."""
-    probe = np.empty(buf.shape, dtype=np.bool_)
-    return viewer(probe).shape
-
-
 def _tap_kernels(n: int, taps: int) -> bool:
-    """The conv kernel rule: True picks the tap-stack kernels, False one einsum pass.
+    """The rule for depthwise convs past the small-map bound: True picks the
+    tap-stack kernels, False one einsum pass.
 
     ``taps`` is the conv's tap stack, ``kh*kw*C_in*N*Hp*Wp`` elements, which
     the flat and tap-stack kernels read or materialize.  Within
@@ -571,18 +578,68 @@ def _tap_kernels(n: int, taps: int) -> bool:
     return n == 1 or taps <= _TAP_BUDGET
 
 
-def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, oh, ow):
-    """Plan the depthwise kernel the :func:`_tap_kernels` rule picks.
+def _is_depthwise(ir: _ConvIR, c_in: int) -> bool:
+    return ir.groups == c_in == ir.c_out and ir.weight.shape[1] == 1
 
-    Either the conv materializes its tap stack and sums the taps, or it runs
-    one einsum pass.  Stride-1 3x3 convs run the *flat* form of either, which
+
+def _operator_kernel(ir: _ConvIR, c_in: int, h: int, w: int) -> bool:
+    """The small-map rule: True runs a depthwise conv as one operator matmul.
+
+    On maps of at most ``_OPERATOR_SIDE`` pixels a side, the tap-stack and
+    einsum kernels spend their time on strided iteration and per-call cost,
+    not arithmetic; one batched matmul against the conv's spatial operator
+    (:func:`_spatial_operator`, ``C*H*W*OH*OW`` elements, capped at
+    ``_OPERATOR_BUDGET``) beats them although most of its products are
+    structural zeros.  The rule does not depend on the batch, so every plan
+    of a conv shares one operator.
+    """
+    if not _is_depthwise(ir, c_in):
+        return False
+    kh, kw = ir.weight.shape[2], ir.weight.shape[3]
+    oh = conv_output_size(h, kh, ir.stride, ir.padding)
+    ow = conv_output_size(w, kw, ir.stride, ir.padding)
+    return max(h, w) <= _OPERATOR_SIDE and c_in * h * w * oh * ow <= _OPERATOR_BUDGET
+
+
+def _spatial_operator(ir: _ConvIR, h: int, w: int, oh: int, ow: int) -> np.ndarray:
+    """A depthwise conv on an ``h x w`` map as ``(C, H*W, OH*OW)`` matrices.
+
+    Entry ``[c, y*W + x, oy*OW + ox]`` is the weight tap of channel ``c``
+    that reads input pixel ``(y, x)`` for output pixel ``(oy, ox)``, so the
+    stride is folded in, and taps reading the zero padding are left out.
+    Built once per conv and map size with vectorized indexing, and shared by
+    every plan and thread (two threads racing here build equal arrays).
+    """
+    op = ir.operators.get((h, w))
+    if op is None:
+        c, _, kh, kw = ir.weight.shape
+        iy = (np.arange(oh) * ir.stride - ir.padding)[:, None] + np.arange(kh)  # (oh, kh)
+        ix = (np.arange(ow) * ir.stride - ir.padding)[:, None] + np.arange(kw)  # (ow, kw)
+        valid = ((iy >= 0) & (iy < h))[:, :, None, None] & ((ix >= 0) & (ix < w))
+        oy, i, ox, j = np.nonzero(valid)  # every in-bounds (output pixel, tap) pair
+        op = np.zeros((c, h * w, oh * ow), dtype=np.float32)
+        taps = ir.weight.reshape(c, kh * kw).astype(np.float32)
+        op[:, iy[oy, i] * w + ix[ox, j], oy * ow + ox] = taps[:, i * kw + j]
+        ir.operators[(h, w)] = op
+    return op
+
+
+def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, h, w, oh, ow):
+    """Plan the depthwise kernel the :func:`_operator_kernel` and
+    :func:`_tap_kernels` rules pick.
+
+    A small map runs one ``(C, N, H*W) @ (C, H*W, OH*OW)`` matmul against
+    the conv's spatial operator, reading its unpadded slot.  Otherwise the
+    conv either materializes its tap stack and sums the taps, or runs one
+    einsum pass.  Stride-1 3x3 convs run the *flat* form of either, which
     computes every position of the padded grid as one contiguous pass.
     Strided or larger kernels would waste most of that pass (``stride**2``
     times the outputs, plus a wider pad ring), so they run the *windowed*
-    form on the output positions only.  All four kernels compute the same
-    exact integers (accumulation below ``2**24`` is order-independent), so
-    the rule affects speed and scratch memory only, and only the picked
-    kernel's scratch is planned.
+    form on the output positions only.  All five kernels compute the same
+    exact integers: each output sums the same at most ``kh*kw`` nonzero
+    products, the operator's structural zeros add nothing, and accumulation
+    below ``2**24`` is order-independent.  So the rules affect speed and
+    memory only, and only the picked kernel's scratch is planned.
 
     Returns ``(make, bufs)``: ``make()`` runs at bind time (after arena
     packing, so it can precompute views on the real buffers) and returns
@@ -593,12 +650,26 @@ def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, oh, ow):
     """
     planner = em.planner
     c = ir.weight.shape[0]
+    acc = planner.alloc((c, n, oh, ow), "scratch", f"{ir.name}.acc")
+    if _operator_kernel(ir, c, h, w):
+        op = planner.constant(_spatial_operator(ir, h, w, oh, ow))
+
+        def make_operator():
+            x3 = pbuf.a.reshape(c, n, h * w)  # the unpadded slot
+            acc3 = acc.a.reshape(c, n, oh * ow)
+
+            def run():
+                np.matmul(x3, op, out=acc3)
+
+            return run, acc.a
+
+        return make_operator, [acc]
+
     kh, kw = ir.weight.shape[2], ir.weight.shape[3]
     stride = ir.stride
     hp, wp = pbuf.shape[2], pbuf.shape[3]
     w_f32 = ir.weight.astype(np.float32)[:, 0]  # (C, kh, kw)
     w6 = np.ascontiguousarray(w_f32.transpose(1, 2, 0)).reshape(kh, kw, c, 1, 1, 1)
-    acc = planner.alloc((c, n, oh, ow), "scratch", f"{ir.name}.acc")
     stack = _tap_kernels(n, kh * kw * c * n * hp * wp)
 
     if stride > 1 or kh > 3 or kw > 3:
@@ -684,68 +755,52 @@ def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, oh, ow):
     return make_flat, [acc, acc_pad, prod]
 
 
-def _plan_dense(em: _Emitter, ir: _ConvIR, pbuf, pview, n, oh, ow, exact64: bool):
-    """Plan the :func:`_tap_kernels` pick for a dense (non-depthwise) spatial conv.
+def _gather_kernel(ir: _ConvIR, n: int, oh: int, ow: int, exact64: bool) -> bool:
+    """The dense-conv rule: True gathers the column matrix and runs one gemm.
 
-    Grouped and float64 convs run the per-tap gemm (``tap_gemm``); other
-    convs run a flat-tap einsum over the whole padded grid when
-    :func:`_tap_kernels` picks the tap kernels, and a windowed einsum
-    otherwise.  Same ``(make, bufs)`` contract as :func:`_plan_depthwise`.
+    A column matrix (``C_in*kh*kw`` rows, ``N*OH*OW`` columns) within
+    ``_GATHER_BUDGET`` elements is gathered with a plan-time index and fed to
+    one ``np.dot``.  Grouped and float64 convs always take this kernel.
+    """
+    c_in_g, kh, kw = ir.weight.shape[1:]
+    cols = c_in_g * ir.groups * kh * kw * n * oh * ow
+    return ir.groups > 1 or exact64 or cols <= _GATHER_BUDGET
+
+
+def _gather_index(c_in, n, hp, wp, kh, kw, stride, oh, ow) -> np.ndarray:
+    """Flat ``(C_in*kh*kw, N*OH*OW)`` positions of the column matrix in a
+    ``(C_in, N, Hp, Wp)`` slot: row ``(c, i, j)``, column ``(n, oy, ox)``
+    reads ``[c, n, oy*stride + i, ox*stride + j]``."""
+    c = np.arange(c_in).reshape(-1, 1, 1, 1, 1, 1)
+    i = np.arange(kh).reshape(-1, 1, 1, 1, 1)
+    j = np.arange(kw).reshape(-1, 1, 1, 1)
+    b = np.arange(n).reshape(-1, 1, 1)
+    y = (np.arange(oh) * stride).reshape(-1, 1)
+    x = np.arange(ow) * stride
+    idx = ((c * n + b) * hp + y + i) * wp + x + j
+    return idx.reshape(c_in * kh * kw, n * oh * ow).astype(np.intp)
+
+
+def _plan_dense(em: _Emitter, ir: _ConvIR, pbuf, n, oh, ow, exact64: bool):
+    """Plan the :func:`_gather_kernel` pick for a dense (non-depthwise) spatial conv.
+
+    Either the conv gathers its column matrix from the (padded) input slot
+    with a plan-time index and runs one gemm per group, or, past the
+    gather budget, it runs a windowed einsum that streams the input.  Same
+    ``(make, bufs)`` contract as :func:`_plan_depthwise`.
     """
     planner = em.planner
     c_out = ir.c_out
-    c_in_g = ir.weight.shape[1]
-    kh, kw = ir.weight.shape[2], ir.weight.shape[3]
+    c_in_g, kh, kw = ir.weight.shape[1:]
     c_in, _, hp, wp = pbuf.shape  # the (possibly padded) input slot
     w_taps = ir.weight.astype(np.float64 if exact64 else np.float32)
     groups, stride = ir.groups, ir.stride
     acc = planner.alloc((c_out, n, oh, ow), "scratch", f"{ir.name}.acc")
 
-    def padded():
-        return pview(pbuf.a) if ir.padding == 0 else pbuf.a
-
-    if groups > 1 or exact64:
-        col = planner.alloc((c_in_g, n, oh, ow), "scratch", f"{ir.name}.col")
-        tmp = planner.alloc((c_out, n * oh * ow), "scratch", f"{ir.name}.tmp")
-        m_g = c_out // groups
-
-        def make_tap_gemm():
-            x = padded()
-            acc2 = acc.a.reshape(c_out, n * oh * ow)
-            col2 = col.a.reshape(c_in_g, n * oh * ow)
-
-            def run():
-                first = True
-                for i in range(kh):
-                    for j in range(kw):
-                        for g in range(groups):
-                            sl = x[
-                                g * c_in_g : (g + 1) * c_in_g,
-                                :,
-                                i : i + stride * oh : stride,
-                                j : j + stride * ow : stride,
-                            ]
-                            np.copyto(col.a, sl)
-                            wij = w_taps[g * m_g : (g + 1) * m_g, :, i, j]
-                            rows = acc2[g * m_g : (g + 1) * m_g] if first else tmp.a[g * m_g : (g + 1) * m_g]
-                            if exact64:
-                                rows[...] = wij @ col2.astype(np.float64)
-                            else:
-                                np.dot(np.ascontiguousarray(wij), col2, out=rows)
-                        if not first:
-                            np.add(acc2, tmp.a, out=acc2)
-                        first = False
-
-            return run, acc.a
-
-        return make_tap_gemm, [acc, col, tmp]
-
-    if not _tap_kernels(n, kh * kw * c_in * n * hp * wp):
+    if not _gather_kernel(ir, n, oh, ow, exact64):
 
         def make_einsum():
-            win = sliding_window_view(padded(), (kh, kw), axis=(2, 3))
-            if stride > 1:
-                win = win[:, :, ::stride, ::stride]
+            win = sliding_window_view(pbuf.a, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
             path = np.einsum_path("cnhwij,ocij->onhw", win, w_taps, optimize=True)[0]
 
             def run():
@@ -755,28 +810,32 @@ def _plan_dense(em: _Emitter, ir: _ConvIR, pbuf, pview, n, oh, ow, exact64: bool
 
         return make_einsum, [acc]
 
-    acc_pad = planner.alloc((c_out, n * hp * wp), "scratch", f"{ir.name}.accpad")
-    # flat-tap einsum over the whole padded grid (overrun lands in pad
-    # positions / arena slack, excluded by the slice)
-    em.need_tail_slack((kh - 1) * wp + (kw - 1))
+    k = c_in_g * kh * kw
+    m = n * oh * ow
+    m_g = c_out // groups
+    col = planner.alloc((c_in * kh * kw, m), "scratch", f"{ir.name}.col")
+    idx = planner.constant(_gather_index(c_in, n, hp, wp, kh, kw, stride, oh, ow))
+    w2 = w_taps.reshape(c_out, k)
 
-    def make_flat():
-        nhw = n * hp * wp
-        itemsize = pbuf.a.itemsize
-        v = np.lib.stride_tricks.as_strided(
-            pbuf.a,
-            shape=(c_in, kh, kw, nhw),
-            strides=(nhw * itemsize, wp * itemsize, itemsize, itemsize),
-        )
-        path = np.einsum_path("cijm,ocij->om", v, w_taps, optimize=True)[0]
-        acc_full = acc_pad.a.reshape(c_out, n, hp, wp)
+    def make_gather():
+        src = pbuf.a.reshape(-1)
+        acc2 = acc.a.reshape(c_out, m)
+        gemms = [
+            (w2[g * m_g : (g + 1) * m_g], col.a[g * k : (g + 1) * k], acc2[g * m_g : (g + 1) * m_g])
+            for g in range(groups)
+        ]
 
         def run():
-            np.einsum("cijm,ocij->om", v, w_taps, optimize=path, out=acc_pad.a)
+            np.take(src, idx, out=col.a, mode="wrap")  # "raise" would buffer ``out``
+            for w_g, col_g, acc_g in gemms:
+                if exact64:
+                    acc_g[...] = w_g @ col_g.astype(np.float64)
+                else:
+                    np.dot(w_g, col_g, out=acc_g)
 
-        return run, acc_full[:, :, : stride * oh : stride, : stride * ow : stride]
+        return run, acc.a
 
-    return make_flat, [acc, acc_pad]
+    return make_gather, [acc, col]
 
 
 def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, tail) -> _Val:
@@ -789,7 +848,11 @@ def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, ta
     # ---- input slot: pre-filled by the producer, borrowed, or built here.
     if id(ir) in em.slot_for:
         pbuf, pview = em.slot_for.pop(id(ir))
-    elif (val.grid is not None or ir.grid is None) and ir.padding == 0 and val.viewer is _identity_view:
+    elif (
+        (val.grid is not None or ir.grid is None)
+        and (ir.padding == 0 or _operator_kernel(ir, c_in, h, w))
+        and val.viewer is _identity_view
+    ):
         pbuf, pview = val.buf, _identity_view  # borrow the producer's buffer
     else:
         pbuf, pview = _make_conv_slot(em, ir, c_in, n, h, w)
@@ -831,7 +894,7 @@ def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, ta
     exact64 = ir.needs_float64()
 
     prefix = "conv" if ir.grid is None else "qconv"
-    depthwise = ir.groups == c_in and ir.weight.shape[1] == 1 and ir.groups == c_out
+    depthwise = _is_depthwise(ir, c_in)
     pointwise = kh == 1 and kw == 1 and ir.groups == 1 and ir.stride == 1 and ir.padding == 0
 
     if pointwise:
@@ -857,10 +920,10 @@ def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, ta
         em.log(f"{prefix}.pw")
     else:
         if depthwise:
-            make, bufs = _plan_depthwise(em, ir, pbuf, n, oh, ow)
+            make, bufs = _plan_depthwise(em, ir, pbuf, n, h, w, oh, ow)
             label, kind = f"dw.{ir.name}", f"{prefix}.dw"
         else:
-            make, bufs = _plan_dense(em, ir, pbuf, pview, n, oh, ow, exact64)
+            make, bufs = _plan_dense(em, ir, pbuf, n, oh, ow, exact64)
             label, kind = f"im2col.{ir.name}", f"{prefix}.im2col"
 
         def factory(out_buf=out_buf, out_view=out_view, staging=bufs[0]):
@@ -1121,7 +1184,7 @@ def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index:
                 np.multiply(idv(idb.a), k, out=tmp.a)
                 np.add(target, tmp.a, out=target)
                 np.rint(target, out=target)
-                np.clip(target, lo, hi, out=target)
+                target.clip(lo, hi, out=target)
 
             return run
 

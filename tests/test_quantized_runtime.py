@@ -86,21 +86,25 @@ class TestInt8Parity:
 
     def test_bitwise_batch_invariance(self, rng):
         """Per-sample results never depend on batch assembly — the property
-        padded dynamic batching relies on.  Between batch 2 and batch 6 the
-        stem and several stride-1 and stride-2 depthwise layers cross the
-        kernel rule's tap budget, so this also pins the tap-stack and einsum
-        kernels to the same integers."""
+        padded dynamic batching relies on.  At res 20 every depthwise conv
+        runs the operator matmul and the stem the gathered gemm.  At res 32
+        the 16-px depthwise layers run the tap kernels and cross the tap
+        budget between batch 1 and 3 while the 8-px ones stay on the
+        operator, and the stem crosses the gather budget between batch 3 and
+        40, so this pins every kernel the registry models pick to the same
+        integers."""
         model = _quantized_model("mobilenetv2-tiny", rng)
         engine = repro.compile(model, mode="int8")
-        x = rng.normal(0.2, 0.8, size=(6, 3, 20, 20)).astype(np.float32)
-        batched = engine.numpy_forward(x)
-        for size in (1, 2, 3):
-            for start in range(0, x.shape[0], size):
-                rows = engine.numpy_forward(x[start : start + size])
-                np.testing.assert_array_equal(rows, batched[start : start + size], err_msg=str(size))
-        # padding with zero rows must not change the real rows either
-        padded = np.concatenate([x[:3], np.zeros_like(x[:3])])
-        np.testing.assert_array_equal(engine.numpy_forward(padded)[:3], batched[:3])
+        for res, batch in ((20, 6), (32, 40)):
+            x = rng.normal(0.2, 0.8, size=(batch, 3, res, res)).astype(np.float32)
+            batched = engine.numpy_forward(x)
+            for size in (1, 2, 3):
+                for start in range(0, x.shape[0], size):
+                    rows = engine.numpy_forward(x[start : start + size])
+                    np.testing.assert_array_equal(rows, batched[start : start + size], err_msg=f"{res}/{size}")
+            # padding with zero rows must not change the real rows either
+            padded = np.concatenate([x[:3], np.zeros_like(x[:3])])
+            np.testing.assert_array_equal(engine.numpy_forward(padded)[:3], batched[:3])
 
     def test_conv_bn_relu6_block_exact(self, rng):
         """A single quantized ConvBNAct matches the oracle bit-for-bit (the
@@ -122,6 +126,94 @@ class TestInt8Parity:
         out = engine(nn.Tensor(rng.normal(size=(1, 3, 20, 20)).astype(np.float32)))
         assert isinstance(out, nn.Tensor)
         assert not out.requires_grad
+
+
+def _integer_conv_reference(q, w, stride, padding, groups):
+    """Integer conv of grid values ``q`` with int8 weights ``w``, in float64."""
+    n, _, h, wd = q.shape
+    c_out, c_in_g, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    qp = np.pad(q.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((n, c_out, oh, ow))
+    m_g = c_out // groups
+    for g in range(groups):
+        xs = qp[:, g * c_in_g : (g + 1) * c_in_g]
+        wg = w[g * m_g : (g + 1) * m_g].astype(np.float64)
+        for i in range(kh):
+            for j in range(kw):
+                patch = xs[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+                out[:, g * m_g : (g + 1) * m_g] += np.einsum("ncyx,oc->noyx", patch, wg[:, :, i, j])
+    return out
+
+
+# (channels in, channels out, groups, kernel, stride, padding, map side).
+# Depthwise convs run the operator matmul on maps up to 12 px a side whose
+# operator (C*H*W*OH*OW) fits 2**20 elements, and the tap-stack / einsum
+# kernels otherwise; dense convs gather their column matrix within 2**18
+# elements (whichever the batch; the 24-px rows cross it between b1 and b8)
+# and run a windowed einsum past it.  Grouped and float64 convs always gather.
+SMALL_MAP_CONVS = [
+    (8, 8, 8, 3, 1, 1, 12),  # depthwise, operator
+    (8, 8, 8, 3, 1, 1, 13),  # depthwise, just past the side bound: flat tap kernels
+    (8, 8, 8, 3, 2, 1, 12),
+    (8, 8, 8, 3, 2, 1, 16),  # windowed tap kernels
+    (8, 8, 8, 3, 1, 0, 7),
+    (8, 8, 8, 3, 2, 0, 9),
+    (8, 8, 8, 5, 1, 2, 10),
+    (8, 8, 8, 5, 2, 2, 11),
+    (8, 8, 8, 5, 2, 2, 14),
+    (8, 8, 8, 5, 1, 0, 9),
+    (64, 64, 64, 3, 1, 1, 12),  # past the operator budget: tap kernels
+    (3, 8, 1, 3, 2, 1, 12),  # the stem shape, gathered
+    (3, 8, 1, 3, 1, 0, 8),
+    (3, 8, 1, 5, 2, 2, 9),
+    (16, 8, 1, 3, 1, 1, 24),  # gathered at b1-b3, windowed einsum at b8
+    (8, 4, 1, 5, 1, 2, 24),  # gathered at b1-b2, windowed einsum at b3 and b8
+    (8, 8, 2, 3, 2, 1, 10),  # grouped
+    (64, 4, 1, 3, 1, 1, 6),  # K*max|w|*max|v| past 2**24: float64 accumulation
+]
+
+
+class TestSmallMapKernels:
+    """Each conv kernel, on both sides of each rule bound, is exact in int8
+    and within round-off of eager in float."""
+
+    @pytest.mark.parametrize("c_in,c_out,groups,k,stride,padding,side", SMALL_MAP_CONVS)
+    def test_int8_equals_integer_conv_reference(self, rng, c_in, c_out, groups, k, stride, padding, side):
+        model = nn.Sequential(nn.Conv2d(c_in, c_out, k, stride, padding, groups=groups, bias=False))
+        model.eval()
+        quantize_model(model)
+        calibrate(model, [rng.normal(0.2, 0.8, size=(8, c_in, side, side)).astype(np.float32)])
+        wrapper = next(m for _, m in model.named_modules() if isinstance(m, _QuantizedWrapper))
+        scale, zp = wrapper.input_qparams()
+        qmax = float(2**wrapper.spec.bits - 1)
+        w_scale = np.atleast_1d(wrapper.weight_scale).astype(np.float64)
+        multiplier = (float(scale) * np.broadcast_to(w_scale, (c_out,))).astype(np.float32)
+        engine = repro.compile(model, mode="int8")
+
+        x = rng.normal(0.2, 0.8, size=(8, c_in, side, side)).astype(np.float32)
+        q = np.clip(np.rint(x * np.float32(1.0 / scale)), -zp, qmax - zp)
+        acc = _integer_conv_reference(q, wrapper.weight_q, stride, padding, groups)
+        expected = acc.astype(np.float32) * multiplier.reshape(1, -1, 1, 1)
+        batched = engine.numpy_forward(x)
+        np.testing.assert_array_equal(batched, expected)
+        for size in (1, 2, 3):
+            for start in range(0, len(x), size):
+                rows = engine.numpy_forward(x[start : start + size])
+                np.testing.assert_array_equal(rows, batched[start : start + size], err_msg=str(size))
+
+    @pytest.mark.parametrize("c_in,c_out,groups,k,stride,padding,side", SMALL_MAP_CONVS)
+    def test_float_matches_eager(self, rng, c_in, c_out, groups, k, stride, padding, side):
+        model = nn.Sequential(nn.Conv2d(c_in, c_out, k, stride, padding, groups=groups))
+        model.eval()
+        net = repro.compile(model)
+        for batch in (1, 2, 3, 8):
+            x = rng.normal(size=(batch, c_in, side, side)).astype(np.float32)
+            with nn.no_grad():
+                eager = model(nn.Tensor(x)).numpy()
+            out = net.numpy_forward(x)
+            assert float(np.abs(out - eager).max()) <= 1e-5 * float(np.abs(eager).max()), batch
 
 
 class TestIntegerLowering:
@@ -306,6 +398,17 @@ class TestMemoryPlanner:
         model = _quantized_model("mobilenetv2-tiny", rng)
         report = repro.compile(model, mode="int8").memory_report((8, 3, 20, 20))
         assert report.peak_total_int8_bytes < 3 * report.peak_value_int8_bytes
+
+    def test_constants_reported_outside_the_arena(self, rng):
+        """The small-map kernels' spatial operators and gather indices live
+        outside the arena; the report counts them instead of hiding them."""
+        model = _quantized_model("mobilenetv2-tiny", rng)
+        report = repro.compile(model, mode="int8").memory_report((8, 3, 20, 20))
+        assert report.constant_bytes > 0
+        assert "outside the arena" in report.summary()
+        chain, channels, res = self._pointwise_chain(rng)
+        report = repro.compile(chain, mode="int8").memory_report((1, channels[0], res, res))
+        assert report.constant_bytes == 0
 
     def test_plan_io_propagates_memory_plan_errors(self):
         from repro.runtime import plan_io
