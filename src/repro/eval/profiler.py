@@ -116,23 +116,16 @@ def measure_latency(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     probe_data = np.zeros((batch_size,) + tuple(input_shape), dtype=np.float32)
-    was_training = model.training
-    model.eval()
-
-    forward = None
-    used_compiled = False
     if compiled:
-        from ..runtime import CompileError, compile_model
+        from ..runtime import compile_model
 
-        try:
-            net = compile_model(model, mode="infer")
-            forward = lambda: net.numpy_forward(probe_data)  # noqa: E731
-            used_compiled = True
-        except CompileError:
-            forward = None
-    if forward is None:
+        net = compile_model(model, mode="infer")
+        forward = lambda: net.numpy_forward(probe_data)  # noqa: E731
+    else:
         probe = nn.Tensor(probe_data)
         forward = lambda: model(probe)  # noqa: E731
+    was_training = model.training
+    model.eval()
 
     timings = []
     with nn.no_grad():
@@ -147,9 +140,8 @@ def measure_latency(
         "mean_ms": float(np.mean(timings)),
         "median_ms": float(np.median(timings)),
         "best_ms": float(np.min(timings)),
-        # 1.0 when the fused runtime was timed, 0.0 for the eager forward
-        # (either requested or after a compilation failure fallback).
-        "compiled": 1.0 if used_compiled else 0.0,
+        # 1.0 when the fused runtime was timed, 0.0 for the eager forward.
+        "compiled": 1.0 if compiled else 0.0,
     }
     stats.update(latency_percentiles(timings))
     return stats

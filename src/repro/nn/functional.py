@@ -216,7 +216,7 @@ def col2im(
 
 
 # --------------------------------------------------------------------------- #
-# raw convolution kernels (shared by autograd and the training runtime)
+# raw convolution kernels of the autograd conv
 # --------------------------------------------------------------------------- #
 # The dense (groups == 1, k > 1) convolution is lowered to a single sgemm over
 # channel-major patch columns of shape ``(C_in, kH, kW, N, oH, oW)``; the same
@@ -254,13 +254,9 @@ def _dense_conv_forward_from_cols(cols: np.ndarray, wd: np.ndarray) -> np.ndarra
 
 
 def _depthwise_conv_forward(
-    xp: np.ndarray,
-    windows: np.ndarray,
-    wd: np.ndarray,
-    stride: int,
-    out: np.ndarray | None = None,
+    xp: np.ndarray, windows: np.ndarray, wd: np.ndarray, stride: int
 ) -> np.ndarray:
-    """Depthwise (multiplier 1) forward shared by autograd and the runtime.
+    """Depthwise (multiplier 1) forward of the autograd conv.
 
     ``xp`` is the padded input, ``windows`` its strided window view.  Large
     kernels at stride 1 use one fused row-contraction per kernel row (much
@@ -271,10 +267,8 @@ def _depthwise_conv_forward(
     oh, ow = windows.shape[2:4]
     # The output buffer is always explicit and C-contiguous: einsum otherwise
     # picks a layout-dependent result order, and downstream contractions are
-    # bit-sensitive to operand strides (the compiled runtime and the eager
-    # tape must see identical layouts to stay bit-identical).
-    if out is None:
-        out = np.empty(windows.shape[:4], dtype=xp.dtype)
+    # bit-sensitive to operand strides.
+    out = np.empty(windows.shape[:4], dtype=xp.dtype)
     if stride == 1 and kh == kw and kh > 3:
         win_rows = sliding_window_view(xp, kw, axis=3)
         np.einsum("nchwj,cj->nchw", win_rows[:, :, 0:oh], wd[:, 0, 0], out=out, optimize=True)
@@ -292,7 +286,6 @@ def _scatter_cols(
     input_shape: tuple[int, int, int, int],
     stride: int,
     padding: int,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scatter-add channel-major column grads back into an NCHW image.
 
@@ -317,10 +310,7 @@ def _scatter_cols(
             ys = slice(i - padding + stride * r0, i - padding + stride * r1 + 1, stride)
             xs = slice(j - padding + stride * c0, j - padding + stride * c1 + 1, stride)
             acc[:, :, ys, xs] += gcols[:, i, j, :, r0 : r1 + 1, c0 : c1 + 1]
-    if out is None:
-        return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
-    np.copyto(out, acc.transpose(1, 0, 2, 3))
-    return out
+    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
 
 
 def _grad_channel_major(grad: np.ndarray) -> np.ndarray:
@@ -342,7 +332,6 @@ def _dense_conv_backward(
     padding: int,
     need_x: bool,
     need_w: bool,
-    dx_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Backward of the dense conv: two sgemms sharing the staged operands."""
     c_in, kh, kw = cols.shape[:3]
@@ -360,7 +349,7 @@ def _dense_conv_backward(
             grad_mat,
             out=gcols.reshape(c_in * kh * kw, nhw),
         )
-        dx = _scatter_cols(gcols, input_shape, stride, padding, out=dx_out)
+        dx = _scatter_cols(gcols, input_shape, stride, padding)
     return dx, dw
 
 
@@ -373,7 +362,6 @@ def _depthwise_conv_backward(
     padding: int,
     need_x: bool,
     need_w: bool,
-    dx_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Backward of the depthwise (multiplier 1) conv without window tensors.
 
@@ -403,7 +391,7 @@ def _depthwise_conv_backward(
             gp = np.pad(grad, ((0, 0), (0, 0), (pg, pg), (pg, pg))) if pg > 0 else grad
             win_rows = sliding_window_view(gp, kw, axis=3)
             w_flip = wd[:, 0, ::-1, ::-1]
-            dx = dx_out if dx_out is not None else np.empty((n, c_in, h, w), dtype=grad.dtype)
+            dx = np.empty((n, c_in, h, w), dtype=grad.dtype)
             np.einsum("nchwj,cj->nchw", win_rows[:, :, 0:h], w_flip[:, 0], out=dx, optimize=True)
             for i in range(1, kh):
                 dx += np.einsum(
@@ -421,12 +409,7 @@ def _depthwise_conv_backward(
                     j_max = j + stride * ow
                     np.multiply(grad, wd[:, 0, i, j].reshape(1, c_in, 1, 1), out=tmp)
                     acc[:, :, i:i_max:stride, j:j_max:stride] += tmp
-            inner = acc[:, :, padding : padding + h, padding : padding + w]
-            if dx_out is None:
-                dx = np.ascontiguousarray(inner)
-            else:
-                np.copyto(dx_out, inner)
-                dx = dx_out
+            dx = np.ascontiguousarray(acc[:, :, padding : padding + h, padding : padding + w])
     return dx, dw
 
 
@@ -439,7 +422,6 @@ def _pointwise_conv_backward(
     padding: int,
     need_x: bool,
     need_w: bool,
-    dx_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Backward of the 1x1 conv; ``x_flat`` is the ``(N, C_in, oH*oW)`` input."""
     n, c_in, h, w = input_shape
@@ -456,23 +438,14 @@ def _pointwise_conv_backward(
         dw = (grad_mat @ x_t.reshape(c_in, -1).T).reshape(wd.shape)
     if need_x:
         w_mat = wd.reshape(c_out, c_in)
-        if dx_out is not None and stride == 1 and padding == 0:
-            np.matmul(w_mat.T, grad_flat, out=dx_out.reshape(n, c_in, out_h * out_w))
-            return dx_out, dw
-        grad_xs = np.matmul(w_mat.T, grad_flat).reshape(n, c_in, out_h, out_w)
+        dx = np.matmul(w_mat.T, grad_flat).reshape(n, c_in, out_h, out_w)
         if stride > 1 or padding > 0:
             grad_padded = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=grad.dtype)
-            grad_padded[:, :, : stride * out_h : stride, : stride * out_w : stride] = grad_xs
+            grad_padded[:, :, : stride * out_h : stride, : stride * out_w : stride] = dx
             if padding > 0:
-                inner = grad_padded[:, :, padding:-padding, padding:-padding]
-                grad_xs = np.ascontiguousarray(inner) if dx_out is None else inner
+                dx = np.ascontiguousarray(grad_padded[:, :, padding:-padding, padding:-padding])
             else:
-                grad_xs = grad_padded
-        if dx_out is None:
-            dx = grad_xs
-        else:
-            np.copyto(dx_out, grad_xs)
-            dx = dx_out
+                dx = grad_padded
     return dx, dw
 
 
@@ -519,7 +492,8 @@ def conv2d(
         or weight.requires_grad
         or (bias is not None and bias.requires_grad)
     )
-    depthwise = c_in_g == 1 and groups == c_in
+    # Multiplier-1 depthwise only; a larger multiplier runs the grouped path.
+    depthwise = c_in_g == 1 and groups == c_in == c_out
     pointwise = kh == 1 and kw == 1 and groups == 1
     multiplier = c_out // groups
 
@@ -546,12 +520,7 @@ def conv2d(
         if depthwise:
             # Depthwise fast path: contract only over the window axes,
             # skipping the grouped reshape dance entirely.
-            if multiplier == 1:
-                out = _depthwise_conv_forward(xp, windows, wd, stride)
-            else:
-                w_dw = wd.reshape(c_in, multiplier, kh, kw)
-                out = np.einsum("nchwij,cmij->ncmhw", windows, w_dw, optimize=True)
-                out = out.reshape(n, c_out, out_h, out_w)
+            out = _depthwise_conv_forward(xp, windows, wd, stride)
         elif groups == 1:
             if grad_needed:
                 # Materialise the columns once; the buffer feeds the forward
@@ -591,7 +560,7 @@ def conv2d(
                 weight._accumulate(dw, owned=True)
             if dx is not None:
                 x._accumulate(dx, owned=True)
-        elif depthwise and multiplier == 1:
+        elif depthwise:
             dx, dw = _depthwise_conv_backward(
                 grad, windows, wd, xd.shape, stride, padding,
                 need_x=x.requires_grad, need_w=weight.requires_grad,
@@ -600,18 +569,6 @@ def conv2d(
                 weight._accumulate(dw, owned=True)
             if dx is not None:
                 x._accumulate(dx, owned=True)
-        elif depthwise:
-            grad_g = grad.reshape(n, c_in, multiplier, out_h, out_w)
-            if weight.requires_grad:
-                grad_w = np.einsum("ncmhw,nchwij->cmij", grad_g, windows, optimize=True)
-                weight._accumulate(grad_w.reshape(wd.shape), owned=True)
-            if x.requires_grad:
-                w_dw = wd.reshape(c_in, multiplier, kh, kw)
-                grad_windows = np.einsum("ncmhw,cmij->nchwij", grad_g, w_dw, optimize=True)
-                x._accumulate(
-                    _scatter_windows(grad_windows, xd.shape, (kh, kw), stride, padding),
-                    owned=True,
-                )
         elif groups == 1:
             dx, dw = _dense_conv_backward(
                 grad, cols, wd, xd.shape, stride, padding,
@@ -744,7 +701,6 @@ def batch_norm2d_train_raw(
     running_var: np.ndarray,
     momentum: float,
     eps: float,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Training-mode batch-norm forward with a fused affine output.
 
@@ -754,8 +710,7 @@ def batch_norm2d_train_raw(
     into one per-channel affine ``x * scale + shift``, so ``x_hat`` is never
     materialised.  Updates ``running_mean`` / ``running_var`` in place and
     returns the output plus the ``(xd, mean, inv_std)`` cache
-    :func:`batch_norm2d_train_grad` consumes.  Shared by the autograd op and
-    the compiled training runtime so both paths stay bit-identical.
+    :func:`batch_norm2d_train_grad` consumes.
     """
     c = xd.shape[1]
     count = xd.shape[0] * xd.shape[2] * xd.shape[3]
@@ -770,10 +725,7 @@ def batch_norm2d_train_raw(
     inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma_d * inv_std
     shift = beta_d - mean * scale
-    if out is None:
-        out = xd * scale.reshape(1, c, 1, 1)
-    else:
-        np.multiply(xd, scale.reshape(1, c, 1, 1), out=out)
+    out = xd * scale.reshape(1, c, 1, 1)
     out += shift.reshape(1, c, 1, 1)
     return out, (xd, mean, inv_std)
 
@@ -785,8 +737,6 @@ def batch_norm2d_train_grad(
     need_x: bool = True,
     need_gamma: bool = True,
     need_beta: bool = True,
-    dx_out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Backward of :func:`batch_norm2d_train_raw`; returns ``(dx, dgamma, dbeta)``.
 
@@ -803,11 +753,7 @@ def batch_norm2d_train_grad(
     c = xd.shape[1]
     m = xd.shape[0] * xd.shape[2] * xd.shape[3]
     mean4 = mean.reshape(1, c, 1, 1)
-    if scratch is None:
-        centered = xd - mean4
-    else:
-        np.subtract(xd, mean4, out=scratch)
-        centered = scratch
+    centered = xd - mean4
     grad_sum = grad.sum(axis=(0, 2, 3))
     grad_xhat_sum = inv_std * np.einsum("nchw,nchw->c", grad, centered, optimize=False)
     dgamma = grad_xhat_sum if need_gamma else None
@@ -819,11 +765,7 @@ def batch_norm2d_train_grad(
         coeff_a = gamma_d * inv_std
         coeff_b = -coeff_a * inv_std * grad_xhat_sum * (1.0 / m)
         coeff_c = -coeff_a * grad_sum * (1.0 / m)
-        if dx_out is None:
-            dx = grad * coeff_a.reshape(1, c, 1, 1)
-        else:
-            np.multiply(grad, coeff_a.reshape(1, c, 1, 1), out=dx_out)
-            dx = dx_out
+        dx = grad * coeff_a.reshape(1, c, 1, 1)
         centered *= coeff_b.reshape(1, c, 1, 1)
         dx += centered
         dx += coeff_c.reshape(1, c, 1, 1)

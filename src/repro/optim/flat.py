@@ -10,8 +10,8 @@ become a handful of vectorised in-place ops over the whole model at once.
 
 Because the autograd tape accumulates gradients with ``param.grad += g`` when
 a gradient buffer is already bound (see ``Tensor._accumulate``), the eager
-backward pass and the compiled training runtime both write straight into the
-flat gradient buffer — no gather step is needed in :meth:`FlatSGD.step`.
+backward pass writes straight into the flat gradient buffer — no gather step
+is needed in :meth:`FlatSGD.step`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Compiled runtimes: one graph IR, declared passes, two lowering backends.
+"""Compiled runtimes: one graph IR, one fixed pass pipeline, two executors.
 
 Every engine starts from the same traced :class:`~repro.runtime.ir.Graph`
-(one shared tracer in :mod:`repro.runtime.ir`) transformed by declared
-compiler passes (:mod:`repro.runtime.passes`); the single frontend —
-exported at the top level as :func:`repro.compile` — picks the backend::
+(one shared tracer in :mod:`repro.runtime.ir`) annotated by the fixed pass
+pipeline (:func:`repro.runtime.passes.annotate`); the single frontend —
+exported at the top level as :func:`repro.compile` — picks the executor::
 
     import repro
 
@@ -41,7 +41,6 @@ from .artifact import (
 )
 from .frontend import compile_model
 from .ir import CompileError, Graph, OpNode, QuantCompileError, activation_spec, trace
-from .passes import PassManager, PassOrderError
 from .planner import ArenaPlanner, IOPlan, MemoryPlan, plan_io
 from .program import CompiledNet, QuantizedNet
 
@@ -56,16 +55,14 @@ __all__ = [
     "model_fingerprint",
     "ArtifactError",
     "ArtifactInfo",
-    # shared IR + passes
+    # shared IR
     "Graph",
     "OpNode",
     "trace",
-    "PassManager",
-    "PassOrderError",
     # executors
     "CompiledNet",
     "QuantizedNet",
-    # backend building blocks
+    # executor building blocks
     "QuantCompileError",
     "ArenaPlanner",
     "MemoryPlan",

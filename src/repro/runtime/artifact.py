@@ -299,8 +299,7 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
     ----------
     executor:
         A :class:`~repro.runtime.CompiledNet` or
-        :class:`~repro.runtime.QuantizedNet` produced by :func:`repro.compile`
-        (it must still carry its annotated graph).
+        :class:`~repro.runtime.QuantizedNet` produced by :func:`repro.compile`.
     path:
         Destination file.  Written atomically (temp file + rename).
     input_shape:
@@ -318,12 +317,6 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
     mode, model = _executor_mode(executor)
     if model is None:
         raise ArtifactError("executor has no source model attached; cannot serialize")
-    graph = executor.graph
-    if graph is None:
-        raise ArtifactError(
-            "executor was built from a raw program (no graph attached); "
-            "recompile through repro.compile before saving"
-        )
     ref = _registry_ref(model, model_ref)
     state = model.state_dict()
     header = {
@@ -331,7 +324,7 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
         "format_version": FORMAT_VERSION,
         "mode": mode,
         "model": ref,
-        "graph": graph_record(graph),
+        "graph": graph_record(executor.graph),
         "plan": _plan_record(executor, input_shape),
         "state": {
             name: {"dtype": str(v.dtype), "shape": list(v.shape)} for name, v in state.items()

@@ -2,9 +2,9 @@
 
 :func:`compile_model` — exported as :func:`repro.compile` — is the single
 entry point into the compiled runtimes.  It traces the model once
-(:func:`repro.runtime.ir.trace`), schedules the mode's declared pass pipeline
-(:mod:`repro.runtime.passes`) and hands the annotated graph to the matching
-backend::
+(:func:`repro.runtime.ir.trace`), runs the fixed pass pipeline
+(:func:`repro.runtime.passes.annotate`) and hands the annotated graph to the
+mode's executor::
 
     import repro
 
@@ -25,9 +25,10 @@ Both modes lower onto the one planned executor in
 from __future__ import annotations
 
 from .. import nn
+from ..compress.quantization import _QuantizedWrapper
+from . import passes
 from .ir import CompileError, QuantCompileError, trace
-from .passes import PassManager, inference_pipeline, int8_pipeline
-from .program import build_inference_program, build_quantized_program
+from .program import CompiledNet, QuantizedNet
 
 __all__ = ["CompileError", "compile_model"]
 
@@ -40,33 +41,6 @@ _MODE_ALIASES = {
     "int8": "int8",
     "quantized": "int8",
 }
-
-
-# --------------------------------------------------------------------------- #
-# mode builders
-# --------------------------------------------------------------------------- #
-def _build_infer(model: nn.Module):
-    graph = trace(model)
-    graph.meta["mode"] = "infer"
-    PassManager(inference_pipeline()).run(graph)
-    return build_inference_program(graph)
-
-
-def _build_int8(model: nn.Module):
-    from ..compress.quantization import _QuantizedWrapper
-
-    wrappers = [m for _, m in model.named_modules() if isinstance(m, _QuantizedWrapper)]
-    if not wrappers:
-        raise QuantCompileError(
-            "model has no quantized layers; run repro.compress.quantize_model first"
-        )
-    graph = trace(model)
-    graph.meta["mode"] = "int8"
-    PassManager(int8_pipeline()).run(graph)
-    return build_quantized_program(graph)
-
-
-_MODE_BUILDERS = {"infer": _build_infer, "int8": _build_int8}
 
 
 def compile_model(model: nn.Module, mode: str = "infer"):
@@ -101,4 +75,10 @@ def compile_model(model: nn.Module, mode: str = "infer"):
     key = _MODE_ALIASES.get(str(mode).lower())
     if key is None:
         raise CompileError(f"unknown compile mode {mode!r}; expected one of {MODES}")
-    return _MODE_BUILDERS[key](model)
+    int8 = key == "int8"
+    if int8 and not any(isinstance(m, _QuantizedWrapper) for _, m in model.named_modules()):
+        raise QuantCompileError(
+            "model has no quantized layers; run repro.compress.quantize_model first"
+        )
+    graph = passes.annotate(trace(model), int8)
+    return QuantizedNet(graph) if int8 else CompiledNet(graph)

@@ -10,13 +10,13 @@ module owns that knowledge once:
   produces a :class:`Graph` of typed :class:`OpNode` records
   (``conv`` / ``qconv`` / ``linear`` / ``qlinear`` / ``bn`` / ``act`` /
   ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``);
-* the passes in :mod:`repro.runtime.passes` transform and annotate the graph
+* :func:`repro.runtime.passes.annotate` transforms and annotates the graph
   (BN folding, activation fusion, int8 grid annotation, layout);
 * :mod:`repro.runtime.program` lowers the annotated graph of either mode
   onto its one planned executor.
 
-Nodes hold a *reference* to their source module, never copied weights — what a
-backend snapshots (or binds live) is a backend decision.  Pass results live in
+Nodes hold a *reference* to their source module, never copied weights — what
+the executor snapshots is its own decision.  Pass results live in
 ``OpNode.meta`` (``bn_folds``, ``act``, ``spec``, ``grid``) and
 ``Graph.meta`` (``layout``, ``passes``, ``mode``), which is also what the
 executors' ``describe()`` reports render.
@@ -37,7 +37,6 @@ from ..nn.norm import FrozenBatchNorm2d
 
 __all__ = [
     "CompileError",
-    "UnsupportedModule",
     "QuantCompileError",
     "OpNode",
     "Graph",
@@ -50,14 +49,6 @@ __all__ = [
 
 class CompileError(Exception):
     """Base error of the :func:`repro.compile` frontend and its passes."""
-
-
-class UnsupportedModule(CompileError):
-    """Raised by lowering helpers when a module has no fused equivalent.
-
-    Backends catch this to fall back to eager execution; the frontend converts
-    an uncaught instance into a :class:`CompileError` for the caller.
-    """
 
 
 class QuantCompileError(CompileError):
@@ -108,9 +99,8 @@ def activation_spec(module: nn.Module) -> tuple | None:
 
     Raises
     ------
-    UnsupportedModule
-        If the module is not a recognised activation (the caller then falls
-        back to eager execution).
+    CompileError
+        If the module is not a recognised activation.
     """
     if isinstance(module, nn.Identity):
         return None
@@ -142,7 +132,7 @@ def activation_spec(module: nn.Module) -> tuple | None:
         return ("hardsigmoid",)
     if isinstance(module, nn.HardSwish):
         return ("hardswish",)
-    raise UnsupportedModule(type(module).__name__)
+    raise CompileError(f"unsupported activation module {type(module).__name__}")
 
 
 # --------------------------------------------------------------------------- #
@@ -168,8 +158,9 @@ class OpNode:
         Structural attributes fixed at trace time (stride, padding, groups,
         pool kind, dropout rate, …).
     meta:
-        Pass annotations (``bn_folds``, ``act``, ``spec``, ``grid``, …).  Mutated by :class:`~repro.runtime.passes.Pass`
-        instances, consumed by backends and ``describe()``.
+        Pass annotations (``bn_folds``, ``act``, ``spec``, ``grid``, …).
+        Written by :func:`repro.runtime.passes.annotate`, consumed by the
+        executor and ``describe()``.
     body:
         Nested :class:`Graph` for ``residual`` nodes, ``None`` otherwise.
     """
@@ -362,7 +353,7 @@ def trace(model: nn.Module) -> Graph:
 
     This is the single tracer every compile mode consumes; mode-specific
     decisions (BN folding, dropout elision, activation fusion, int8 grids)
-    are made later by the :mod:`repro.runtime.passes` pipelines, never here.
+    are made later by :func:`repro.runtime.passes.annotate`, never here.
 
     Parameters
     ----------

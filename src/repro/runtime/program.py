@@ -2,16 +2,16 @@
 
 This module is the lowering target of :func:`repro.compile` for both modes.
 The frontend traces the model once (:func:`repro.runtime.ir.trace`) and runs
-the mode's pass pipeline; :func:`build_inference_program` (``mode="infer"``)
-or :func:`build_quantized_program` (``mode="int8"``) then lowers the
-annotated graph to one statically planned program: a channel-first
-``(C, N, H, W)`` arena, plans built lazily and cached per input shape, a
-fixed shape rule that picks each conv's kernel, and producers writing
-straight into a padded consumer's slot.
+the fixed pass pipeline (:func:`repro.runtime.passes.annotate`);
+:class:`CompiledNet` (``mode="infer"``) or :class:`QuantizedNet`
+(``mode="int8"``) then lowers the annotated graph to one statically planned
+program: a channel-first ``(C, N, H, W)`` arena, plans built lazily and
+cached per input shape, a fixed shape rule that picks each conv's kernel,
+and producers writing straight into a padded consumer's slot.
 
 **The int8 engine** (:class:`QuantizedNet`) consumes a model processed by
 :func:`repro.compress.quantize_model` + :func:`repro.compress.calibrate`
-and annotated by the int8 pass pipeline (BN-fold, integer clamp fusion, grid
+and annotated by the int8 passes (BN-fold, integer clamp fusion, grid
 annotation, CNHW layout).  Its program *actually executes on the integer
 grid*, instead of round-tripping through float like the fake-quant eager
 path:
@@ -104,13 +104,7 @@ from ..nn.functional import _pad2d, _pool_slices, conv_output_size
 from .ir import Graph, OpNode, QuantCompileError, bn_scale_shift
 from .planner import ArenaPlanner, MemoryPlan
 
-__all__ = [
-    "CompiledNet",
-    "QuantizedNet",
-    "QuantCompileError",
-    "build_inference_program",
-    "build_quantized_program",
-]
+__all__ = ["CompiledNet", "QuantizedNet", "QuantCompileError"]
 
 # float32 mantissa capacity: integer sums below this are exact.
 _EXACT_F32_BOUND = float(2**24)
@@ -1299,15 +1293,15 @@ class _PlannedNet:
         The model this program was compiled from (weights are snapshotted —
         retraining or recalibrating requires recompiling).
     graph:
-        The annotated :class:`~repro.runtime.ir.Graph` the program was built
-        from (``None`` when constructed from a raw IR list).
+        The annotated :class:`~repro.runtime.ir.Graph` the program was lowered
+        from (see :func:`repro.runtime.passes.annotate`).
     """
 
     _grids = True  # hand integer grids from op to op
 
-    def __init__(self, ir: list, source: nn.Module, graph: Graph | None = None):
-        self._ir = ir
-        self.source = source
+    def __init__(self, graph: Graph):
+        self._ir = _ir_from_graph(graph)
+        self.source = graph.source
         self.graph = graph
         self._local = threading.local()
         # _op_log is assigned by whichever thread builds the first plan; the
@@ -1380,21 +1374,14 @@ class _PlannedNet:
             raise RuntimeError("no plan built yet; run a batch or call plan() first")
         return list(self._op_log)
 
-    def memory_report(self, input_shape: tuple[int, ...]) -> MemoryPlan:
-        """The arena plan (peak working set, buffer table) for a shape."""
-        return self.plan(tuple(input_shape)).memory
-
     def memory_plan(self, input_shape: tuple[int, ...]) -> MemoryPlan:
-        """Uniform-frontend alias of :meth:`memory_report`: the *executable*
-        plan — the exact arena the program runs in."""
-        return self.memory_report(input_shape)
+        """The arena plan (peak working set, buffer table) for a shape: the
+        exact arena the program runs in."""
+        return self.plan(tuple(input_shape)).memory
 
     def describe(self) -> str:
         """Printable lowering report (passes applied + annotated node table)."""
-        banner = f"{type(self).__name__} — compiled by repro.compile"
-        if self.graph is None:
-            return banner + " (no graph attached; compiled from a pre-built program)"
-        return banner + "\n" + self.graph.describe()
+        return f"{type(self).__name__} — compiled by repro.compile\n" + self.graph.describe()
 
     def save(self, path: str, *, input_shape=None, model_ref: dict | None = None):
         """Serialize to a versioned artifact file (see :func:`repro.load`)."""
@@ -1423,11 +1410,6 @@ class QuantizedNet(_PlannedNet):
     """
 
 
-def build_quantized_program(graph: Graph) -> QuantizedNet:
-    """Lower an annotated graph to a :class:`QuantizedNet` (frontend backend hook)."""
-    return QuantizedNet(_ir_from_graph(graph), graph.source, graph=graph)
-
-
 class CompiledNet(_PlannedNet):
     """A model lowered to a planned float program for inference.
 
@@ -1438,8 +1420,3 @@ class CompiledNet(_PlannedNet):
     """
 
     _grids = False  # integer ops quantize their own input
-
-
-def build_inference_program(graph: Graph) -> CompiledNet:
-    """Lower an annotated graph to a :class:`CompiledNet` (frontend backend hook)."""
-    return CompiledNet(_ir_from_graph(graph), graph.source, graph=graph)

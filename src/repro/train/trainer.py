@@ -107,21 +107,17 @@ def evaluate(
     By default the model is lowered through :mod:`repro.runtime` (BatchNorm
     folding + fused conv/bias/activation kernels), which is substantially
     faster than the eager tape on CPU.  Set ``compiled=False`` to force the
-    eager path.  A model the compiler rejects with
-    :class:`~repro.runtime.CompileError` is evaluated eagerly too; any other
-    compile error propagates.
+    eager path.  Compile errors propagate: every model the tracer accepts
+    compiles, with unrecognised modules run eagerly inside the program.
     """
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    was_training = model.training
-    model.eval()
     forward = None
     if compiled:
-        from ..runtime import CompileError, compile_model
+        from ..runtime import compile_model
 
-        try:
-            forward = compile_model(model, mode="infer").numpy_forward
-        except CompileError:
-            forward = None
+        forward = compile_model(model, mode="infer").numpy_forward
+    was_training = model.training
+    model.eval()
     correct_meter = AverageMeter("accuracy")
     with nn.no_grad():
         for images, labels in loader:

@@ -109,6 +109,7 @@ class TestProfiler:
         assert stats["p50_ms"] == pytest.approx(stats["median_ms"])
 
     def test_measure_latency_falls_back_only_on_compile_error(self, tiny_model, monkeypatch):
+        """No eager fallback: compile errors propagate, ``compiled=False`` times eager."""
         import repro.runtime
         from repro.runtime import CompileError
 
@@ -116,7 +117,12 @@ class TestProfiler:
             raise CompileError("not lowerable")
 
         monkeypatch.setattr(repro.runtime, "compile_model", reject)
-        assert measure_latency(tiny_model, (3, 16, 16), repeats=1, warmup=0)["compiled"] == 0.0
+        tiny_model.train()
+        with pytest.raises(CompileError, match="not lowerable"):
+            measure_latency(tiny_model, (3, 16, 16), repeats=1, warmup=0)
+        assert tiny_model.training  # the failed compile left the mode alone
+        eager = measure_latency(tiny_model, (3, 16, 16), repeats=1, warmup=0, compiled=False)
+        assert eager["compiled"] == 0.0
 
         def broken(model, mode="infer", **kwargs):
             raise RuntimeError("compiler bug")

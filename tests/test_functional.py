@@ -52,10 +52,11 @@ class TestConv2d:
         np.testing.assert_allclose(out.numpy(), expected, rtol=1e-6)
 
     def test_gradients_full_and_depthwise(self, rng):
-        for groups in (1, 3):
+        # (groups, C_out): dense, depthwise, and depthwise with multiplier 2
+        for groups, c_out in ((1, 3), (3, 3), (3, 6)):
             x = make_tensor((2, 3, 6, 6), rng)
-            w = make_tensor((3, 3 // groups, 3, 3), rng)
-            b = make_tensor((3,), rng)
+            w = make_tensor((c_out, 3 // groups, 3, 3), rng)
+            b = make_tensor((c_out,), rng)
             out = F.conv2d(x, w, b, stride=1, padding=1, groups=groups)
             (out * out).sum().backward()
 

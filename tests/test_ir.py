@@ -15,15 +15,7 @@ from repro.runtime import (
     trace,
 )
 from repro.runtime.ir import CompileError, Graph, OpNode
-from repro.runtime.passes import (
-    EliminateDropout,
-    FoldBatchNorm,
-    FuseActivations,
-    PassManager,
-    PassOrderError,
-    inference_pipeline,
-    int8_pipeline,
-)
+from repro.runtime.passes import annotate
 
 
 def _randomize_bn_stats(model: nn.Module, rng) -> None:
@@ -97,21 +89,9 @@ class TestTracer:
 
 
 class TestPassOrdering:
-    def test_fusion_requires_fold_first(self):
-        with pytest.raises(PassOrderError):
-            PassManager([FuseActivations(), FoldBatchNorm()])
-
-    def test_fold_then_fuse_is_valid(self):
-        PassManager([FoldBatchNorm(), FuseActivations()])  # must not raise
-
-    def test_declared_pipelines_are_valid(self):
-        for pipeline in (inference_pipeline(), int8_pipeline()):
-            PassManager(pipeline)  # must not raise
-
     def test_bn_folds_recorded_before_fusion(self):
         block = ConvBNAct(3, 4, kernel_size=3)  # conv -> bn -> relu6
-        graph = trace(block)
-        PassManager([EliminateDropout(), FoldBatchNorm(), FuseActivations()]).run(graph)
+        graph = annotate(trace(block), int8=False)
         assert graph.kinds() == ["conv"]
         conv = graph.nodes[0]
         assert len(conv.meta["bn_folds"]) == 1
@@ -179,12 +159,10 @@ class TestMemoryPlans:
         assert plan.peak_value_int8_bytes == peak_activation_memory(model, (3, 12, 12))
 
     def test_quantized_net_memory_plan_alias(self, rng):
+        """``memory_plan`` is the arena of the plan the engine runs."""
         engine = repro.compile(_quantized_model("mobilenetv2-tiny", rng), mode="int8")
         shape = (1, 3, 16, 16)
-        assert (
-            engine.memory_plan(shape).peak_value_int8_bytes
-            == engine.memory_report(shape).peak_value_int8_bytes
-        )
+        assert engine.memory_plan(shape) is engine.plan(shape).memory
 
     def test_deployment_report_surfaces_planner_peaks(self, rng):
         from repro.eval.deployment import deployment_report

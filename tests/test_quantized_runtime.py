@@ -358,14 +358,14 @@ class TestMemoryPlanner:
         analytic MCU approximation max(input + output) exactly."""
         model, channels, res = self._pointwise_chain(rng)
         engine = repro.compile(model, mode="int8")
-        report = engine.memory_report((1, channels[0], res, res))
+        report = engine.memory_plan((1, channels[0], res, res))
         analytic = peak_activation_memory(model, (channels[0], res, res), bytes_per_element=1)
         assert report.peak_value_int8_bytes == analytic
 
     def test_arena_reuses_buffers(self, rng):
         model, channels, res = self._pointwise_chain(rng)
         engine = repro.compile(model, mode="int8")
-        report = engine.memory_report((1, channels[0], res, res))
+        report = engine.memory_plan((1, channels[0], res, res))
         total_requested = sum(b.size for b in report.buffers)
         assert report.arena_elements < total_requested
 
@@ -377,7 +377,7 @@ class TestMemoryPlanner:
         the next layer's input) — the two accountings agree to within 2x."""
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
         engine = repro.compile(model, mode="int8")
-        report = engine.memory_report((1, 3, 16, 16))
+        report = engine.memory_plan((1, 3, 16, 16))
         analytic = peak_activation_memory(model, (3, 16, 16), bytes_per_element=1)
         assert analytic / 2 <= report.peak_value_int8_bytes <= 2 * analytic
 
@@ -396,18 +396,18 @@ class TestMemoryPlanner:
         """Only the picked kernels' scratch is planned, and no tap stack
         exceeds the rule's budget: scratch stays well under twice the values."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        report = repro.compile(model, mode="int8").memory_report((8, 3, 20, 20))
+        report = repro.compile(model, mode="int8").memory_plan((8, 3, 20, 20))
         assert report.peak_total_int8_bytes < 3 * report.peak_value_int8_bytes
 
     def test_constants_reported_outside_the_arena(self, rng):
         """The small-map kernels' spatial operators and gather indices live
         outside the arena; the report counts them instead of hiding them."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        report = repro.compile(model, mode="int8").memory_report((8, 3, 20, 20))
+        report = repro.compile(model, mode="int8").memory_plan((8, 3, 20, 20))
         assert report.constant_bytes > 0
         assert "outside the arena" in report.summary()
         chain, channels, res = self._pointwise_chain(rng)
-        report = repro.compile(chain, mode="int8").memory_report((1, channels[0], res, res))
+        report = repro.compile(chain, mode="int8").memory_plan((1, channels[0], res, res))
         assert report.constant_bytes == 0
 
     def test_plan_io_propagates_memory_plan_errors(self):
@@ -425,7 +425,7 @@ class TestMemoryPlanner:
 
     def test_memory_plan_summary_mentions_peak(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        summary = repro.compile(model, mode="int8").memory_report((1, 3, 16, 16)).summary()
+        summary = repro.compile(model, mode="int8").memory_plan((1, 3, 16, 16)).summary()
         assert "peak working set" in summary
 
 

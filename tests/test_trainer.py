@@ -248,7 +248,7 @@ class TestCheckpoint:
 
 
 class TestEvaluateCompileErrors:
-    """evaluate() falls back to the eager tape only on a typed CompileError."""
+    """evaluate() never falls back to the eager tape: compile errors propagate."""
 
     def _trained(self):
         dataset = _toy_dataset(n=16)
@@ -257,6 +257,7 @@ class TestEvaluateCompileErrors:
         return model, dataset
 
     def test_compile_error_evaluates_eagerly(self, monkeypatch):
+        """Only ``compiled=False`` evaluates eagerly; a CompileError propagates."""
         import repro.runtime
         from repro.runtime import CompileError
 
@@ -267,7 +268,11 @@ class TestEvaluateCompileErrors:
             raise CompileError("not lowerable")
 
         monkeypatch.setattr(repro.runtime, "compile_model", reject)
-        assert evaluate(model, dataset) == eager
+        assert evaluate(model, dataset, compiled=False) == eager
+        model.train()
+        with pytest.raises(CompileError, match="not lowerable"):
+            evaluate(model, dataset)
+        assert model.training  # the failed compile left the mode alone
 
     def test_other_compile_failures_propagate(self, monkeypatch):
         import repro.runtime
