@@ -8,9 +8,11 @@ reference on each engine:
 * ``infer``  — planned float program vs the eager forward (round-off
   tolerance), and batch-8 rows vs batch-1 forwards of the same samples
   (layers cross the kernel rule between those sizes); the infer checks also
-  cover the expanded MobileNetV2-Tiny giant mid-PLT (eager expanded blocks,
-  standalone BN with a fused activation) and a model whose eager head
-  changes rank;
+  cover the expanded MobileNetV2-Tiny giant mid-PLT for each expanded block
+  type (typed conv/BN/activation nodes, a standalone BN with a fused
+  activation after a residual expanded block) and a model whose eager head
+  changes rank.  Only that model may lower to an ``eager`` node, and it
+  must;
 * ``int8``   — true-integer engine vs the fake-quant oracle (dequantization
   tolerance derived from the classifier's grid, like the test-suite's bound),
   and batch-8 rows bit-identical to batch-1 and batch-2 forwards of the same
@@ -47,12 +49,17 @@ import repro
 from repro import nn
 from repro.compress import calibrate, quantize_model
 from repro.compress.quantization import QuantizedLinear
-from repro.core.expansion import expand_network
+from repro.core.expansion import EXPANDED_BLOCK_TYPES, ExpansionConfig, expand_network
 from repro.core.plt import PLTSchedule
 from repro.models import available_models, create_model
 
-GIANT = "mobilenetv2-tiny-giant"
+GIANTS = {f"mobilenetv2-tiny-giant-{block_type}": block_type for block_type in EXPANDED_BLOCK_TYPES}
 RANK_HEAD = "rank-changing-head"
+# Models draw their weights from one module-level generator, so each check's
+# weights depend on the checks before it.  The basic and bottleneck giants run
+# after every other check, which keeps the weights of the rest as they were
+# before those giants were added.
+LAST = {"mobilenetv2-tiny-giant-basic", "mobilenetv2-tiny-giant-bottleneck"}
 
 
 def _randomize_bn_stats(model: nn.Module, rng) -> None:
@@ -84,8 +91,10 @@ class _MeanHead(nn.Module):
 
 
 def _infer_model(name: str) -> nn.Module:
-    if name == GIANT:
-        giant, _ = expand_network(create_model("mobilenetv2-tiny", num_classes=8))
+    if name in GIANTS:
+        giant, _ = expand_network(
+            create_model("mobilenetv2-tiny", num_classes=8), ExpansionConfig(block_type=GIANTS[name])
+        )
         schedule = PLTSchedule(giant, total_steps=10)
         for _ in range(4):
             schedule.step()
@@ -107,6 +116,8 @@ def check_infer(name: str, res: int, rng) -> tuple[str, str]:
     delta = float(np.abs(out - eager).max())
     if not np.allclose(out, eager, rtol=1e-3, atol=1e-3):
         raise AssertionError(f"{name}/infer drifted from eager: max|delta|={delta:.3g}")
+    if ("eager" in net.ops) != (name == RANK_HEAD):
+        raise AssertionError(f"{name}/infer eager nodes: {net.ops.count('eager')}")
     batch = rng.normal(size=(8, 3, res, res)).astype(np.float32)
     rows = net.numpy_forward(batch)
     singles = np.concatenate([net.numpy_forward(batch[i : i + 1]) for i in range(len(batch))])
@@ -148,16 +159,17 @@ def check_int8(name: str, res: int, rng, parity: bool = True) -> tuple[str, str]
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--models", nargs="*", default=None, help=f"registry models, {GIANT}, {RANK_HEAD} (default: all)"
+        "--models", nargs="*", default=None, help=f"registry models, {', '.join(GIANTS)}, {RANK_HEAD} (default: all)"
     )
     parser.add_argument("--resolution", type=int, nargs="+", default=[16, 32])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    models = args.models if args.models else available_models() + [GIANT, RANK_HEAD]
+    models = args.models if args.models else available_models() + [*GIANTS, RANK_HEAD]
     runs = [(name, "infer", check_infer) for name in models]
     runs += [(name, "int8", check_int8) for name in models if name in available_models()]
     runs = [(name, mode, check, res) for res in args.resolution for name, mode, check in runs]
+    runs.sort(key=lambda run: run[0] in LAST)
     first = args.resolution[0]
     runs = [
         (name, mode, check if res == first or mode != "int8" else partial(check_int8, parity=False), res)
@@ -168,10 +180,10 @@ def main() -> int:
         rng = np.random.default_rng(args.seed)
         try:
             status, detail = check(name, res, rng)
-            print(f"{status:<4s} {name:<22s} {mode:<6s} r{res:<3d} {detail}")
+            print(f"{status:<4s} {name:<40s} {mode:<6s} r{res:<3d} {detail}")
         except Exception as error:  # noqa: BLE001 - report and keep going
             failures.append(f"{name}/{mode}/r{res}: {error}")
-            print(f"FAIL {name:<22s} {mode:<6s} r{res:<3d} {error}")
+            print(f"FAIL {name:<40s} {mode:<6s} r{res:<3d} {error}")
     if failures:
         print(f"\n{len(failures)} failure(s)", file=sys.stderr)
         return 1

@@ -15,7 +15,10 @@ The three design questions from the paper are exposed as configuration:
 The expanded blocks use :class:`~repro.nn.activations.DecayableReLU`
 activations so that Step 2 (PLT, :mod:`repro.core.plt`) can anneal the
 non-linearities away and Step 3 (:mod:`repro.core.contraction`) can merge the
-block back into a single convolution.
+block back into a single convolution.  Each block is an
+:class:`~repro.nn.module.Chain`: the order in which it registers its children
+is its forward, what :func:`repro.compile` traces to typed nodes, and what
+contraction merges.
 """
 
 from __future__ import annotations
@@ -105,13 +108,14 @@ def _make_decayable(activation: str) -> nn.Module:
     return nn.DecayableReLU()
 
 
-class ExpandedBlock(nn.Module):
+class ExpandedBlock(nn.Chain):
     """Base class for blocks inserted in place of a pointwise convolution.
 
-    Subclasses populate :attr:`stages` — an ordered list of
-    ``(Conv2d, BatchNorm2d | None, DecayableReLU | None)`` triples — which is
-    all the contraction step needs, plus :attr:`use_residual` for the skip
-    connection.
+    A :class:`~repro.nn.module.Chain`: subclasses register
+    ``Conv2d → BatchNorm2d → DecayableReLU`` units in execution order (the
+    last unit has no activation) and the shared forward runs them, adding the
+    input back when :attr:`use_residual` is set.  :meth:`linear_chain` reads
+    the same registration order, so the contraction step needs nothing else.
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int):
@@ -121,10 +125,15 @@ class ExpandedBlock(nn.Module):
         self.stride = stride
         self.use_residual = stride == 1 and in_channels == out_channels
 
-    # Subclasses must keep this in sync with their forward pass.
     def linear_chain(self) -> list[tuple[nn.Conv2d, nn.BatchNorm2d | None]]:
         """Conv/BN pairs in execution order (activations omitted)."""
-        raise NotImplementedError
+        chain: list[tuple[nn.Conv2d, nn.BatchNorm2d | None]] = []
+        for module in self.children():
+            if isinstance(module, nn.Conv2d):
+                chain.append((module, None))
+            elif isinstance(module, nn.BatchNorm2d):
+                chain[-1] = (chain[-1][0], module)
+        return chain
 
     def decayable_activations(self) -> list[nn.Module]:
         """All decayable activations inside the block."""
@@ -169,21 +178,6 @@ class ExpandedInvertedResidual(ExpandedBlock):
         self.project_conv = nn.Conv2d(hidden, out_channels, 1, bias=False)
         self.project_bn = nn.BatchNorm2d(out_channels)
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.expand_act(self.expand_bn(self.expand_conv(x)))
-        out = self.depthwise_act(self.depthwise_bn(self.depthwise_conv(out)))
-        out = self.project_bn(self.project_conv(out))
-        if self.use_residual:
-            out = out + x
-        return out
-
-    def linear_chain(self) -> list[tuple[nn.Conv2d, nn.BatchNorm2d | None]]:
-        return [
-            (self.expand_conv, self.expand_bn),
-            (self.depthwise_conv, self.depthwise_bn),
-            (self.project_conv, self.project_bn),
-        ]
-
 
 class ExpandedBasicBlock(ExpandedBlock):
     """ResNet-style basic block with 1×1 kernels (Table IV ablation)."""
@@ -204,16 +198,6 @@ class ExpandedBasicBlock(ExpandedBlock):
         self.act1 = _make_decayable(activation)
         self.conv2 = nn.Conv2d(hidden, out_channels, 1, bias=False)
         self.bn2 = nn.BatchNorm2d(out_channels)
-
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.act1(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
-        if self.use_residual:
-            out = out + x
-        return out
-
-    def linear_chain(self) -> list[tuple[nn.Conv2d, nn.BatchNorm2d | None]]:
-        return [(self.conv1, self.bn1), (self.conv2, self.bn2)]
 
 
 class ExpandedBottleneck(ExpandedBlock):
@@ -245,21 +229,6 @@ class ExpandedBottleneck(ExpandedBlock):
         self.mid_act = _make_decayable(activation)
         self.expand_conv = nn.Conv2d(wide, out_channels, 1, bias=False)
         self.expand_bn = nn.BatchNorm2d(out_channels)
-
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.reduce_act(self.reduce_bn(self.reduce_conv(x)))
-        out = self.mid_act(self.mid_bn(self.mid_conv(out)))
-        out = self.expand_bn(self.expand_conv(out))
-        if self.use_residual:
-            out = out + x
-        return out
-
-    def linear_chain(self) -> list[tuple[nn.Conv2d, nn.BatchNorm2d | None]]:
-        return [
-            (self.reduce_conv, self.reduce_bn),
-            (self.mid_conv, self.mid_bn),
-            (self.expand_conv, self.expand_bn),
-        ]
 
 
 EXPANDED_BLOCK_TYPES: dict[str, type[ExpandedBlock]] = {

@@ -206,29 +206,19 @@ class DeploymentReport:
         return "\n".join(lines)
 
 
-def _planned_peak_bytes(
-    model: nn.Module, input_shape: tuple[int, int, int]
-) -> tuple[int | None, str | None]:
+def _planned_peak_bytes(model: nn.Module, input_shape: tuple[int, int, int]) -> tuple[int, str]:
     """Arena-planner peak working set of the compiled runtime, in int8 bytes.
 
     Uses the int8 engine's executable plan when the model is quantized and
-    calibrated, the float program's executable plan otherwise;
-    ``(None, None)`` when the model cannot be compiled at all.
+    calibrated, the float program's executable plan otherwise.  Every model
+    compiles (a module the tracer does not know runs as an eager node), so a
+    ``CompileError`` here is a fault and propagates.
     """
     import repro
 
-    shape = (1,) + tuple(input_shape)
-    if _is_calibrated_int8(model):
-        try:
-            plan = repro.compile(model, mode="int8").memory_plan(shape)
-            return plan.peak_value_int8_bytes, "int8"
-        except repro.CompileError:
-            pass  # not integer-lowerable after all: fall back to float accounting
-    try:
-        plan = repro.compile(model, mode="infer").memory_plan(shape)
-        return plan.peak_value_int8_bytes, "float"
-    except repro.CompileError:
-        return None, None
+    mode, backend = ("int8", "int8") if _is_calibrated_int8(model) else ("infer", "float")
+    plan = repro.compile(model, mode=mode).memory_plan((1,) + tuple(input_shape))
+    return plan.peak_value_int8_bytes, backend
 
 
 def _is_calibrated_int8(model: nn.Module) -> bool:
@@ -250,6 +240,9 @@ def _cold_start_times(
     much replica boot time does loading it save over recompiling the prepared
     model?  (``repro.serve``'s bench additionally charges the compile path
     for model init, quantization and calibration — the full boot story.)
+    All four fields are ``None`` when the model cannot be saved as an
+    artifact (one built outside the model registry has no reference to
+    rebuild it from).
     """
     import os
     import tempfile
@@ -276,7 +269,7 @@ def _cold_start_times(
             load_artifact(path)
             load_times.append((time.perf_counter() - start) * 1e3)
         return min(compile_times), min(load_times), size, mode
-    except (repro.CompileError, repro.ArtifactError):
+    except repro.ArtifactError:
         return None, None, None, None
     finally:
         os.unlink(path)

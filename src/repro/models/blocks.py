@@ -4,6 +4,11 @@ The paper considers three candidate blocks for Network Expansion (Sec. III-C,
 Q1): the *inverted residual* block of MobileNetV2, and ResNet's *basic* and
 *bottleneck* blocks.  All three are implemented here so both the model zoo and
 the Table IV ablation can use them.
+
+Every block is an :class:`~repro.nn.module.Chain`: its ``__init__`` registers
+its children in execution order and sets ``use_residual`` for the skip
+connection, and the shared forward runs exactly that.  There is no
+hand-written forward to keep in sync with the compile tracer.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ def _make_activation(name: str | None) -> nn.Module:
     raise ValueError(f"unknown activation {name!r}")
 
 
-class ConvBNAct(nn.Module):
+class ConvBNAct(nn.Chain):
     """``Conv -> BatchNorm -> activation``, the unit NetBooster operates on.
 
     The convolution is created without a bias (the BatchNorm provides the
@@ -73,11 +78,8 @@ class ConvBNAct(nn.Module):
         self.bn = nn.BatchNorm2d(out_channels)
         self.act = _make_activation(activation)
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        return self.act(self.bn(self.conv(x)))
 
-
-class InvertedResidual(nn.Module):
+class InvertedResidual(nn.Chain):
     """MobileNetV2 inverted residual block (expand → depthwise → project).
 
     Parameters
@@ -117,14 +119,8 @@ class InvertedResidual(nn.Module):
         )
         self.project = ConvBNAct(hidden, out_channels, kernel_size=1, activation=None)
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.project(self.depthwise(self.expand(x)))
-        if self.use_residual:
-            out = out + x
-        return out
 
-
-class BasicBlock(nn.Module):
+class BasicBlock(nn.Chain):
     """ResNet basic block: two equal-width convolutions with a residual add.
 
     ``kernel_size`` defaults to 3 as in ResNet; NetBooster's Table IV ablation
@@ -148,14 +144,8 @@ class BasicBlock(nn.Module):
         self.conv1 = ConvBNAct(in_channels, out_channels, kernel_size, stride=stride, activation=activation)
         self.conv2 = ConvBNAct(out_channels, out_channels, kernel_size, activation=None)
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.conv2(self.conv1(x))
-        if self.use_residual:
-            out = out + x
-        return out
 
-
-class Bottleneck(nn.Module):
+class Bottleneck(nn.Chain):
     """ResNet bottleneck block: reduce → spatial conv → expand."""
 
     def __init__(
@@ -176,9 +166,3 @@ class Bottleneck(nn.Module):
         self.reduce = ConvBNAct(in_channels, hidden, kernel_size=1, activation=activation)
         self.spatial = ConvBNAct(hidden, hidden, kernel_size, stride=stride, activation=activation)
         self.expand = ConvBNAct(hidden, out_channels, kernel_size=1, activation=None)
-
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.expand(self.spatial(self.reduce(x)))
-        if self.use_residual:
-            out = out + x
-        return out

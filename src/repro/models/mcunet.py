@@ -27,8 +27,12 @@ _MCUNET_BLOCKS: list[tuple[int, int, int, int]] = [
 ]
 
 
-class MCUNet(nn.Module):
-    """A small NAS-style inverted-residual network with mixed kernel sizes."""
+class MCUNet(nn.Chain):
+    """A small NAS-style inverted-residual network with mixed kernel sizes.
+
+    A :class:`~repro.nn.module.Chain`: ``features`` → ``pool`` → ``flatten``
+    → ``classifier``, in registration order.
+    """
 
     def __init__(
         self,
@@ -64,11 +68,6 @@ class MCUNet(nn.Module):
         self.flatten = nn.Flatten()
         self.classifier = nn.Linear(head_out, num_classes)
         self.feature_channels = head_out
-
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        x = self.features(x)
-        x = self.flatten(self.pool(x))
-        return self.classifier(x)
 
     def forward_features(self, x: nn.Tensor) -> nn.Tensor:
         """Return the backbone feature map."""

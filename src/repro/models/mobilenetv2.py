@@ -31,8 +31,11 @@ _FULL_SETTINGS: list[tuple[int, int, int, int]] = [
 _TINY_SETTINGS: list[tuple[int, int, int, int]] = _FULL_SETTINGS
 
 
-class MobileNetV2(nn.Module):
+class MobileNetV2(nn.Chain):
     """Inverted-residual classification network.
+
+    A :class:`~repro.nn.module.Chain`: ``features`` → ``pool`` → ``flatten``
+    → ``dropout`` → ``classifier``, in registration order.
 
     Attributes
     ----------
@@ -82,12 +85,6 @@ class MobileNetV2(nn.Module):
         self.dropout = nn.Dropout(dropout) if dropout > 0 else nn.Identity()
         self.classifier = nn.Linear(head_out, num_classes)
         self.feature_channels = head_out
-
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        x = self.features(x)
-        x = self.flatten(self.pool(x))
-        x = self.dropout(x)
-        return self.classifier(x)
 
     def forward_features(self, x: nn.Tensor) -> nn.Tensor:
         """Return the backbone feature map (used by the detector)."""

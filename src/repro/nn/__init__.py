@@ -5,7 +5,8 @@ The subpackage provides:
 * :class:`~repro.nn.tensor.Tensor` — reverse-mode autograd on NumPy arrays;
 * :mod:`~repro.nn.functional` — convolution, pooling, normalisation, losses;
 * a small module system (:class:`~repro.nn.module.Module`,
-  :class:`~repro.nn.module.Parameter`, :class:`~repro.nn.module.Sequential`);
+  :class:`~repro.nn.module.Parameter`, :class:`~repro.nn.module.Chain`,
+  :class:`~repro.nn.module.Sequential`);
 * standard layers, normalisation variants, loss modules and activations,
   including the :class:`~repro.nn.activations.DecayableReLU` central to
   Progressive Linearization Tuning.
@@ -46,7 +47,7 @@ from .losses import (
     SmoothL1Loss,
     SoftTargetCrossEntropy,
 )
-from .module import Identity, Module, ModuleList, Parameter, Sequential
+from .module import Chain, Identity, Module, ModuleList, Parameter, Sequential
 from .norm import FrozenBatchNorm2d, GroupNorm, InstanceNorm2d, LayerNorm
 from .tensor import Tensor, no_grad
 
@@ -55,6 +56,7 @@ __all__ = [
     "no_grad",
     "Module",
     "Parameter",
+    "Chain",
     "Sequential",
     "ModuleList",
     "Identity",

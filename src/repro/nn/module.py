@@ -15,7 +15,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Sequential", "Identity", "ModuleList"]
+__all__ = ["Parameter", "Module", "Chain", "Sequential", "Identity", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -198,18 +198,34 @@ class Identity(Module):
         return x
 
 
-class Sequential(Module):
+class Chain(Module):
+    """Run child modules in registration order, then add the input back if
+    :attr:`use_residual` is set.
+
+    Every block and model of the zoo, and every NetBooster expanded block, is
+    a chain: the order in which its ``__init__`` registers children is its
+    forward, and the compile tracer and the contraction step read the same
+    order.  Every registered child runs, so register only modules meant to run.
+    """
+
+    use_residual = False
+
+    def forward(self, x: Tensor) -> Tensor:
+        out = x
+        for module in self._modules.values():
+            out = module(out)
+        if self.use_residual:
+            out = out + x
+        return out
+
+
+class Sequential(Chain):
     """Run child modules in order."""
 
     def __init__(self, *modules: Module):
         super().__init__()
         for index, module in enumerate(modules):
             setattr(self, str(index), module)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self._modules.values():
-            x = module(x)
-        return x
 
     def __len__(self) -> int:
         return len(self._modules)

@@ -1,15 +1,16 @@
 """Shared graph IR for the compiled runtimes.
 
 Both engines in :mod:`repro.runtime` — the planned float inference program
-and the true-integer int8 engine — used to walk the eager module tree with their
-own private lowering functions, re-implementing structure recognition
-(``ConvBNAct``, ``InvertedResidual``, classifier heads, …) per engine.  This
-module owns that knowledge once:
+and the true-integer int8 engine — consume one traced graph:
 
 * :func:`trace` walks an eager :class:`~repro.nn.module.Module` tree and
   produces a :class:`Graph` of typed :class:`OpNode` records
   (``conv`` / ``qconv`` / ``linear`` / ``qlinear`` / ``bn`` / ``act`` /
-  ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``);
+  ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``).
+  It knows layers, not models: every block and model of the zoo, and every
+  expanded block of the NetBooster giant, is an :class:`~repro.nn.module.Chain`
+  whose children trace in registration order, wrapped in a ``residual`` node
+  when the chain adds its input back;
 * :func:`repro.runtime.passes.annotate` transforms and annotates the graph
   (BN folding, activation fusion, int8 grid annotation, layout);
 * :mod:`repro.runtime.program` lowers the annotated graph of either mode
@@ -29,10 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
-from ..compress.quantization import QuantizedConv2d, QuantizedLinear, _QuantizedWrapper
-from ..models.blocks import BasicBlock, Bottleneck, ConvBNAct, InvertedResidual
-from ..models.mcunet import MCUNet
-from ..models.mobilenetv2 import MobileNetV2
+from ..compress.quantization import QuantizedConv2d, QuantizedLinear
 from ..nn.norm import FrozenBatchNorm2d
 
 __all__ = [
@@ -274,8 +272,6 @@ def _trace(module: nn.Module, name: str) -> list[OpNode]:
         return [OpNode("qlinear", name, module, _conv_attrs(module.wrapped))]
     if isinstance(module, QuantizedConv2d):
         return [OpNode("qconv", name, module, _conv_attrs(module.wrapped))]
-    if isinstance(module, _QuantizedWrapper):  # pragma: no cover - future wrappers
-        return [OpNode("eager", name, module)]
     if isinstance(module, nn.Conv2d):
         return [OpNode("conv", name, module, _conv_attrs(module))]
     if isinstance(module, nn.Linear):
@@ -294,53 +290,14 @@ def _trace(module: nn.Module, name: str) -> list[OpNode]:
         return [OpNode("gap", name, module)]
     if isinstance(module, nn.Flatten):
         return [OpNode("flatten", name, module)]
-    if isinstance(module, nn.Sequential):
-        return _trace_children(module._modules.items(), name)
-    if isinstance(module, ConvBNAct):
-        return _trace_children(
-            [("conv", module.conv), ("bn", module.bn), ("act", module.act)], name
-        )
-    if isinstance(module, InvertedResidual):
-        body = _trace_children(
-            [("expand", module.expand), ("depthwise", module.depthwise), ("project", module.project)],
-            name,
-        )
+    # Every block and model of the zoo is a Chain: its children in registration
+    # order, inside a residual node when it adds its input back.  A subclass
+    # that writes its own forward is opaque like any other unknown module.
+    if isinstance(module, nn.Chain) and type(module).forward is nn.Chain.forward:
+        body = _trace_children(module._modules.items(), name)
         if module.use_residual:
             return [OpNode("residual", name, module, body=Graph(body))]
         return body
-    if isinstance(module, BasicBlock):
-        body = _trace_children([("conv1", module.conv1), ("conv2", module.conv2)], name)
-        if module.use_residual:
-            return [OpNode("residual", name, module, body=Graph(body))]
-        return body
-    if isinstance(module, Bottleneck):
-        body = _trace_children(
-            [("reduce", module.reduce), ("spatial", module.spatial), ("expand", module.expand)], name
-        )
-        if module.use_residual:
-            return [OpNode("residual", name, module, body=Graph(body))]
-        return body
-    if isinstance(module, MobileNetV2):
-        return _trace_children(
-            [
-                ("features", module.features),
-                ("pool", module.pool),
-                ("flatten", module.flatten),
-                ("dropout", module.dropout),
-                ("classifier", module.classifier),
-            ],
-            name,
-        )
-    if isinstance(module, MCUNet):
-        return _trace_children(
-            [
-                ("features", module.features),
-                ("pool", module.pool),
-                ("flatten", module.flatten),
-                ("classifier", module.classifier),
-            ],
-            name,
-        )
     if isinstance(module, ACTIVATION_MODULES):
         return [OpNode("act", name, module)]
     # Unrecognised structure: a single opaque node the backends run eagerly —

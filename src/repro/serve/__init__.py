@@ -33,8 +33,7 @@ from the command line.  :class:`AutoscaleController` + :class:`SLOConfig`
 itself against a p99/queue-depth SLO and degrades gracefully at capacity.
 
 Engines are named by :data:`~repro.serve.fleet.ENGINES` (``--engine
-{eager,float,int8}``): ``float`` and ``int8`` are compiled with
-:func:`repro.compile`, ``eager`` serves the uncompiled module.
+{float,int8}``): both are compiled with :func:`repro.compile`.
 """
 
 from __future__ import annotations
@@ -114,10 +113,9 @@ def build_server(
 
     ``engine`` is one of :data:`ENGINES`: ``"int8"`` (the default)
     quantizes and calibrates the model on synthetic data first and compiles
-    it with :func:`repro.compile`, ``"float"`` serves the planned float
-    runtime, and ``"eager"`` serves the plain module.  Extra keyword
-    arguments configure the engine's batching policy (``max_batch``,
-    ``max_wait_ms``, ``workers``...).
+    it with :func:`repro.compile`, and ``"float"`` serves the planned float
+    runtime.  Extra keyword arguments configure the engine's batching policy
+    (``max_batch``, ``max_wait_ms``, ``workers``...).
 
     The model construction is shared with the fleet's
     :func:`~repro.serve.fleet.model_backend` builder, so both serving tiers

@@ -24,7 +24,7 @@ resizes itself between ``--min-replicas`` and ``--max-replicas`` against the
 ``--duration-s`` / ``--traffic`` switch the load generator to open loop
 (fixed arrival schedule; the only mode that can genuinely overload).
 
-``--engine`` is one of ``eager``, ``float`` or ``int8`` (the default);
+``--engine`` is ``float`` or ``int8`` (the default);
 prints sustained req/s, latency percentiles and the batch-size mix.
 
 Compiled artifacts (:mod:`repro.runtime.artifact`) plug in at three points::
@@ -298,8 +298,6 @@ def _do_save_artifact(parser, args, engine_name: str) -> int:
     """``--save-artifact``: compile the requested engine, serialize, exit."""
     from .fleet import resolve_net
 
-    if engine_name == "eager":
-        parser.error("the eager backend has no compiled program to serialize")
     print(f"compiling {args.model} [{engine_name}] at {args.resolution}x{args.resolution} ...")
     net, input_shape = resolve_net(
         model_name=args.model,

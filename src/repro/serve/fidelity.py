@@ -195,7 +195,7 @@ class FidelityLadder:
         for spec in self.rungs:
             net, shape = self._build_rung(spec)
             nets.append(net)
-            forwards.append(net.numpy_forward if hasattr(net, "numpy_forward") else net)
+            forwards.append(net.numpy_forward)
             shapes.append(tuple(shape))
         if len(set(shapes)) != 1:
             raise ValueError(

@@ -4,7 +4,7 @@ The in-process :class:`~repro.serve.Engine` tops out at one GIL and has no
 recovery story.  :class:`Fleet` is the production-shaped tier above it:
 
 * **N replica processes**, each holding an engine named by one of
-  :data:`ENGINES` (``engine="int8"`` / ``"float"`` / ``"eager"``) and built
+  :data:`ENGINES` (``engine="int8"`` / ``"float"``) and built
   by :func:`resolve_net`, supervised by :class:`~repro.serve.supervisor.Supervisor`
   (heartbeat watchdog, crash/hang detection, capped-exponential-backoff
   restart, graceful drain).
@@ -109,8 +109,8 @@ class ServingBackend:
         return plan_io(self.net if self.net is not None else self.forward, self.input_shape)
 
 
-# The engine names the serving layer accepts; "eager" serves the plain module.
-ENGINES = ("eager", "float", "int8")
+# The engine names the serving layer accepts, both compiled by repro.compile.
+ENGINES = ("float", "int8")
 
 
 def resolve_net(
@@ -126,8 +126,9 @@ def resolve_net(
     """Build and compile a registry model for serving.
 
     ``engine`` is one of :data:`ENGINES`: ``"float"`` and ``"int8"`` compile
-    with :func:`repro.compile`, ``"eager"`` serves the plain module; any other
-    name raises ``ValueError`` listing them.  Returns ``(net, input_shape)``.
+    with :func:`repro.compile` (a module the tracer does not know runs as an
+    eager node inside the program); any other name raises ``ValueError``
+    listing them.  Returns ``(net, input_shape)``.
 
     ``artifact`` short-circuits compilation entirely: the executor is loaded
     from a pre-compiled artifact file (:mod:`repro.runtime.artifact`) —
@@ -152,14 +153,6 @@ def resolve_net(
     model = create_model(model_name, num_classes=num_classes)
     model.eval()
     input_shape = (3, int(resolution), int(resolution))
-    if engine == "eager":
-        from .. import nn
-
-        def eager_forward(batch, _model=model):
-            with nn.no_grad():
-                return _model(nn.Tensor(batch)).numpy()
-
-        return eager_forward, input_shape
     if engine == "int8":
         rng = np.random.default_rng(seed)
         quantize_model(model)
@@ -200,8 +193,7 @@ def model_backend(
         name = f"artifact:{os.path.basename(artifact)}[{net.artifact.mode}]"
     else:
         name = f"{model_name}[{engine}]"
-    forward = net.numpy_forward if hasattr(net, "numpy_forward") else net
-    return ServingBackend(forward, input_shape, net=net, name=name)
+    return ServingBackend(net.numpy_forward, input_shape, net=net, name=name)
 
 
 def echo_backend(

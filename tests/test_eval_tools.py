@@ -151,15 +151,20 @@ class TestProfiler:
                 tiny_model, (3, 16, 16), plan_memory=plan_memory, measure_cold_start=True
             )
 
-    def test_deployment_report_compile_errors_leave_fields_empty(self, tiny_model, monkeypatch):
+    def test_deployment_report_compile_errors_propagate(self, tiny_model, monkeypatch):
         import repro
 
         def reject(model, mode="infer"):
             raise repro.CompileError("not lowerable")
 
         monkeypatch.setattr(repro, "compile", reject)
+        with pytest.raises(repro.CompileError, match="not lowerable"):
+            deployment_report(tiny_model, (3, 16, 16), measure_cold_start=True)
+
+    def test_deployment_report_non_registry_model_has_no_cold_start(self, tiny_model):
+        """A model built outside the registry cannot be saved as an artifact."""
         report = deployment_report(tiny_model, (3, 16, 16), measure_cold_start=True)
-        assert report.planned_peak_int8_bytes is None and report.planner_backend is None
+        assert report.planned_peak_int8_bytes > 0 and report.planner_backend == "float"
         assert report.cold_start_compile_ms is None and report.cold_start_load_ms is None
         assert report.artifact_bytes is None and report.artifact_mode is None
 

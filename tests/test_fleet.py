@@ -466,4 +466,4 @@ class TestFleetConfigValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "unknown engine" in err
-        assert "int8" in err and "float" in err and "eager" in err
+        assert "int8" in err and "float" in err

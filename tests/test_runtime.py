@@ -5,7 +5,8 @@ import pytest
 
 import repro
 from repro import nn
-from repro.core.expansion import expand_network
+from repro.compress import calibrate, quantize_model
+from repro.core.expansion import EXPANDED_BLOCK_TYPES, ExpansionConfig, expand_network
 from repro.core.plt import PLTSchedule
 from repro.nn import functional as F
 from repro.models import create_model
@@ -19,6 +20,26 @@ def _randomize_bn_stats(model: nn.Module, rng: np.random.Generator) -> None:
         if isinstance(module, nn.BatchNorm2d):
             module.running_mean[...] = rng.normal(0.0, 0.2, size=module.num_features)
             module.running_var[...] = rng.uniform(0.5, 1.5, size=module.num_features)
+
+
+# The expanded MobileNetV2-Tiny giant, one per block type (the paper's default
+# keeps the plain name).  Each has a residual site (``features.1``) and
+# several non-residual ones.
+GIANTS = {
+    "mobilenetv2-tiny-giant" + ("" if block_type == "inverted_residual" else f"-{block_type}"): block_type
+    for block_type in EXPANDED_BLOCK_TYPES
+}
+
+
+def _mid_plt_giant(block_type: str) -> nn.Module:
+    """The expanded MobileNetV2-Tiny giant, 4 of 10 PLT steps in."""
+    model, _ = expand_network(
+        create_model("mobilenetv2-tiny", num_classes=8), ExpansionConfig(block_type=block_type)
+    )
+    schedule = PLTSchedule(model, total_steps=10)
+    for _ in range(4):
+        schedule.step()
+    return model
 
 
 def _bn_first_basic_block(channels: int) -> BasicBlock:
@@ -69,15 +90,14 @@ class TestIm2ColEquivalence:
 
 
 class TestCompiledNet:
-    @pytest.mark.parametrize("name", ["mobilenetv2-tiny", "mcunet", "mobilenetv2-tiny-giant"])
+    @pytest.mark.parametrize("name", ["mobilenetv2-tiny", "mcunet", *GIANTS])
     def test_compiled_matches_eager_model(self, rng, name):
-        if name.endswith("-giant"):
-            # The expanded giant mid-PLT: its expanded blocks run as eager
-            # nodes, each followed by a standalone BN with a fused activation.
-            model, _ = expand_network(create_model("mobilenetv2-tiny", num_classes=8))
-            schedule = PLTSchedule(model, total_steps=10)
-            for _ in range(4):
-                schedule.step()
+        if name in GIANTS:
+            # The expanded giant mid-PLT: its expanded blocks trace to typed
+            # conv/BN/activation nodes; the replaced conv's BN, after a
+            # residual expanded block, stays a standalone BN with a fused
+            # activation.
+            model = _mid_plt_giant(GIANTS[name])
         else:
             model = create_model(name, num_classes=8)
         _randomize_bn_stats(model, rng)
@@ -90,8 +110,24 @@ class TestCompiledNet:
                 eager = model(nn.Tensor(x)).numpy()
             compiled = net.numpy_forward(x)
             np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
-        if name.endswith("-giant"):
-            assert net.ops.count("eager") == 4
+        assert "eager" not in net.ops
+
+    @pytest.mark.parametrize("block_type", list(EXPANDED_BLOCK_TYPES))
+    def test_quantized_giant_compiles_to_int8(self, rng, block_type):
+        """A calibrated giant lowers to the integer engine with no eager node."""
+        model = _mid_plt_giant(block_type)
+        _randomize_bn_stats(model, rng)
+        model.eval()
+        quantize_model(model)
+        calibrate(model, [rng.normal(0.2, 0.8, size=(8, 3, 16, 16)).astype(np.float32) for _ in range(2)])
+        net = repro.compile(model, mode="int8")
+        batch = rng.normal(0.2, 0.8, size=(8, 3, 16, 16)).astype(np.float32)
+        rows = net.numpy_forward(batch)
+        assert "eager" not in net.ops
+        for size in (1, 2):
+            for start in range(0, len(batch), size):
+                part = net.numpy_forward(batch[start : start + size])
+                np.testing.assert_array_equal(part, rows[start : start + size])
 
     @pytest.mark.parametrize(
         "in_channels,block",
