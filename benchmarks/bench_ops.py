@@ -163,11 +163,11 @@ def small_map_kernels(batch: int, repeats: int) -> dict[str, float]:
 
     Two float plans of MobileNetV2-Tiny at res 20: one as the rule picks
     (every depthwise conv on the operator matmul, the stem on the gathered
-    gemm), one with the small-map rules off (tap-stack / einsum depthwise
-    kernels on padded slots, the stem on the windowed einsum; the flat-tap
-    einsum that ran the stem at batch 1 is deleted).  Both time
-    their spatial-conv steps (the kernel plus its epilogue and pad fill) and
-    the whole forward, interleaved.
+    gemm), one with the small-map rules off (windowed tap-stack / einsum
+    depthwise kernels on padded slots, the stem on the windowed einsum).
+    Both time their spatial-conv steps (the kernel plus its epilogue, and
+    the pad fill and copy that fill a padded slot) and the whole forward,
+    interleaved.
     """
     model = create_model("mobilenetv2-tiny", num_classes=16)
     model.eval()
@@ -177,7 +177,7 @@ def small_map_kernels(batch: int, repeats: int) -> dict[str, float]:
         replaced = repro.compile(model).plan(x.shape)
 
     def conv_steps(p):
-        steps = [s for s, label in zip(p.steps, p.step_labels) if label.split(".")[0] in ("dw", "im2col", "fill")]
+        steps = [s for s, label in zip(p.steps, p.step_labels) if label.split(".")[0] in ("dw", "im2col", "fill", "copy")]
         p.run(x)  # leave real values in the arena
 
         def run():

@@ -126,13 +126,23 @@ class ExpandedBlock(nn.Chain):
         self.use_residual = stride == 1 and in_channels == out_channels
 
     def linear_chain(self) -> list[tuple[nn.Conv2d, nn.BatchNorm2d | None]]:
-        """Conv/BN pairs in execution order (activations omitted)."""
+        """Conv/BN pairs in execution order (activations omitted).
+
+        Raises :class:`TypeError` for any other child, e.g. the
+        ``QuantizedConv2d`` wrappers of :func:`repro.compress.quantize_model`:
+        contract the giant before quantizing it.
+        """
         chain: list[tuple[nn.Conv2d, nn.BatchNorm2d | None]] = []
-        for module in self.children():
+        for name, module in self.named_children():
             if isinstance(module, nn.Conv2d):
                 chain.append((module, None))
             elif isinstance(module, nn.BatchNorm2d):
                 chain[-1] = (chain[-1][0], module)
+            elif not isinstance(module, nn.DecayableReLU):
+                raise TypeError(
+                    f"{type(self).__name__} child {name!r} is a {type(module).__name__}, not a "
+                    "Conv2d, BatchNorm2d or decayable activation; contract the giant before quantize_model"
+                )
         return chain
 
     def decayable_activations(self) -> list[nn.Module]:

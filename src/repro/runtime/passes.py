@@ -80,8 +80,9 @@ def fold_batchnorm(graph: Graph, int8: bool) -> None:
     order by the executor) and removes the folded ``bn`` node.  Quantized
     targets must be calibrated: an uncalibrated wrapper runs eagerly in the
     float engine, where folding would corrupt results.  In int8 mode BN folds
-    only into quantized ops (unquantized convs run eagerly there), at most one
-    per op, into its requant constants; in float mode several consecutive BNs
+    only into quantized ops, at most one per op, into its requant constants;
+    an unquantized conv there lowers to a grid-less float conv and its BN
+    runs as a standalone affine step.  In float mode several consecutive BNs
     may fold into one op.
     """
     targets = ("qconv", "qlinear") if int8 else ("conv", "linear", "qconv", "qlinear")

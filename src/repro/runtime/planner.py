@@ -207,16 +207,14 @@ class ArenaPlanner:
     # ------------------------------------------------------------------ #
     # packing
     # ------------------------------------------------------------------ #
-    def solve(self, tail_slack: int = 0) -> tuple[np.ndarray, MemoryPlan]:
+    def solve(self) -> tuple[np.ndarray, MemoryPlan]:
         """Pack all requested buffers and return ``(arena, plan)``.
 
         Greedy offset assignment: process buffers by decreasing size, place
         each at the lowest offset that does not overlap (in offset space) any
-        already-placed buffer with an overlapping live range.
-
-        ``tail_slack`` appends extra elements past the last buffer so kernels
-        using shifted overlapping views (the flat-tap depthwise strategy) can
-        read harmlessly past a buffer's end without leaving the allocation.
+        already-placed buffer with an overlapping live range.  The arena is
+        exactly ``plan.arena_elements`` long: every buffer is a contiguous
+        slice inside it, and no kernel reads past a buffer's end.
         """
         for buf in self.buffers:  # never-touched requests get a zero-length life
             if buf.birth is None:
@@ -238,7 +236,7 @@ class ArenaPlanner:
             buf.offset = offset
             placed.append(buf)
         total = max((b.offset + b.size for b in self.buffers), default=0)
-        arena = np.zeros(total + tail_slack, dtype=np.float32)
+        arena = np.zeros(total, dtype=np.float32)
         for buf in self.buffers:
             buf.a = arena[buf.offset : buf.offset + buf.size].reshape(buf.shape)
         peak_value, peak_total = self._peaks()

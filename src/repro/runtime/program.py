@@ -6,8 +6,10 @@ the fixed pass pipeline (:func:`repro.runtime.passes.annotate`);
 :class:`CompiledNet` (``mode="infer"``) or :class:`QuantizedNet`
 (``mode="int8"``) then lowers the annotated graph to one statically planned
 program: a channel-first ``(C, N, H, W)`` arena, plans built lazily and
-cached per input shape, a fixed shape rule that picks each conv's kernel,
-and producers writing straight into a padded consumer's slot.
+cached per input shape, and a fixed shape rule that picks each conv's
+kernel.  Steps write contiguous buffers: only the network input lands
+straight in the first conv's padded slot, and any other padded conv fills
+its own slot with a copy or quantize step.
 
 **The int8 engine** (:class:`QuantizedNet`) consumes a model processed by
 :func:`repro.compress.quantize_model` + :func:`repro.compress.calibrate`
@@ -47,12 +49,11 @@ planner already knows (see :func:`_plan_depthwise` and :func:`_plan_dense`):
 * a depthwise conv on a small map (at most ``_OPERATOR_SIDE`` pixels a side,
   operator within ``_OPERATOR_BUDGET``) runs one batched matmul against its
   per-channel spatial operator, with padding and stride folded in, so it
-  reads an unpadded slot (no pad fill, no strided producer epilogue);
+  reads an unpadded slot (no pad fill, no copy into a padded slot);
 * a larger depthwise conv runs a tap-stack kernel for a single sample or a
   tap stack (``kh*kw*C_in*N*Hp*Wp`` elements) within ``_TAP_BUDGET``, a
-  single einsum pass otherwise, each either *flat* (over the whole padded
-  grid) or *windowed* (over the output positions only, for strided and
-  larger kernels);
+  single einsum pass otherwise, both over sliding windows of the output
+  positions;
 * a dense conv (the stem) whose column matrix fits ``_GATHER_BUDGET``
   gathers it with a plan-time index and runs one gemm, and a larger one runs
   a windowed einsum; grouped and float64 convs always gather.
@@ -370,9 +371,10 @@ class _Val:
     """A value flowing between steps: a buffer plus its grid (None = float).
 
     ``viewer`` maps the backing slot array to the logical tensor — the
-    identity for plain contiguous buffers, an interior slice for values
-    written straight into a consumer's padded scratch.  ``shared`` marks a
-    residual identity inside its body: no step may overwrite it.
+    identity for plain contiguous buffers, an interior slice for the network
+    input landed in the first conv's padded slot, a reshape for a flattened
+    value.  ``shared`` marks a residual identity inside its body: no step may
+    overwrite it.
     """
 
     __slots__ = ("buf", "shape", "viewer", "grid", "shared")
@@ -419,30 +421,13 @@ def _grid_target(em, nodes: list, index: int, tail):
     return tail
 
 
-def _direct_consumer(nodes: list, index: int, consumer) -> bool:
-    """True when ``consumer`` is the op immediately after ``index`` (possibly
-    as the first op of a residual body), i.e. the producer may write straight
-    into the consumer's input slot."""
-    if index + 1 >= len(nodes):
-        return False
-    nxt = nodes[index + 1]
-    if nxt is consumer:
-        return True
-    return isinstance(nxt, _ResidualIR) and bool(nxt.body) and nxt.body[0] is consumer
-
-
 class _Emitter:
     def __init__(self, planner: ArenaPlanner, grids: bool):
         self.planner = planner
         self.grids = grids  # hand integer grids from op to op (int8 engine)
         self.factories: list = []
-        self.slot_for: dict[int, tuple] = {}  # id(consumer ir) -> (buf, viewer)
+        self.input_slot: tuple | None = None  # (first conv ir, buf, viewer) holding the input
         self.op_log: list[str] = []
-        self.tail_slack = 0
-
-    def need_tail_slack(self, elements: int) -> None:
-        """Reserve arena tail slack for shifted overlapping views."""
-        self.tail_slack = max(self.tail_slack, int(elements))
 
     def emit(self, factory, uses: list, label: str = "") -> None:
         """Schedule one step; ``uses`` are the planner buffers it touches."""
@@ -467,40 +452,28 @@ def _q_bounds(grid, act: tuple | None) -> tuple[np.ndarray, np.ndarray]:
     return _bounds(lo, hi)
 
 
-def _requantize(acc, m, c, lo, hi, mode, float_act, target, scratch=None):
-    """Fused scale + offset (+ integer round/clamp) from accumulator to target.
-
-    When ``target`` is a strided view (a consumer's padded-scratch interior),
-    the elementwise chain runs in a contiguous buffer — the accumulator, or
-    ``scratch`` when the accumulator itself is strided — and lands in the
-    view with a single strided copy, several times cheaper than four strided
-    passes.
-    """
-    if target is acc or target.flags["C_CONTIGUOUS"]:
-        work = target
-    elif acc.flags["C_CONTIGUOUS"]:
-        work = acc
-    else:
-        work = scratch
-    np.multiply(acc, m, out=work)
-    work += c
+def _requantize(acc, m, c, lo, hi, mode, float_act, out):
+    """Fused scale + offset (+ integer round/clamp, or the float activation)
+    from an accumulator to the contiguous ``out`` (which may be ``acc``).
+    ``mode="defer"`` stops before rounding: a residual add finishes it."""
+    np.multiply(acc, m, out=out)
+    out += c
     if mode == "grid":
-        np.rint(work, out=work)
-        work.clip(lo, hi, out=work)
+        np.rint(out, out=out)
+        out.clip(lo, hi, out=out)
     elif mode == "float":
-        apply_activation(work, float_act)
-    if work is not target:
-        target[...] = work
+        apply_activation(out, float_act)
 
 
 def _make_conv_slot(em: _Emitter, ir: _ConvIR, c: int, n: int, h: int, w: int):
     """Allocate the (possibly padded) input slot owned by a conv.
 
-    Padded slots get a zero-fill step immediately before the interior write —
-    the arena slot is shared with other buffers, so the pad ring must be
-    re-zeroed each run (zero *is* the grid zero: values are zero-point
-    centred).  A conv on the operator kernel folds its padding into the
-    operator, so it reads an unpadded slot."""
+    The conv's own copy or quantize step (or, for the first conv, the input
+    step) writes the slot's interior.  Padded slots get a zero-fill step
+    immediately before that write — the arena slot is shared with other
+    buffers, so the pad ring must be re-zeroed each run (zero *is* the grid
+    zero: values are zero-point centred).  A conv on the operator kernel
+    folds its padding into the operator, so it reads an unpadded slot."""
     p = 0 if _operator_kernel(ir, c, h, w) else ir.padding
     if p > 0:
         buf = em.planner.alloc((c, n, h + 2 * p, w + 2 * p), "value", f"{ir.name}.in")
@@ -562,7 +535,7 @@ def _tap_kernels(n: int, taps: int) -> bool:
     tap-stack kernels, False one einsum pass.
 
     ``taps`` is the conv's tap stack, ``kh*kw*C_in*N*Hp*Wp`` elements, which
-    the flat and tap-stack kernels read or materialize.  Within
+    bounds what the tap-stack kernel materializes.  Within
     ``_TAP_BUDGET`` (256 KiB of float32, about one L2 cache) they win; a
     larger stack is better served by an einsum that streams the input —
     except for a single sample, where the einsum's per-call cost dominates.
@@ -624,23 +597,18 @@ def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, h, w, oh, ow):
 
     A small map runs one ``(C, N, H*W) @ (C, H*W, OH*OW)`` matmul against
     the conv's spatial operator, reading its unpadded slot.  Otherwise the
-    conv either materializes its tap stack and sums the taps, or runs one
-    einsum pass.  Stride-1 3x3 convs run the *flat* form of either, which
-    computes every position of the padded grid as one contiguous pass.
-    Strided or larger kernels would waste most of that pass (``stride**2``
-    times the outputs, plus a wider pad ring), so they run the *windowed*
-    form on the output positions only.  All five kernels compute the same
-    exact integers: each output sums the same at most ``kh*kw`` nonzero
-    products, the operator's structural zeros add nothing, and accumulation
-    below ``2**24`` is order-independent.  So the rules affect speed and
-    memory only, and only the picked kernel's scratch is planned.
+    conv takes sliding windows of its padded slot at the output positions,
+    and either materializes its tap stack and sums the taps, or runs one
+    einsum pass.  All three kernels compute the same exact integers: each
+    output sums the same at most ``kh*kw`` nonzero products, the operator's
+    structural zeros add nothing, and accumulation below ``2**24`` is
+    order-independent.  So the rules affect speed and memory only, and only
+    the picked kernel's scratch is planned.
 
     Returns ``(make, bufs)``: ``make()`` runs at bind time (after arena
-    packing, so it can precompute views on the real buffers) and returns
-    ``(run, acc_array)`` — the accumulator the requantization step reads,
-    contiguous or a slice of the padded-size accumulator.  ``bufs`` are the
-    scratch buffers the kernel touches; the first is the contiguous
-    accumulator, which doubles as requantization staging.
+    packing, so it can precompute views on the real buffers) and returns the
+    step's ``run``.  ``bufs`` are the scratch buffers the kernel touches; the
+    first is the ``(C, N, OH, OW)`` accumulator it writes.
     """
     planner = em.planner
     c = ir.weight.shape[0]
@@ -655,7 +623,7 @@ def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, h, w, oh, ow):
             def run():
                 np.matmul(x3, op, out=acc3)
 
-            return run, acc.a
+            return run
 
         return make_operator, [acc]
 
@@ -663,90 +631,37 @@ def _plan_depthwise(em: _Emitter, ir: _ConvIR, pbuf, n, h, w, oh, ow):
     stride = ir.stride
     hp, wp = pbuf.shape[2], pbuf.shape[3]
     w_f32 = ir.weight.astype(np.float32)[:, 0]  # (C, kh, kw)
+
+    def windows():  # (C, N, oh, ow, kh, kw)
+        return sliding_window_view(pbuf.a, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+
+    if not _tap_kernels(n, kh * kw * c * n * hp * wp):
+
+        def make_einsum():
+            win = windows()
+            path = np.einsum_path("cnhwij,cij->cnhw", win, w_f32, optimize=True)[0]
+
+            def run():
+                np.einsum("cnhwij,cij->cnhw", win, w_f32, optimize=path, out=acc.a)
+
+            return run
+
+        return make_einsum, [acc]
+
     w6 = np.ascontiguousarray(w_f32.transpose(1, 2, 0)).reshape(kh, kw, c, 1, 1, 1)
-    stack = _tap_kernels(n, kh * kw * c * n * hp * wp)
+    prod = planner.alloc((kh * kw, c, n, oh, ow), "scratch", f"{ir.name}.taps")
 
-    if stride > 1 or kh > 3 or kw > 3:
-
-        def windows():  # (C, N, oh, ow, kh, kw)
-            return sliding_window_view(pbuf.a, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-
-        if not stack:
-
-            def make_einsum():
-                win = windows()
-                path = np.einsum_path("cnhwij,cij->cnhw", win, w_f32, optimize=True)[0]
-
-                def run():
-                    np.einsum("cnhwij,cij->cnhw", win, w_f32, optimize=path, out=acc.a)
-
-                return run, acc.a
-
-            return make_einsum, [acc]
-
-        prod = planner.alloc((kh * kw, c, n, oh, ow), "scratch", f"{ir.name}.taps")
-
-        def make_stacked():
-            vt = windows().transpose(4, 5, 0, 1, 2, 3)
-            prod6 = prod.a.reshape(kh, kw, c, n, oh, ow)
-
-            def run():
-                np.multiply(vt, w6, out=prod6)
-                np.add.reduce(prod.a, axis=0, out=acc.a)
-
-            return run, acc.a
-
-        return make_stacked, [acc, prod]
-
-    # Flat kernels: each tap is the *whole padded buffer* shifted by i*Wp + j
-    # — overlapping views with identical contiguous memory order, so the
-    # contraction runs at contiguous speed.  Out-of-window positions compute
-    # garbage that lands in pad rows/cols, or up to this many elements past
-    # the buffer's end inside the arena's tail slack, and is excluded by the
-    # accumulator slice.
-    em.need_tail_slack((kh - 1) * wp + (kw - 1))
-    acc_pad = planner.alloc((c, n, hp, wp), "scratch", f"{ir.name}.accpad")
-
-    if not stack:
-
-        def make_flat_einsum():
-            # all taps contracted in one pass (no product materialization):
-            # V[i, j, c, m] is the padded buffer shifted by (i, j), per channel
-            nhw = n * hp * wp
-            itemsize = pbuf.a.itemsize
-            v = np.lib.stride_tricks.as_strided(
-                pbuf.a,
-                shape=(kh, kw, c, nhw),
-                strides=(wp * itemsize, itemsize, nhw * itemsize, itemsize),
-            )
-            w3 = w6.reshape(kh, kw, c)
-            path = np.einsum_path("ijcm,ijc->cm", v, w3, optimize=True)[0]
-
-            def run():
-                np.einsum("ijcm,ijc->cm", v, w3, optimize=path, out=acc_pad.a.reshape(c, nhw))
-
-            return run, acc_pad.a[:, :, :oh, :ow]
-
-        return make_flat_einsum, [acc, acc_pad]
-
-    prod = planner.alloc((kh * kw, c, n, hp, wp), "scratch", f"{ir.name}.taps")
-
-    def make_flat():
-        itemsize = pbuf.a.itemsize
-        v = np.lib.stride_tricks.as_strided(
-            pbuf.a,
-            shape=(kh, kw, c, n, hp, wp),
-            strides=(wp * itemsize, itemsize) + pbuf.a.strides,
-        )
-        prod6 = prod.a.reshape(kh, kw, c, n, hp, wp)
+    def make_stacked():
+        vt = windows().transpose(4, 5, 0, 1, 2, 3)
+        prod6 = prod.a.reshape(kh, kw, c, n, oh, ow)
 
         def run():
-            np.multiply(v, w6, out=prod6)
-            np.add.reduce(prod.a, axis=0, out=acc_pad.a)
+            np.multiply(vt, w6, out=prod6)
+            np.add.reduce(prod.a, axis=0, out=acc.a)
 
-        return run, acc_pad.a[:, :, :oh, :ow]
+        return run
 
-    return make_flat, [acc, acc_pad, prod]
+    return make_stacked, [acc, prod]
 
 
 def _gather_kernel(ir: _ConvIR, n: int, oh: int, ow: int, exact64: bool) -> bool:
@@ -800,7 +715,7 @@ def _plan_dense(em: _Emitter, ir: _ConvIR, pbuf, n, oh, ow, exact64: bool):
             def run():
                 np.einsum("cnhwij,ocij->onhw", win, w_taps, optimize=path, out=acc.a)
 
-            return run, acc.a
+            return run
 
         return make_einsum, [acc]
 
@@ -827,7 +742,7 @@ def _plan_dense(em: _Emitter, ir: _ConvIR, pbuf, n, oh, ow, exact64: bool):
                 else:
                     np.dot(w_g, col_g, out=acc_g)
 
-        return run, acc.a
+        return run
 
     return make_gather, [acc, col]
 
@@ -839,9 +754,9 @@ def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, ta
     ow = conv_output_size(w, kw, ir.stride, ir.padding)
     c_out = ir.c_out
 
-    # ---- input slot: pre-filled by the producer, borrowed, or built here.
-    if id(ir) in em.slot_for:
-        pbuf, pview = em.slot_for.pop(id(ir))
+    # ---- input slot: holding the network input, borrowed, or built here.
+    if em.input_slot is not None and em.input_slot[0] is ir:
+        _, pbuf, pview = em.input_slot
     elif (
         (val.grid is not None or ir.grid is None)
         and (ir.padding == 0 or _operator_kernel(ir, c_in, h, w))
@@ -866,19 +781,13 @@ def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, ta
 
     # ---- output destination.
     request = _grid_target(em, nodes, index, tail)
-    out_view = _identity_view
     if request[0] == "defer":
-        _, out_grid, (out_buf, out_view) = request
+        _, out_grid, out_buf = request
         mode = "defer"
     else:
-        consumer = request[1]
-        out_grid = consumer.grid if request[0] == "grid" else None
+        out_grid = request[1].grid if request[0] == "grid" else None
         mode = "grid" if out_grid else "float"
-        if _is_spatial_conv(consumer) and _direct_consumer(nodes, index, consumer):
-            out_buf, out_view = _make_conv_slot(em, consumer, c_out, n, oh, ow)
-            em.slot_for[id(consumer)] = (out_buf, out_view)
-        else:
-            out_buf = em.planner.alloc((c_out, n, oh, ow), "value", f"{ir.name}.out")
+        out_buf = em.planner.alloc((c_out, n, oh, ow), "value", f"{ir.name}.out")
 
     m, c_const = ir.requant_constants(out_grid[0] if out_grid else None)
     m4 = m.reshape(c_out, 1, 1, 1)
@@ -893,24 +802,21 @@ def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, ta
 
     if pointwise:
         w2 = ir.weight.astype(np.float64 if exact64 else np.float32).reshape(c_out, c_in)
-        direct = out_view is _identity_view  # gemm can target the slot itself
-        acc = out_buf if direct else em.planner.alloc((c_out, n, oh, ow), "scratch", f"{ir.name}.acc")
 
-        def factory(pbuf=pbuf, pview=pview, acc=acc, out_buf=out_buf, out_view=out_view):
+        def factory(pbuf=pbuf, pview=pview, out_buf=out_buf):
             x2 = pview(pbuf.a).reshape(c_in, n * oh * ow)
-            acc2 = acc.a.reshape(c_out, n * oh * ow)
-            target = out_view(out_buf.a)
+            out2 = out_buf.a.reshape(c_out, n * oh * ow)
 
             def run():
                 if exact64:
-                    acc2[...] = w2 @ x2.astype(np.float64)
+                    out2[...] = w2 @ x2.astype(np.float64)
                 else:
-                    np.dot(w2, x2, out=acc2)
-                _requantize(acc.a, m4, c4, lo, hi, mode, float_act, target)
+                    np.dot(w2, x2, out=out2)
+                _requantize(out_buf.a, m4, c4, lo, hi, mode, float_act, out_buf.a)
 
             return run
 
-        em.emit(factory, [pbuf, acc, out_buf], f"pw.{ir.name}")
+        em.emit(factory, [pbuf, out_buf], f"pw.{ir.name}")
         em.log(f"{prefix}.pw")
     else:
         if depthwise:
@@ -920,21 +826,19 @@ def _emit_conv(em: _Emitter, ir: _ConvIR, val: _Val, nodes: list, index: int, ta
             make, bufs = _plan_dense(em, ir, pbuf, n, oh, ow, exact64)
             label, kind = f"im2col.{ir.name}", f"{prefix}.im2col"
 
-        def factory(out_buf=out_buf, out_view=out_view, staging=bufs[0]):
-            gemm, acc_arr = make()
-            target = out_view(out_buf.a)
+        def factory(out_buf=out_buf, acc=bufs[0]):
+            gemm = make()
 
             def run():
                 gemm()
-                _requantize(acc_arr, m4, c4, lo, hi, mode, float_act, target, staging.a)
+                _requantize(acc.a, m4, c4, lo, hi, mode, float_act, out_buf.a)
 
             return run
 
         em.emit(factory, [pbuf, out_buf, *bufs], label)
         em.log(kind)
 
-    out_shape = (c_out, n, oh, ow)
-    return _Val(out_buf, out_shape, out_view, out_grid)
+    return _Val(out_buf, (c_out, n, oh, ow), _identity_view, out_grid)
 
 
 def _emit_linear(em: _Emitter, ir: _LinearIR, val: _Val, nodes: list, index: int, tail) -> _Val:
@@ -1154,25 +1058,19 @@ def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index:
         and body_last.act is None
     )
     if can_integer_add:
-        consumer = request[1]
-        out_grid = consumer.grid
+        out_grid = request[1].grid
         c_out = body_last.c_out
         _, n, h, w = val.shape  # residual blocks preserve the spatial dims
-        if _is_spatial_conv(consumer) and _direct_consumer(nodes, index, consumer):
-            out_buf, out_view = _make_conv_slot(em, consumer, c_out, n, h, w)
-            em.slot_for[id(consumer)] = (out_buf, out_view)
-        else:
-            out_buf = em.planner.alloc((c_out, n, h, w), "value", "resid.out")
-            out_view = _identity_view
-        # body's last conv writes unrounded grid values into the slot; the
+        out_buf = em.planner.alloc((c_out, n, h, w), "value", "resid.out")
+        # body's last conv writes unrounded grid values into out_buf; the
         # identity contribution is added on the same grid, then one round+clamp
-        _emit_chain(em, ir.body, shared, ("defer", out_grid, (out_buf, out_view)))
+        _emit_chain(em, ir.body, shared, ("defer", out_grid, out_buf))
         tmp = em.planner.alloc((c_out, n, h, w), "scratch", "resid.tmp")
         k = np.float32((identity.grid[0] if identity.grid else 1.0) / out_grid[0])
         lo, hi = _q_bounds(out_grid, None)
 
-        def factory(idb=identity.buf, idv=identity.viewer, out_buf=out_buf, out_view=out_view, tmp=tmp):
-            target = out_view(out_buf.a)
+        def factory(idb=identity.buf, idv=identity.viewer, out_buf=out_buf, tmp=tmp):
+            target = out_buf.a
 
             def run():
                 np.multiply(idv(idb.a), k, out=tmp.a)
@@ -1184,7 +1082,7 @@ def _emit_residual(em: _Emitter, ir: _ResidualIR, val: _Val, nodes: list, index:
 
         em.emit(factory, [identity.buf, out_buf, tmp], "resid.add")
         em.log("resid.add")
-        return _Val(out_buf, (c_out, n, h, w), out_view, out_grid)
+        return _Val(out_buf, (c_out, n, h, w), _identity_view, out_grid)
 
     # float add: the body's float output plus the (dequantized) identity
     body_val = _emit_chain(em, ir.body, shared, ("float", None))
@@ -1336,7 +1234,7 @@ class _PlannedNet:
         if _is_spatial_conv(first) and len(shape) == 4:
             # the input lands straight in the first conv's (padded) slot
             buf, view = _make_conv_slot(em, first, *shape)
-            em.slot_for[id(first)] = (buf, view)
+            em.input_slot = (first, buf, view)
             grid = first.grid
         else:
             buf, view, grid = planner.alloc(shape, "value", "input"), _identity_view, None
@@ -1354,7 +1252,7 @@ class _PlannedNet:
 
             em.emit(input_factory, [buf], "input")
         out_val = _emit_chain(em, self._ir, _Val(buf, shape, view, grid), ("float", None))
-        arena, memory = planner.solve(tail_slack=em.tail_slack)
+        arena, memory = planner.solve()
         steps = [factory() for factory, _ in em.factories]
         labels = [label for _, label in em.factories]
         return _ExecPlan(

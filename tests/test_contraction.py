@@ -225,6 +225,14 @@ class TestContractNetwork:
         with pytest.raises(TypeError):
             contract_network(contracted, records)
 
+    def test_quantized_giant_raises_a_typed_error(self, rng):
+        from repro.compress import quantize_model
+
+        _, giant, records = self._linearised_giant(rng)
+        quantize_model(giant)
+        with pytest.raises(TypeError, match=r"'expand_conv' is a QuantizedConv2d.*before quantize_model"):
+            contract_network(giant, records)
+
     def test_giant_left_intact_unless_inplace(self, rng):
         _, giant, records = self._linearised_giant(rng)
         params_before = count_parameters(giant)

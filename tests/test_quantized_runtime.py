@@ -10,7 +10,7 @@ from repro import nn
 from repro.compress import calibrate, quantize_model
 from repro.compress.quantization import QuantizedLinear, _QuantizedWrapper
 from repro.eval.deployment import peak_activation_memory
-from repro.models import create_model
+from repro.models import available_models, create_model
 from repro.models.blocks import ConvBNAct
 from repro.runtime import QuantCompileError, QuantizedNet
 
@@ -155,9 +155,9 @@ def _integer_conv_reference(q, w, stride, padding, groups):
 # and run a windowed einsum past it.  Grouped and float64 convs always gather.
 SMALL_MAP_CONVS = [
     (8, 8, 8, 3, 1, 1, 12),  # depthwise, operator
-    (8, 8, 8, 3, 1, 1, 13),  # depthwise, just past the side bound: flat tap kernels
+    (8, 8, 8, 3, 1, 1, 13),  # depthwise, just past the side bound: tap kernels
     (8, 8, 8, 3, 2, 1, 12),
-    (8, 8, 8, 3, 2, 1, 16),  # windowed tap kernels
+    (8, 8, 8, 3, 2, 1, 16),  # strided tap kernels
     (8, 8, 8, 3, 1, 0, 7),
     (8, 8, 8, 3, 2, 0, 9),
     (8, 8, 8, 5, 1, 2, 10),
@@ -372,9 +372,10 @@ class TestMemoryPlanner:
     def test_model_peak_close_to_deployment_accounting(self, rng):
         """On a real network the planner peak stays within a factor of two of
         the analytic per-layer max(in+out) bound.  Padded scratch pushes the
-        planner peak up; producer-writes-into-consumer slot sharing pushes it
-        down (the eager trace double-counts a tensor as one layer's output and
-        the next layer's input) — the two accountings agree to within 2x."""
+        planner peak up; a conv borrowing its producer's buffer as its input
+        slot pushes it down (the eager trace double-counts a tensor as one
+        layer's output and the next layer's input) — the two accountings agree
+        to within 2x."""
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
         engine = repro.compile(model, mode="int8")
         report = engine.memory_plan((1, 3, 16, 16))
@@ -391,6 +392,23 @@ class TestMemoryPlanner:
         assert engine.plan((2, 3, 16, 16)) is plan
         out2 = engine.numpy_forward(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
         assert out1.shape == out2.shape
+
+    @pytest.mark.parametrize("mode", ["infer", "int8"])
+    @pytest.mark.parametrize("name", available_models())
+    def test_arena_is_exactly_the_planned_size(self, rng, name, mode):
+        """The arena a plan runs in holds its buffers and nothing more: no
+        kernel reads past a buffer's end, so there is no hidden tail slack.
+        At res 32 the 16-px depthwise layers run the tap kernels."""
+        if mode == "int8":
+            model = _quantized_model(name, rng, res=32)
+        else:
+            model = create_model(name, num_classes=8)
+            model.eval()
+        net = repro.compile(model, mode=mode)
+        for batch in (1, 8):
+            plan = net.plan((batch, 3, 32, 32))
+            packed = max(b.offset + b.size for b in plan.memory.buffers)
+            assert plan.arena.size == plan.memory.arena_elements == packed, batch
 
     def test_arena_plans_only_the_picked_kernels_scratch(self, rng):
         """Only the picked kernels' scratch is planned, and no tap stack
