@@ -1,6 +1,6 @@
 """Serving benchmarks: int8 vs float throughput, batching, and the fleet.
 
-Seven lanes, written to ``BENCH_serve.json`` so the perf trajectory is tracked
+Eight lanes, written to ``BENCH_serve.json`` so the perf trajectory is tracked
 across PRs and gated by ``scripts/check_bench.py``:
 
 1. **Engine lane** — single-stream throughput (imgs/sec) of the int8 integer
@@ -23,28 +23,35 @@ across PRs and gated by ``scripts/check_bench.py``:
    one core and the IPC overhead cannot be amortized, so the gate drops to a
    sanity floor.  ``cpu_count`` is recorded in the report so the gate can
    tell which regime produced it.
-4. **Chaos lane** — the same fleet under fault injection (replica SIGKILLs,
+4. **Echo lane** — the fleet lane's closed-loop load through
+   ``echo_backend``, which does no compute, with one replica and with
+   ``FLEET_REPLICAS``: the transport ceiling of the request path, so a fleet
+   lane below it is bound by compute and one near it by transport.
+   Recorded, with zero lost as its only gate.
+5. **Chaos lane** — the fleet lane's fleet under fault injection (replica SIGKILLs,
    corrupt replies, slow batches).  Gates: zero lost requests, at least one
    supervised restart actually exercised, all replicas serving again at the
    end of the run, and chaos p99 within a small multiple of the clean p99.
-5. **Autoscale lane** — a one-replica fleet with an
+6. **Autoscale lane** — a one-replica fleet with an
    :class:`~repro.serve.AutoscaleController` under a ramped spike of
    open-loop (fixed arrival schedule) load.  Single-replica capacity is
    measured closed-loop first, then the spike offers a multiple of it, so
-   the lane self-calibrates to the machine.  Gates: the spike forces at
+   the lane self-calibrates to the machine; a fixed sleep per batch
+   (``SPIKE_CHAOS``) keeps that capacity below what one load thread can
+   offer.  Gates: the spike forces at
    least one scale-up, the fleet reconverges to ``min_replicas`` with the
    degradation ladder fully recovered once the spike clears, and zero
    requests are lost throughout.  The post-convergence tail p99 must meet
    the SLO on machines with >= 4 CPU cores (on starved runners the replicas
    time-share one core, so only the robustness gates apply — same regime
    split as the fleet lane).
-6. **Cold-start lane** — fleet boot time (``Fleet()`` to all replicas READY)
+7. **Cold-start lane** — fleet boot time (``Fleet()`` to all replicas READY)
    compiling the model at boot (init + quantize + calibrate + compile) vs
    loading a pre-compiled artifact (:mod:`repro.runtime.artifact`), on a
    calibration-heavy config where the difference matters.  Both fleets must
    produce bit-identical predictions; the artifact boot must be measurably
    faster (CPU-count independent — this is single-process work).
-7. **Fidelity lane** — a one-replica fleet serving a two-rung
+8. **Fidelity lane** — a one-replica fleet serving a two-rung
    :class:`~repro.serve.fidelity.FidelityLadder` (float above int8 of the
    same model) under the same self-calibrated open-loop spike as the
    autoscale lane, pinned at ``max_replicas`` so the controller's only move
@@ -69,6 +76,7 @@ import json
 import os
 import platform
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +100,14 @@ AUTOSCALE_SPIKE_MULT = 3.0
 AUTOSCALE_SPIKE_WINDOW = (0.25, 0.55)
 # one submitting thread must outrun the schedule, so the spike peak is capped
 AUTOSCALE_MAX_SPIKE_RATE = 2400.0
+# The spike lanes' replicas sleep through every batch (a deterministic chaos
+# fault), so one replica serves at most SPIKE_MAX_BATCH / 10 ms = 400 req/s,
+# and the spike, 2.1x the measured capacity, overloads it on any machine,
+# however fast the engine and the transport.  Calibrated from compute alone,
+# a fleet serving 4000+ req/s per replica absorbs the whole capped spike,
+# and the scale-up and fidelity gates read nothing.
+SPIKE_MAX_BATCH = 4
+SPIKE_CHAOS = "slow:prob=1,ms=10"
 
 
 def build_engines(model_name: str, resolution: int, seed: int = 0):
@@ -156,28 +172,35 @@ def serving_lane(int8_net, resolution: int, n_requests: int) -> dict:
     }
 
 
-def _fleet_run(resolution: int, n_requests: int, chaos: str | None):
-    """One closed-loop load run against a fresh replica fleet."""
+def _fleet_run(resolution: int, n_requests: int, chaos: str | None, replicas: int = FLEET_REPLICAS,
+               echo: bool = False):
+    """One closed-loop load run against a fresh replica fleet.
+
+    ``echo`` serves :func:`~repro.serve.fleet.echo_backend`, which does no
+    compute, instead of the int8 model.
+    """
+    if echo:
+        builder, builder_kwargs = "repro.serve.fleet:echo_backend", {"resolution": resolution}
+    else:
+        builder = FleetConfig.builder
+        builder_kwargs = {"model_name": "mobilenetv2-tiny", "resolution": resolution, "engine": "int8"}
     config = FleetConfig(
-        replicas=FLEET_REPLICAS,
+        replicas=replicas,
         max_batch=16,
         max_pending=256,
         max_attempts=6,
-        builder_kwargs={
-            "model_name": "mobilenetv2-tiny",
-            "resolution": resolution,
-            "engine": "int8",
-        },
+        builder=builder,
+        builder_kwargs=builder_kwargs,
         chaos=chaos,
     )
     with Fleet(config) as fleet:
-        fleet.wait_ready(replicas=FLEET_REPLICAS, timeout=120.0)
+        fleet.wait_ready(replicas=replicas, timeout=120.0)
         with fleet.client(timeout=60.0, retries=6) as client:
             report = run_load(client, n_requests=n_requests, concurrency=32, warmup=16, timeout=60.0)
         # "serving again within the run": give restarts in flight a moment to
         # finish, then count ready replicas BEFORE the drain stops everything
         deadline = time.monotonic() + 10.0
-        while fleet.stats().ready < FLEET_REPLICAS and time.monotonic() < deadline:
+        while fleet.stats().ready < replicas and time.monotonic() < deadline:
             time.sleep(0.05)
         ready_at_end = fleet.stats().ready
         fleet.close()  # drain before reading the final counters
@@ -232,14 +255,36 @@ def fleet_lane(resolution: int, n_requests: int) -> dict:
     }
 
 
+def echo_lane(resolution: int, n_requests: int) -> dict:
+    """The fleet's transport ceiling: the fleet lane's load through an echo backend.
+
+    The echo backend does no compute, so its req/s bound what any model can
+    get through the fleet's request path (client, front door, slots, pipes,
+    replica loop) with one replica and with the fleet lane's replica count.
+    """
+    rows = {}
+    for replicas in (1, FLEET_REPLICAS):
+        report, stats = _fleet_run(resolution, n_requests, chaos=None, replicas=replicas, echo=True)
+        rows[f"replicas{replicas}"] = {
+            "req_per_sec": report.requests_per_sec,
+            "p50_ms": report.latency_ms_p50,
+            "p99_ms": report.latency_ms_p99,
+            "batch_size_mean": stats.batch_size_mean,
+            "errors": report.errors,
+            "lost": stats.lost,
+        }
+    return {"cpu_count": os.cpu_count(), "concurrency": 32, **rows}
+
+
 def autoscale_lane(resolution: int, smoke: bool) -> dict:
     """SLO-driven autoscaling under an open-loop traffic spike.
 
     The lane self-calibrates: it measures single-replica capacity closed-loop
     against the live fleet, offers ``0.7x`` of that as the base rate and
     multiplies it by ``AUTOSCALE_SPIKE_MULT`` inside the spike window — a load
-    one replica provably cannot absorb, whatever the machine.  The p99 SLO is
-    derived from the measured baseline the same way.  After the schedule ends
+    one replica provably cannot absorb, whatever the machine, because the
+    ``SPIKE_CHAOS`` sleep keeps that capacity below the generator's cap.
+    The p99 SLO is derived from the measured baseline the same way.  After the schedule ends
     the lane waits for the controller to walk the fleet back to the floor and
     the degradation ladder back to level 0 before snapshotting.
     """
@@ -248,7 +293,7 @@ def autoscale_lane(resolution: int, smoke: bool) -> dict:
     config = FleetConfig(
         replicas=1,
         max_replicas=max_replicas,
-        max_batch=16,
+        max_batch=SPIKE_MAX_BATCH,
         max_pending=512,
         max_attempts=6,
         stats_window_s=1.5,
@@ -257,6 +302,7 @@ def autoscale_lane(resolution: int, smoke: bool) -> dict:
             "resolution": resolution,
             "engine": "int8",
         },
+        chaos=SPIKE_CHAOS,
     )
     with Fleet(config) as fleet:
         fleet.wait_ready(replicas=1, timeout=120.0)
@@ -312,6 +358,7 @@ def autoscale_lane(resolution: int, smoke: bool) -> dict:
         "slo_p99_ms": slo_p99,
         "offered_rate": report.offered_rate,
         "spike_mult": AUTOSCALE_SPIKE_MULT,
+        "spike_chaos": SPIKE_CHAOS,
         "duration_s": duration,
         "offered": report.offered,
         "completed": report.requests,
@@ -425,7 +472,8 @@ def fidelity_lane(resolution: int, smoke: bool) -> dict:
     ``max_replicas=1`` removes scale-up from the controller's toolbox, so a
     spike that out-runs rung 0 leaves exactly one graceful move: drop
     fidelity.  The lane records the per-rung latency/agreement tradeoff curve
-    first (closed-loop at a fixed rung), then the spike, then checks the
+    first (closed-loop at a fixed rung, on a plain fleet), then runs the
+    spike on a fleet whose batches sleep ``SPIKE_CHAOS``, and checks the
     ladder recovered to the top rung once traffic cleared.
     """
     cpus = os.cpu_count() or 1
@@ -462,15 +510,17 @@ def fidelity_lane(resolution: int, smoke: bool) -> dict:
                     "p99_ms": rung_report.latency_ms_p99,
                 }
             )
-        fleet.set_fidelity(0, reason="bench")
         snapshot = fleet.stats().to_dict()["fidelity"]
         for point, rung_stats in zip(curve, snapshot["rungs"]):
             point["name"] = rung_stats["name"]
             point["agreement"] = rung_stats["agreement"]
-        served_before = [r["completed"] for r in snapshot["rungs"]]
 
-        capacity = curve[0]["req_per_sec"]
-        slo_p99 = max(25.0, curve[0]["p99_ms"] * 6.0)
+    with Fleet(replace(config, max_batch=SPIKE_MAX_BATCH, chaos=SPIKE_CHAOS)) as fleet:
+        fleet.wait_ready(replicas=1, timeout=120.0)
+        with fleet.client(timeout=60.0, retries=6) as client:
+            base = run_load(client, n_requests=n_requests, concurrency=8, warmup=16, timeout=60.0)
+        capacity = base.requests_per_sec
+        slo_p99 = max(25.0, base.latency_ms_p99 * 6.0)
         rate = min(0.7 * capacity, AUTOSCALE_MAX_SPIKE_RATE / AUTOSCALE_SPIKE_MULT)
         duration = 6.0 if smoke else 10.0
         slo = SLOConfig(
@@ -507,11 +557,9 @@ def fidelity_lane(resolution: int, smoke: bool) -> dict:
             state = controller.state()
         fleet.close()  # drain before reading the final counters
         stats = fleet.stats()
+    # the spike fleet served only rung 0 before the spike
     fidelity = stats.to_dict()["fidelity"]
-    low_rung_served = sum(
-        r["completed"] - before
-        for r, before in list(zip(fidelity["rungs"], served_before))[1:]
-    )
+    low_rung_served = sum(r["completed"] for r in fidelity["rungs"][1:])
     degrade_levels = [h["level"] for h in state["history"] if h["decision"] == "degrade"]
     return {
         "cpu_count": cpus,
@@ -521,6 +569,7 @@ def fidelity_lane(resolution: int, smoke: bool) -> dict:
         "slo_p99_ms": slo_p99,
         "offered_rate": report.offered_rate,
         "spike_mult": AUTOSCALE_SPIKE_MULT,
+        "spike_chaos": SPIKE_CHAOS,
         "duration_s": duration,
         "offered": report.offered,
         "completed": report.requests,
@@ -552,6 +601,7 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
         "engine": engine_lane(float_net, int8_net, model, resolution, repeats, rng),
         "serving": serving_lane(int8_net, resolution, n_requests),
         "fleet": fleet_lane(resolution, fleet_requests),
+        "echo": echo_lane(resolution, fleet_requests),
         "autoscale": autoscale_lane(resolution, smoke),
         "cold_start": cold_start_lane(smoke),
         "fidelity": fidelity_lane(resolution, smoke),
@@ -615,6 +665,16 @@ def main() -> None:
         f"restarts {chaos['restarts']} ({chaos['crashes_detected']} crashes, "
         f"{chaos['corrupt_detected']} corrupt caught), "
         f"ready at end {chaos['ready_at_end']}/{fleet['replicas']}"
+    )
+    echo = results["echo"]
+    print(
+        "echo (transport ceiling): "
+        + ", ".join(
+            f"{n} replica(s) {echo[f'replicas{n}']['req_per_sec']:.0f} req/s "
+            f"(p99 {echo[f'replicas{n}']['p99_ms']:.1f} ms, "
+            f"{echo[f'replicas{n}']['batch_size_mean']:.1f} per batch)"
+            for n in (1, FLEET_REPLICAS)
+        )
     )
     scale = results["autoscale"]
     tail = scale["p99_tail_ms"]

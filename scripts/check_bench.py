@@ -14,7 +14,8 @@ Dispatches on the report's ``suite`` field:
   serving req/s.  The multi-process fleet lane must beat the threaded engine
   on machines with enough cores (CPU-count-aware floor), and the chaos lane
   must show zero lost requests, exercised-and-recovered restarts, and a
-  bounded chaos-vs-clean p99 ratio.  The autoscale lane must show the
+  bounded chaos-vs-clean p99 ratio, and the echo lane (the fleet's transport
+  ceiling) zero lost requests.  The autoscale lane must show the
   traffic spike forcing a scale-up, reconvergence to the replica floor with
   the degradation ladder fully recovered, zero lost or unresolved requests,
   and (on >= 4 cores) a post-convergence tail p99 within the derived SLO.  The artifact cold-start lane must boot the fleet
@@ -164,6 +165,7 @@ def check_serve(report: dict, args) -> list[str]:
             f"int8 parity drifted: max |logit delta| {parity:.4f} > {args.max_parity_delta}"
         )
     failures.extend(check_fleet(bench.get("fleet"), args))
+    failures.extend(check_echo(bench.get("echo")))
     failures.extend(check_autoscale(bench.get("autoscale"), args))
     failures.extend(check_cold_start(bench.get("cold_start"), args))
     failures.extend(check_fidelity(bench.get("fidelity"), args))
@@ -289,6 +291,21 @@ def check_autoscale(lane: dict | None, args) -> list[str]:
         f"{lane['scale_ups']} up / {lane['scale_downs']} down / {lane['degrades']} degrade, "
         f"tail p99 {tail_txt} vs SLO {lane['slo_p99_ms']:.0f} ms ({regime}), "
         f"lost {lane['lost']}, shed {lane['shed']}"
+    )
+    return failures
+
+
+def check_echo(lane: dict | None) -> list[str]:
+    """The echo lane records the transport ceiling; its only gate is zero lost."""
+    if lane is None:
+        return ["report missing the echo (transport ceiling) lane"]
+    rows = {name: row for name, row in lane.items() if name.startswith("replicas")}
+    failures = [
+        f"echo lane ({name}) lost {row['lost']} requests" for name, row in rows.items() if row["lost"]
+    ]
+    print(
+        "echo (transport ceiling): "
+        + ", ".join(f"{name} {row['req_per_sec']:.0f} req/s" for name, row in rows.items())
     )
     return failures
 

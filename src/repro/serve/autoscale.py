@@ -202,6 +202,7 @@ class _Counters:
     last_pressure: float = 0.0
     last_decision: str = "idle"
     history: list = field(default_factory=list)
+    step_errors: dict = field(default_factory=dict)  # error class -> ticks it failed
 
 
 class AutoscaleController:
@@ -398,6 +399,7 @@ class AutoscaleController:
             "recoveries": c.recoveries,
             "holds_converging": c.holds_converging,
             "peak_target": c.peak_target,
+            "step_errors": dict(c.step_errors),
             "history": list(c.history),
         }
 
@@ -414,6 +416,7 @@ class AutoscaleController:
             f"(peak {c.peak_target}), ladder level {self.level}/{self.ladder_depth} "
             f"({c.degrades} degrades, {c.recoveries} recoveries), "
             f"{c.holds_converging} holds while restarts converged"
+            + (f", failed ticks {c.step_errors}" if c.step_errors else "")
         )
 
     # ------------------------------------------------------------------ #
@@ -439,9 +442,12 @@ class AutoscaleController:
         while not self._stop.wait(self.slo.interval):
             try:
                 self.step()
-            except Exception:
-                # a transient stats/resize failure (e.g. fleet mid-shutdown)
-                # must not kill the loop; the next tick retries
+            except (RuntimeError, TimeoutError) as error:
+                # the fleet is shutting down under the controller: its setters
+                # raise "not running" and a resize can time out once its loop
+                # is gone.  Counted, and the next tick retries.
+                name = type(error).__name__
+                self.counters.step_errors[name] = self.counters.step_errors.get(name, 0) + 1
                 if self._stop.is_set():
                     return
 

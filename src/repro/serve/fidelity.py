@@ -4,9 +4,8 @@ The paper's expand/contract machinery produces a *family* of models for the
 same task — giant and tiny, float and int8.  A :class:`FidelityLadder` turns
 that family into a serving feature: every replica pre-compiles (or pre-loads
 from compiled artifacts, see :mod:`repro.runtime.artifact`) the whole ladder
-once, and then switches its **active rung** instantly on a ``("cfg",
-{"fidelity": i})`` message over its work pipe — no restart, no model load, no
-dropped work.
+once, and then switches its **active rung** instantly on a ``CFG | i``
+record over its work pipe — no restart, no model load, no dropped work.
 
 Rung 0 is the highest-fidelity engine; higher indices trade accuracy for
 latency.  Under load the :class:`~repro.serve.autoscale.AutoscaleController`
@@ -103,7 +102,7 @@ class LadderBackend(ServingBackend):
 
     ``forward`` dispatches to the active rung on every call, so the replica
     loop's one-time binding of ``backend.forward`` stays valid across
-    switches.  ``set_rung`` is what the replica's ``("cfg", {"fidelity": i})``
+    switches.  ``set_rung`` is what the replica's ``CFG | i`` record
     handler calls; it is cheap (an index assignment) and takes effect on the
     next micro-batch.
     """

@@ -19,6 +19,13 @@ recovery story.  :class:`Fleet` is the production-shaped tier above it:
   (no free slot ⇒ an explicit ``Overloaded`` reply instead of an unbounded
   queue), CRC-validated replies, and automatic redispatch of failed attempts
   up to ``max_attempts``.
+* **A fixed cost per read, not per request.**  Each client connection is an
+  :class:`asyncio.Protocol`: one ``data_received`` admits every complete
+  frame in its buffer and then sends each replica one RUN record of
+  ``(gid, slot)`` pairs.  Replica acks are read on the same event loop (no
+  reader threads), and the replies of one ACK_DONE record go out as one write
+  per connection.  REQUEST frames without a deadline and RESPONSE frames
+  carry no JSON meta; clients shape replies from the handshake.
 * **Fault injection** via :mod:`repro.serve.chaos` — kill/hang/slow/corrupt
   faults in replicas and connection drops at the front door — so every
   recovery path above is exercised by tests and ``benchmarks/bench_serve.py``
@@ -43,10 +50,12 @@ benchmark gate.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
 import zlib
+from array import array
 from collections import deque
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
@@ -56,7 +65,7 @@ import numpy as np
 
 from . import transport
 from .chaos import ChaosConfig, parse_chaos
-from .supervisor import ReplicaSpec, Supervisor, resolve_builder
+from .supervisor import CFG, RUN, ReplicaSpec, Supervisor, record, resolve_builder
 from .transport import (
     KIND_ERROR,
     KIND_PING,
@@ -67,7 +76,6 @@ from .transport import (
     KIND_STATS_REPLY,
     FleetClient,
     pack_frame,
-    split_frame,
 )
 
 __all__ = [
@@ -83,6 +91,9 @@ __all__ = [
 
 # Retry-after base while the stats window holds no completions yet (ms).
 _RETRY_AFTER_IDLE_MS = 5.0
+# gids travel as u32 words in pipe records, so they wrap
+_GID_MASK = 0xFFFFFFFF
+_RUN_WORD = record(RUN)
 
 
 # --------------------------------------------------------------------------- #
@@ -465,13 +476,13 @@ class _Entry:
     """Front-door bookkeeping for one admitted request."""
 
     __slots__ = (
-        "gid", "writer", "request_id", "slot", "attempts",
+        "gid", "conn", "request_id", "slot", "attempts",
         "dispatched", "done", "released", "timer", "admitted",
     )
 
-    def __init__(self, gid, writer, request_id, slot):
+    def __init__(self, gid, conn, request_id, slot):
         self.gid = gid
-        self.writer = writer
+        self.conn = conn
         self.request_id = request_id
         self.slot = slot
         self.attempts = 0
@@ -480,6 +491,43 @@ class _Entry:
         self.released = False  # slot returned to the free pool
         self.timer = None
         self.admitted = 0.0  # monotonic admission timestamp for latency stats
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection of the front door (event-loop thread).
+
+    ``data_received`` handles every complete frame in the bytes so far, then
+    flushes the dispatches they made, so a burst of frames read at once
+    costs each replica one pipe write.  Bytes of an incomplete frame wait
+    in ``pending`` for the next read.
+    """
+
+    def __init__(self, fleet: "Fleet"):
+        self.fleet = fleet
+        self.transport = None
+        self.pending = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.fleet._conns.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.fleet._conns.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.pending:
+            self.pending += data
+            data = self.pending
+        used = self.fleet._read_frames(self, data)
+        if data is self.pending:
+            del self.pending[:used]
+        elif used < len(data):
+            self.pending += data[used:]
+        self.fleet._flush()
+
+    def write(self, data: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(data)
 
 
 # --------------------------------------------------------------------------- #
@@ -520,6 +568,8 @@ class Fleet:
         self._free_slots: list[int] = []
         self._inflight: dict[int, _Entry] = {}
         self._undispatched: deque = deque()
+        self._dirty: list = []  # replica handles with a non-empty outbox
+        self._conns: set = set()  # open client connections
         self._next_gid = 0
         # counters (event-loop thread only)
         self._submitted = 0
@@ -571,6 +621,8 @@ class Fleet:
         self._slots = np.ndarray(
             (n_slots, self.io.slot_elements), dtype=np.float32, buffer=self._slots_shm.buf
         )
+        self._inputs = self._slots[:, : self.io.input_elements]
+        self._outputs = self._slots[:, self.io.input_elements :]
         self._hb = np.ndarray((max_replicas,), dtype=np.float64, buffer=self._hb_shm.buf)
         self._free_slots = list(range(n_slots))
         use_fork = cfg.resolved_start_method() == "fork"
@@ -659,7 +711,7 @@ class Fleet:
         self.close()
 
     def _cleanup_shm(self) -> None:
-        self._slots = None
+        self._slots = self._inputs = self._outputs = None
         self._hb = None
         if self._supervisor is not None:
             self._supervisor.hb = None
@@ -702,11 +754,11 @@ class Fleet:
             cfg,
             self._spec,
             self._hb,
-            post=self._post,
+            loop=self._loop,
             on_msg=self._on_replica_msg,
             on_down=self._on_replica_down,
         )
-        server = await asyncio.start_server(self._handle_conn, cfg.host, cfg.port)
+        server = await self._loop.create_server(lambda: _Connection(self), cfg.host, cfg.port)
         self.address = server.sockets[0].getsockname()[:2]
         self._supervisor.spawn_all()
         watchdog = asyncio.create_task(self._watchdog())
@@ -715,7 +767,6 @@ class Fleet:
         # ---- graceful drain: stop admitting, finish in-flight, stop fleet
         self._draining = True
         server.close()
-        await server.wait_closed()
         if self._drain_requested:
             deadline = time.monotonic() + cfg.drain_timeout
             while any(not e.done for e in self._inflight.values()) and time.monotonic() < deadline:
@@ -727,6 +778,9 @@ class Fleet:
             self._release(entry)
         watchdog.cancel()
         self._supervisor.stop_all(timeout=5.0)
+        for conn in list(self._conns):
+            conn.transport.close()
+        await server.wait_closed()
         self._final_stats = self._stats_snapshot()
 
     def _begin_shutdown(self, drain: bool) -> None:
@@ -744,85 +798,81 @@ class Fleet:
     # ------------------------------------------------------------------ #
     # client connections
     # ------------------------------------------------------------------ #
-    async def _handle_conn(self, reader, writer) -> None:
-        try:
-            while True:
-                header = await reader.readexactly(4)
-                length = int.from_bytes(header, "little")
-                if not 9 <= length <= transport.MAX_FRAME_BYTES:
-                    break
-                body = await reader.readexactly(length)
-                kind, request_id, meta, payload = split_frame(body)
-                if kind == KIND_REQUEST:
-                    if self._front_monkey is not None and self._front_monkey.drop_connection():
-                        writer.transport.abort()  # chaos: sever the connection mid-request
-                        return
-                    self._admit(writer, request_id, meta, payload)
-                elif kind == KIND_PING:
-                    self._send_frame(
-                        writer,
-                        pack_frame(
-                            KIND_PONG,
-                            request_id,
-                            {
-                                "input_shape": list(self.io.input_shape),
-                                "output_shape": list(self.io.output_shape),
-                                "replicas": self.config.replicas,
-                            },
-                        ),
-                    )
-                elif kind == KIND_STATS:
-                    self._send_frame(
-                        writer,
-                        pack_frame(KIND_STATS_REPLY, request_id, self._stats_snapshot().to_dict()),
-                    )
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            pass  # loop teardown after drain; the connection is going away anyway
-        finally:
+    def _read_frames(self, conn: _Connection, data) -> int:
+        """Handle each complete frame in ``data``; returns the bytes used."""
+        head = transport.HEADER
+        pos, size = 0, len(data)
+        while size - pos >= head.size:
+            length, kind, request_id, meta_len = head.unpack_from(data, pos)
+            if not 9 <= length <= transport.MAX_FRAME_BYTES or meta_len > length - 9:
+                conn.transport.close()
+                return size
+            end = pos + 4 + length
+            if end > size:
+                break
+            start = pos + head.size
             try:
-                writer.close()
-            except Exception:
-                pass
-
-    def _send_frame(self, writer, frame: bytes) -> None:
-        try:
-            if not writer.is_closing():
-                writer.write(frame)
-        except Exception:
-            pass  # client went away; the request still counts as resolved
+                meta = json.loads(data[start : start + meta_len]) if meta_len else {}
+            except ValueError:
+                meta = None
+            if not isinstance(meta, dict):  # malformed meta: drop the stream
+                conn.transport.close()
+                return size
+            start += meta_len
+            pos = end
+            if kind == KIND_REQUEST:
+                if self._front_monkey is not None and self._front_monkey.drop_connection():
+                    conn.transport.abort()  # chaos: sever the connection mid-request
+                    return size
+                self._admit(conn, request_id, meta, data, start, end)
+            elif kind == KIND_PING:
+                conn.write(
+                    pack_frame(
+                        KIND_PONG,
+                        request_id,
+                        {
+                            "input_shape": list(self.io.input_shape),
+                            "output_shape": list(self.io.output_shape),
+                            "replicas": self.config.replicas,
+                        },
+                    )
+                )
+            elif kind == KIND_STATS:
+                conn.write(pack_frame(KIND_STATS_REPLY, request_id, self._stats_snapshot().to_dict()))
+        return pos
 
     def _reply_error(
-        self, writer, request_id: int, code: str, message: str, extra: dict | None = None
+        self, conn: _Connection, request_id: int, code: str, message: str, extra: dict | None = None
     ) -> None:
         meta = {"code": code, "message": message}
         if extra:
             meta.update(extra)
-        self._send_frame(writer, pack_frame(KIND_ERROR, request_id, meta))
+        conn.write(pack_frame(KIND_ERROR, request_id, meta))
 
     # ------------------------------------------------------------------ #
     # admission and dispatch (event-loop thread)
     # ------------------------------------------------------------------ #
-    def _admit(self, writer, request_id: int, meta: dict, payload: bytes) -> None:
+    def _admit(self, conn: _Connection, request_id: int, meta: dict, data, start, end) -> None:
+        """Admit the request whose payload is ``data[start:end]``; no dispatch flush."""
         if self._draining:
-            self._reply_error(writer, request_id, "shutdown", "fleet is draining")
+            self._reply_error(conn, request_id, "shutdown", "fleet is draining")
             return
-        if len(payload) != self.io.input_elements * 4:
+        n_in = self.io.input_elements
+        if end - start != n_in * 4:
             self._reply_error(
-                writer,
+                conn,
                 request_id,
                 "bad_request",
-                f"expected {self.io.input_elements * 4} payload bytes, got {len(payload)}",
+                f"expected {n_in * 4} payload bytes, got {end - start}",
             )
             return
         if not self._supervisor.alive():
-            self._reply_error(writer, request_id, "replica_failed", "all replicas failed permanently")
+            self._reply_error(conn, request_id, "replica_failed", "all replicas failed permanently")
             return
         if not self._free_slots or len(self._inflight) >= self._eff_max_pending:
             self._shed += 1
             self._reply_error(
-                writer, request_id, "overloaded",
+                conn, request_id, "overloaded",
                 f"admission queue full ({self._eff_max_pending} pending)",
                 extra={
                     "retry_after_ms": round(self._retry_after_hint(), 2),
@@ -831,9 +881,9 @@ class Fleet:
             )
             return
         slot = self._free_slots.pop()
-        self._slots[slot, : self.io.input_elements] = np.frombuffer(payload, dtype=np.float32)
-        self._next_gid += 1
-        entry = _Entry(self._next_gid, writer, request_id, slot)
+        self._inputs[slot] = np.frombuffer(data, dtype=np.float32, count=n_in, offset=start)
+        self._next_gid = (self._next_gid + 1) & _GID_MASK
+        entry = _Entry(self._next_gid, conn, request_id, slot)
         deadline_ms = min(
             float(meta.get("deadline_ms") or self.config.default_deadline_ms),
             self._eff_deadline_ms,
@@ -845,6 +895,11 @@ class Fleet:
         self._dispatch(entry)
 
     def _dispatch(self, entry: _Entry) -> None:
+        """Assign ``entry`` to the least-loaded ready replica's outbox.
+
+        Nothing is sent until :meth:`_flush`; every path that dispatches
+        flushes before it returns to the event loop.
+        """
         ready = self._supervisor.ready_handles()
         if not ready:
             self._undispatched.append(entry)
@@ -852,13 +907,25 @@ class Fleet:
         handle = min(ready, key=lambda h: len(h.assigned))
         entry.dispatched = (handle.index, handle.generation)
         handle.assigned[entry.gid] = entry
-        try:
-            handle.work.send(("run", entry.gid, entry.slot))
-        except (OSError, ValueError):
-            # the pipe just broke under us: this replica is dead; mark_down
-            # requeues everything assigned to it (including this entry)
-            self._supervisor.crashes_detected += 1
-            self._supervisor.mark_down(handle, "dispatch pipe error")
+        if not handle.outbox:
+            self._dirty.append(handle)
+        handle.outbox.append(entry.gid)
+        handle.outbox.append(entry.slot)
+
+    def _flush(self) -> None:
+        """Send each replica its queued dispatches as one RUN record."""
+        while self._dirty:
+            handle = self._dirty.pop()
+            pairs, handle.outbox = handle.outbox, array("I")
+            if not pairs or handle.work is None:
+                continue  # the replica went down; mark_down requeued its entries
+            try:
+                handle.work.send_bytes(_RUN_WORD + pairs.tobytes())
+            except (OSError, ValueError):
+                # the pipe just broke under us: this replica is dead; mark_down
+                # requeues everything assigned to it (including these entries)
+                self._supervisor.crashes_detected += 1
+                self._supervisor.mark_down(handle, "dispatch pipe error")
 
     def _flush_undispatched(self) -> None:
         while self._undispatched and self._supervisor.ready_handles():
@@ -866,6 +933,7 @@ class Fleet:
             if entry.done or entry.dispatched is not None:
                 continue
             self._dispatch(entry)
+        self._flush()
 
     # ------------------------------------------------------------------ #
     # elasticity and degradation
@@ -981,12 +1049,12 @@ class Fleet:
 
     def _broadcast_cfg(self, handle=None) -> None:
         handles = [handle] if handle is not None else self._supervisor.active_handles()
-        payload = {"fidelity": self._fidelity_rung}
+        cfg = record(CFG, self._fidelity_rung)
         for h in handles:
             if h.work is None:
                 continue
             try:
-                h.work.send(("cfg", payload))
+                h.work.send_bytes(cfg)
             except (OSError, ValueError):
                 pass  # dying replica; the watchdog deals with it
 
@@ -1015,16 +1083,23 @@ class Fleet:
             self._flush_undispatched()
         elif kind == "done":
             handle.batches += 1
+            replies: dict = {}  # connection -> reply frames of this batch
             for gid, crc in msg[1]:
                 entry = self._take(handle, gid)
                 if entry is not None:
-                    self._complete(handle, entry, crc)
+                    frame = self._complete(handle, entry, crc)
+                    if frame is not None:
+                        replies.setdefault(entry.conn, []).append(frame)
+            for conn, frames in replies.items():
+                conn.write(b"".join(frames))
+            self._flush()  # corrupt replies were redispatched
         elif kind == "err":
             _, gids, message = msg
             for gid in gids:
                 entry = self._take(handle, gid)
                 if entry is not None:
                     self._retry(entry, transport.ReplicaFailed(message))
+            self._flush()
 
     def _take(self, handle, gid: int) -> "_Entry | None":
         """Pop an acked request off its replica; None if stale or already answered."""
@@ -1037,13 +1112,14 @@ class Fleet:
             return None
         return entry
 
-    def _complete(self, handle, entry: _Entry, crc: int) -> None:
-        """Validate one reply in its slot and answer the client (or retry)."""
-        data = self._slots[entry.slot, self.io.input_elements : self.io.slot_elements]
-        if zlib.crc32(data.tobytes()) != crc:
+    def _complete(self, handle, entry: _Entry, crc: int) -> bytes | None:
+        """Validate one reply in its slot; returns its RESPONSE frame, or None
+        after redispatching a corrupt reply."""
+        data = self._outputs[entry.slot]
+        if zlib.crc32(data) != crc:
             self._corrupt_detected += 1
             self._retry(entry, transport.CorruptReply("reply failed checksum validation"))
-            return
+            return None
         handle.served += 1
         now = time.monotonic()
         latency_ms = (now - entry.admitted) * 1e3
@@ -1055,18 +1131,10 @@ class Fleet:
             rung = self._fidelity_rung
             self._rung_completed[rung] = self._rung_completed.get(rung, 0) + 1
             self._rung_latencies.setdefault(rung, deque(maxlen=512)).append(latency_ms)
-        self._send_frame(
-            entry.writer,
-            pack_frame(
-                KIND_RESPONSE,
-                entry.request_id,
-                {"shape": list(self.io.output_shape)},
-                data.tobytes(),
-            ),
-        )
         self._completed += 1
         self._finish(entry)
         self._release(entry)
+        return pack_frame(KIND_RESPONSE, entry.request_id, None, data.tobytes())
 
     def _on_replica_down(self, handle, reason: str, assigned: dict) -> None:
         for entry in assigned.values():
@@ -1075,6 +1143,7 @@ class Fleet:
                 self._release(entry)
             else:
                 self._retry(entry, transport.ReplicaFailed(f"replica {handle.index} down: {reason}"))
+        self._flush()
 
     # ------------------------------------------------------------------ #
     # completion paths
@@ -1110,7 +1179,7 @@ class Fleet:
     def _finish_error(self, entry: _Entry, error, cancel_timer: bool = True) -> None:
         code = getattr(error, "code", "error")
         self._errors[code] = self._errors.get(code, 0) + 1
-        self._reply_error(entry.writer, entry.request_id, code, str(error))
+        self._reply_error(entry.conn, entry.request_id, code, str(error))
         self._finish(entry, cancel_timer=cancel_timer)
 
     def _release(self, entry: _Entry) -> None:

@@ -25,16 +25,27 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeoutError
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LoadReport", "run_load", "arrival_offsets", "TRAFFIC_SHAPES"]
+__all__ = ["LoadReport", "run_load", "arrival_offsets", "TRAFFIC_SHAPES", "SERVING_ERRORS"]
 
 TRAFFIC_SHAPES = ("constant", "ramp", "spike", "step")
 
 _TAIL_FRACTION = 0.35  # share of the schedule counted as "post-convergence"
+
+# What a served request can fail with: the fleet's typed errors and a closed
+# engine or client (RuntimeError; FleetError is one), a dropped connection or
+# a timeout (OSError), a rejected sample (ValueError).  They are counted per
+# class; any other exception is a bug and propagates out of run_load.
+SERVING_ERRORS = (RuntimeError, OSError, ValueError)
+
+
+def _count(counts: dict, error: BaseException) -> None:
+    name = type(error).__name__
+    counts[name] = counts.get(name, 0) + 1
 
 
 @dataclass
@@ -55,6 +66,8 @@ class LoadReport:
     offered: int = 0
     offered_rate: float = 0.0
     latency_ms_p99_tail: float | None = None
+    error_classes: dict = field(default_factory=dict)  # measured errors per class
+    warmup_errors: dict = field(default_factory=dict)  # warmup failures per class
 
     def summary(self) -> str:
         if self.mode == "open":
@@ -75,8 +88,9 @@ class LoadReport:
             f"latency p50 {self.latency_ms_p50:.2f} ms / "
             f"p95 {self.latency_ms_p95:.2f} ms / p99 {self.latency_ms_p99:.2f} ms"
             + tail
-            + (f", {self.errors} errors" if self.errors else "")
+            + (f", {self.errors} errors {self.error_classes}" if self.errors else "")
             + (f", {self.timeouts} timeouts" if self.timeouts else "")
+            + (f", warmup errors {self.warmup_errors}" if self.warmup_errors else "")
         )
 
 
@@ -182,27 +196,31 @@ def run_load(
     # a small pool of distinct payloads, cycled by the clients
     pool = [rng.normal(0.2, 0.8, size=shape).astype(np.float32) for _ in range(16)]
 
+    warmup_errors: dict = {}
     for i in range(warmup):
         try:
             engine.submit(pool[i % len(pool)]).result(timeout=timeout)
-        except Exception:
-            pass  # warmup failures are the measured run's problem, not ours
+        except SERVING_ERRORS as error:
+            _count(warmup_errors, error)
 
     if mode == "open":
-        return _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwargs)
-    return _run_closed_loop(engine, pool, n_requests, concurrency, timeout)
+        report = _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwargs)
+    else:
+        report = _run_closed_loop(engine, pool, n_requests, concurrency, timeout)
+    report.warmup_errors = warmup_errors
+    return report
 
 
 def _run_closed_loop(engine, pool, n_requests, concurrency, timeout) -> LoadReport:
     remaining = [n_requests]
     counter_lock = threading.Lock()
     latencies: list[float] = []
-    errors = [0]
+    errors: dict = {}
     timeouts = [0]
 
     def client(client_index: int) -> None:
         local: list[float] = []
-        local_errors = 0
+        local_errors: dict = {}
         local_timeouts = 0
         step = client_index
         while True:
@@ -216,22 +234,22 @@ def _run_closed_loop(engine, pool, n_requests, concurrency, timeout) -> LoadRepo
                 local.append((time.perf_counter() - start) * 1e3)
             except FutureTimeoutError:
                 local_timeouts += 1
-            except Exception:
-                local_errors += 1
+            except SERVING_ERRORS as error:
+                _count(local_errors, error)
             step += concurrency
         with counter_lock:
             latencies.extend(local)
-            errors[0] += local_errors
+            for name, n in local_errors.items():
+                errors[name] = errors.get(name, 0) + n
             timeouts[0] += local_timeouts
 
-    threads = [threading.Thread(target=client, args=(i,)) for i in range(concurrency)]
     started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with ThreadPoolExecutor(max_workers=concurrency) as clients:
+        runs = [clients.submit(client, i) for i in range(concurrency)]
+    for run in runs:
+        run.result()  # an error outside SERVING_ERRORS propagates here
     elapsed = time.perf_counter() - started
-    return _report(latencies, None, elapsed, errors[0], timeouts[0], concurrency=concurrency)
+    return _report(latencies, None, elapsed, errors, timeouts[0], concurrency=concurrency)
 
 
 def _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwargs) -> LoadReport:
@@ -239,7 +257,8 @@ def _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwa
     total = len(offsets)
     lock = threading.Lock()
     samples: list[tuple[float, float]] = []  # (submit offset, latency ms)
-    errors = [0]
+    errors: dict = {}
+    unexpected: list = []  # errors outside SERVING_ERRORS, raised after the run
     resolved = [0]
     all_done = threading.Event()
 
@@ -250,16 +269,15 @@ def _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwa
 
     def make_callback(start: float, offset: float):
         def callback(future) -> None:
-            try:
-                future.result(timeout=0)
-            except Exception:
-                with lock:
-                    errors[0] += 1
-                    finish_one()
-                return
+            error = future.exception()
             latency_ms = (time.perf_counter() - start) * 1e3
             with lock:
-                samples.append((offset, latency_ms))
+                if error is None:
+                    samples.append((offset, latency_ms))
+                elif isinstance(error, SERVING_ERRORS):
+                    _count(errors, error)
+                else:
+                    unexpected.append(error)
                 finish_one()
 
         return callback
@@ -272,9 +290,9 @@ def _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwa
         start = time.perf_counter()
         try:
             future = engine.submit(pool[index % len(pool)])
-        except Exception:
+        except SERVING_ERRORS as error:
             with lock:
-                errors[0] += 1
+                _count(errors, error)
                 finish_one()
             continue
         future.add_done_callback(make_callback(start, offset))
@@ -286,14 +304,16 @@ def _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwa
     with lock:
         timeouts = total - resolved[0]
         done_samples = list(samples)
-        n_errors = errors[0]
+        error_classes = dict(errors)
+        if unexpected:
+            raise unexpected[0]
     tail_cut = duration_s * (1.0 - _TAIL_FRACTION)
     tail = [latency for offset, latency in done_samples if offset >= tail_cut]
     report = _report(
         [latency for _, latency in done_samples],
         tail,
         elapsed,
-        n_errors,
+        error_classes,
         timeouts,
         concurrency=0,
     )
@@ -324,7 +344,8 @@ def _report(latencies, tail, elapsed, errors, timeouts, concurrency) -> LoadRepo
         latency_ms_p95=pct["p95_ms"],
         latency_ms_p99=pct["p99_ms"],
         latency_ms_mean=float(lat.mean()) if lat.size else float("nan"),
-        errors=errors,
+        errors=sum(errors.values()),
         timeouts=timeouts,
         latency_ms_p99_tail=tail_p99,
+        error_classes=errors,
     )

@@ -4,13 +4,29 @@ The :class:`Supervisor` owns the fleet's replica processes and nothing else —
 request routing lives in :mod:`repro.serve.fleet`.  Each replica runs
 :func:`_replica_main`: it attaches the shared-memory slot block, builds (or
 inherits) its inference backend and serves micro-batches from a private
-``multiprocessing`` pipe.  The loop is work-conserving: it blocks for one
-request, adds what is already queued (up to ``max_batch``) and runs the batch
-at once — under load the queue fills while the replica computes, so no timed
-wait is needed.  Outputs and their CRC32s go into the slots, and one message
-on a second private pipe acks the whole batch: ``("done", [(gid, crc), ...])``
-or ``("err", [gid, ...], message)``.  Private pipes matter for fault
+``multiprocessing`` pipe.
+
+Both pipes carry fixed records of native ``u32`` words, never pickles; the
+first word names the record::
+
+    parent -> replica   RUN   | (gid, slot) pairs    one record per dispatch flush
+                        STOP
+                        CFG   | fidelity rung
+    replica -> parent   ACK_READY | pid
+                        ACK_DONE  | (gid, crc) pairs   one record per micro-batch
+                        ACK_ERR   | n | n gids | UTF-8 message
+
+The replica loop is work-conserving: it waits on one ``select.poll`` (made
+once) only while it holds no work, then takes every record already queued,
+runs up to ``max_batch`` of the held requests at once and keeps the rest for
+its next batch — under load the pipe fills while the replica computes, so no
+timed wait is needed.  Outputs and their CRC32s go into the slots and one
+ACK_DONE (or ACK_ERR) record acks the whole batch.  Private pipes matter for fault
 isolation: a replica killed mid-write can only poison *its own* channel.
+
+The parent reads acks on the fleet's event loop: :meth:`Supervisor.spawn`
+registers each replica's ack pipe with ``loop.add_reader``, so there is no
+reader thread and no cross-thread hop per ack.
 
 Replica state machine::
 
@@ -38,7 +54,7 @@ replica back to READY: the process never stopped serving, so cancelling a
 drain is free.
 
 Liveness has two signals.  *Crash* is cheap to detect: the process exit code
-flips, and the parent's pipe reader sees EOF immediately.  *Hang* needs the
+flips, and the ack pipe reads EOF on the event loop at once.  *Hang* needs the
 watchdog: the replica's worker loop — not a helper thread, the loop that
 actually serves — writes a monotonic timestamp into a shared heartbeat array
 every iteration, so a wedged loop (chaos ``hang``, a stuck kernel) stops
@@ -58,8 +74,9 @@ from __future__ import annotations
 import os
 import time
 import zlib
-import threading
+import select
 import multiprocessing
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -70,6 +87,33 @@ import numpy as np
 from .chaos import ChaosConfig
 
 __all__ = ["ReplicaSpec", "ReplicaHandle", "Supervisor", "resolve_builder"]
+
+# Pipe record kinds (the first u32 word of a record; see the module docstring).
+RUN, STOP, CFG = 1, 2, 3  # parent -> replica
+ACK_READY, ACK_DONE, ACK_ERR = 1, 2, 3  # replica -> parent
+
+
+def record(kind: int, *words: int) -> bytes:
+    """One pipe record: ``kind`` and then ``words``, as native u32s."""
+    return array("I", (kind, *words)).tobytes()
+
+
+def decode_ack(data: bytes) -> tuple:
+    """A replica record as ``("ready", pid)``, ``("done", [(gid, crc), ...])``
+    or ``("err", [gid, ...], message)``."""
+    words = memoryview(data)[: len(data) // 4 * 4].cast("I")
+    kind = words[0]
+    if kind == ACK_DONE:
+        return "done", list(zip(words[1::2], words[2::2]))
+    if kind == ACK_READY:
+        return "ready", words[1]
+    if kind == ACK_ERR:
+        count = words[1]
+        return "err", words[2 : 2 + count].tolist(), data[4 * (2 + count) :].decode()
+    raise ValueError(f"unknown replica record kind {kind}")
+
+
+_DONE_WORD = record(ACK_DONE)
 
 # replica states
 STARTING = "starting"
@@ -132,67 +176,62 @@ def _replica_main(spec: ReplicaSpec, work, resp) -> None:
         forward = backend.forward if hasattr(backend, "forward") else backend
         monkey = spec.chaos.monkey(spec.index) if spec.chaos and spec.chaos.faults else None
         in_elems, out_elems = spec.input_elements, spec.output_elements
+        inputs = slots[:, :in_elems]
+        outputs = slots[:, in_elems : in_elems + out_elems]
         batch_buf = np.empty((spec.max_batch,) + tuple(spec.input_shape), dtype=np.float32)
+        batch_rows = batch_buf.reshape(spec.max_batch, in_elems)
+        poller = select.poll()
+        poller.register(work.fileno(), select.POLLIN)
+        idle_ms = max(1, round(spec.heartbeat_interval * 500))
+        held = np.empty((0, 2), dtype=np.uint32)  # dispatched (gid, slot) pairs not yet run
         beat()
-        resp.send(("ready", os.getpid()))
-
-        def apply_cfg(payload: dict) -> None:
-            # Live fidelity switch, no restart.  Unknown keys are ignored so
-            # the pipe protocol stays forward-compatible across generations.
-            rung = payload.get("fidelity")
-            if rung is not None and hasattr(backend, "set_rung"):
-                backend.set_rung(int(rung))
+        resp.send_bytes(record(ACK_READY, os.getpid()))
 
         stop = False
         while not stop:
-            # Block for the first request, heartbeating while idle: the beat
-            # comes from THIS loop, so a wedged worker stops beating.
-            msg = None
-            while msg is None:
-                beat()
-                if work.poll(spec.heartbeat_interval / 2):
-                    msg = work.recv()
-                    if msg[0] == "cfg":
-                        apply_cfg(msg[1])
-                        msg = None
-            if msg[0] == "stop":
-                break
-            # Work-conserving: batch what is already queued, never wait for more.
-            batch = [msg]
-            while len(batch) < spec.max_batch and work.poll(0):
-                m = work.recv()
-                if m[0] == "stop":
-                    stop = True
-                    break
-                if m[0] == "cfg":
-                    apply_cfg(m[1])
-                    continue
-                batch.append(m)
+            # Wait only while no work is held, heartbeating while idle: the
+            # beat comes from THIS loop, so a wedged worker stops beating.
             beat()
+            ready = poller.poll(0 if len(held) else idle_ms)
+            # Work-conserving: take every record already queued, never wait for more.
+            while ready and not stop:
+                words = np.frombuffer(work.recv_bytes(), dtype=np.uint32)
+                if words[0] == RUN:
+                    pairs = words[1:].reshape(-1, 2)
+                    held = np.concatenate((held, pairs)) if len(held) else pairs
+                elif words[0] == CFG:
+                    # live fidelity switch, no restart
+                    if hasattr(backend, "set_rung"):
+                        backend.set_rung(int(words[1]))
+                else:
+                    stop = True
+                ready = poller.poll(0)
+            if not len(held):
+                continue
+            batch, held = held[: spec.max_batch], held[spec.max_batch :]
             if monkey is not None:
                 monkey.pre_batch()  # may SIGKILL, hang (starving beats), or sleep
             count = len(batch)
-            for i, (_, _, slot) in enumerate(batch):
-                batch_buf[i] = slots[slot, :in_elems].reshape(spec.input_shape)
+            gids, slot_ids = batch[:, 0], batch[:, 1]
+            batch_rows[:count] = inputs[slot_ids]
             try:
-                out = np.asarray(forward(batch_buf[:count]), dtype=np.float32).reshape(count, -1)
+                out = np.ascontiguousarray(forward(batch_buf[:count]), dtype=np.float32).reshape(count, -1)
                 if out.shape[1] != out_elems:
                     raise RuntimeError(
                         f"backend produced {out.shape[1]} elements/sample, expected {out_elems}"
                     )
             except Exception as error:  # typed per-request error, replica survives
-                resp.send(("err", [gid for _, gid, _ in batch], f"{type(error).__name__}: {error}"))
-                beat()
+                message = f"{type(error).__name__}: {error}".encode()
+                resp.send_bytes(record(ACK_ERR, count, *gids.tolist()) + message)
                 continue
-            acks = []
-            for i, (_, gid, slot) in enumerate(batch):
-                dest = slots[slot, in_elems : in_elems + out_elems]
-                dest[:] = out[i]
-                acks.append((gid, zlib.crc32(dest.tobytes())))
-                if monkey is not None:
-                    monkey.corrupt_reply(dest)  # after crc: mismatch is detectable upstream
-            resp.send(("done", acks))
-            beat()
+            outputs[slot_ids] = out
+            acks = np.empty((count, 2), dtype=np.uint32)
+            acks[:, 0] = gids
+            acks[:, 1] = [zlib.crc32(row) for row in out]
+            if monkey is not None:
+                for slot in slot_ids:
+                    monkey.corrupt_reply(outputs[slot])  # after crc: mismatch is detectable upstream
+            resp.send_bytes(_DONE_WORD + acks.tobytes())
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away or told us to die; nothing to clean beyond shm
     finally:
@@ -209,10 +248,11 @@ class ReplicaHandle:
     state: str = DETACHED
     process: object = None
     work: object = None  # parent -> child dispatch connection
-    resp: object = None  # child -> parent ack connection (read by a thread)
+    resp: object = None  # child -> parent ack connection (read on the event loop)
     assigned: dict = field(default_factory=dict)  # gid -> entry, in flight on this replica
+    outbox: array = field(default_factory=lambda: array("I"))  # (gid, slot) pairs to send
     served: int = 0
-    batches: int = 0  # "done" acks, one per micro-batch the replica ran
+    batches: int = 0  # ACK_DONE records, one per micro-batch the replica ran
     failures: int = 0
     restarts: int = 0
     started_at: float = 0.0
@@ -223,6 +263,7 @@ class ReplicaHandle:
     latencies: deque = field(default_factory=lambda: deque(maxlen=256))  # ms, recent
 
     def close_conns(self) -> None:
+        self.outbox = array("I")
         for conn in (self.work, self.resp):
             if conn is not None:
                 try:
@@ -235,8 +276,8 @@ class ReplicaHandle:
 class Supervisor:
     """Owns replica processes: spawn, watch heartbeats, restart, stop.
 
-    All methods run on the fleet's event-loop thread; replica acks arrive via
-    per-replica reader threads that post back onto the loop through ``post``.
+    All methods run on the fleet's event-loop thread, which also reads every
+    replica's acks: each ack pipe is registered with ``loop.add_reader``.
 
     Parameters
     ----------
@@ -246,8 +287,8 @@ class Supervisor:
         Template :class:`ReplicaSpec`; each spawn stamps its index.
     hb:
         Parent-side view of the shared heartbeat array.
-    post:
-        ``post(fn, *args)`` schedules a callback on the loop thread.
+    loop:
+        The fleet's asyncio event loop; ack pipes are read from its selector.
     on_msg, on_down:
         Fleet callbacks: ``on_msg(handle, msg)`` for replica acks;
         ``on_down(handle, reason, assigned)`` with the dead replica's
@@ -258,13 +299,13 @@ class Supervisor:
     """
 
     def __init__(
-        self, config, spec: ReplicaSpec, hb: np.ndarray, *, post, on_msg, on_down,
+        self, config, spec: ReplicaSpec, hb: np.ndarray, *, loop, on_msg, on_down,
         clock=time.monotonic,
     ):
         self.config = config
         self.spec = spec
         self.hb = hb
-        self._post = post
+        self._loop = loop
         self._on_msg = on_msg
         self._on_down = on_down
         self._clock = clock
@@ -316,22 +357,19 @@ class Supervisor:
         handle.pid = process.pid
         handle.assigned.clear()
         self.hb[handle.index] = self._clock()
-        threading.Thread(
-            target=self._reader,
-            args=(handle.index, handle.generation, resp_recv),
-            name=f"serve-replica-{handle.index}-reader",
-            daemon=True,
-        ).start()
+        self._loop.add_reader(
+            resp_recv.fileno(), self._on_readable, handle.index, handle.generation, resp_recv
+        )
 
-    def _reader(self, index: int, generation: int, conn) -> None:
-        """Pump one replica generation's acks onto the loop thread."""
-        while True:
-            try:
-                msg = conn.recv()
-            except Exception:  # EOF, closed pipe, or a truncated/corrupt frame
-                break
-            self._post(self._handle_msg, index, generation, msg)
-        self._post(self._handle_eof, index, generation)
+    def _on_readable(self, index: int, generation: int, conn) -> None:
+        """Read one ack record of a replica generation (event-loop callback)."""
+        try:
+            data = conn.recv_bytes()
+        except (EOFError, OSError):  # replica exited, possibly mid-record
+            self._loop.remove_reader(conn.fileno())
+            self._handle_eof(index, generation)
+            return
+        self._handle_msg(index, generation, decode_ack(data))
 
     def _handle_msg(self, index: int, generation: int, msg) -> None:
         handle = self.handles[index]
@@ -362,7 +400,7 @@ class Supervisor:
         if handle.state in (DOWN, FAILED, STOPPED, DETACHED):
             return
         handle.state = DOWN
-        handle.close_conns()
+        self._close(handle)
         if handle.process is not None:
             try:
                 handle.process.join(timeout=0)
@@ -417,10 +455,10 @@ class Supervisor:
         """Stop a fully drained replica and detach it from service."""
         if handle.work is not None:
             try:
-                handle.work.send(("stop",))
+                handle.work.send_bytes(record(STOP))
             except (OSError, ValueError):
                 pass
-        handle.close_conns()
+        self._close(handle)
         if handle.process is not None:
             try:
                 handle.process.join(timeout=0)
@@ -475,6 +513,12 @@ class Supervisor:
                 elif now >= handle.restart_at:
                     self.spawn(handle)
 
+    def _close(self, handle: ReplicaHandle) -> None:
+        """Stop reading a replica's acks, then close its pipes."""
+        if handle.resp is not None:
+            self._loop.remove_reader(handle.resp.fileno())
+        handle.close_conns()
+
     def _kill(self, handle: ReplicaHandle) -> None:
         try:
             handle.process.kill()
@@ -504,7 +548,7 @@ class Supervisor:
         for handle in self.handles:
             if handle.work is not None:
                 try:
-                    handle.work.send(("stop",))
+                    handle.work.send_bytes(record(STOP))
                 except OSError:
                     pass
         deadline = self._clock() + timeout
@@ -519,6 +563,6 @@ class Supervisor:
                     process.join(timeout=2.0)
             except (OSError, ValueError, AssertionError):
                 pass
-            handle.close_conns()
+            self._close(handle)
             if handle.state not in (FAILED, DETACHED):
                 handle.state = STOPPED

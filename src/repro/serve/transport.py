@@ -5,10 +5,16 @@ binary protocol over a loopback TCP connection::
 
     frame := u32 length | u8 kind | u32 request_id | u32 meta_len | meta | payload
 
-``length`` counts every byte after itself, ``meta`` is UTF-8 JSON (shapes,
-deadlines, error codes) and ``payload`` carries raw little-endian float32
-tensor bytes.  Requests and responses are correlated by ``request_id``, which
-is connection-local, so one connection can carry many requests in flight.
+``length`` counts every byte after itself, ``meta`` is optional UTF-8 JSON
+(``meta_len = 0`` means none) and ``payload`` carries raw little-endian
+float32 tensor bytes.  Requests and responses are correlated by
+``request_id``, which is connection-local, so one connection can carry many
+requests in flight.
+
+The hot path carries no JSON: a REQUEST frame has meta only when it sets a
+``deadline_ms``, and a RESPONSE frame never does — the client shapes every
+reply from the ``output_shape`` the PONG of its hello handshake announced.
+Handshakes, stats and ERROR frames (code, message, retry hint) keep JSON meta.
 
 Failures travel as **typed errors**: every admitted request resolves to either
 a ``RESPONSE`` frame or an ``ERROR`` frame whose ``code`` maps onto the
@@ -67,7 +73,7 @@ KIND_PONG = 5
 KIND_STATS = 6
 KIND_STATS_REPLY = 7
 
-_HEADER = struct.Struct("<IBII")  # length, kind, request_id, meta_len
+HEADER = struct.Struct("<IBII")  # length, kind, request_id, meta_len
 MAX_FRAME_BYTES = 64 * 1024 * 1024  # sanity bound against corrupt length fields
 
 
@@ -147,10 +153,10 @@ def error_for(code: str, message: str = "", meta: dict | None = None) -> FleetEr
 # framing
 # --------------------------------------------------------------------------- #
 def pack_frame(kind: int, request_id: int, meta: dict | None = None, payload: bytes = b"") -> bytes:
-    """Serialize one frame (header + JSON meta + raw payload)."""
-    meta_bytes = json.dumps(meta or {}, separators=(",", ":")).encode("utf-8")
+    """Serialize one frame (header + JSON meta + raw payload); empty meta is omitted."""
+    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8") if meta else b""
     length = 9 + len(meta_bytes) + len(payload)
-    return _HEADER.pack(length, kind, request_id, len(meta_bytes)) + meta_bytes + payload
+    return HEADER.pack(length, kind, request_id, len(meta_bytes)) + meta_bytes + payload
 
 
 def split_frame(body: bytes) -> tuple[int, int, dict, bytes]:
@@ -174,22 +180,45 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def read_frame(sock: socket.socket) -> tuple[int, int, dict, bytes]:
     """Blocking read of one complete frame from a socket."""
-    (length,) = struct.unpack("<I", _recv_exact(sock, 4))
+    return _read_frame(lambda n: _recv_exact(sock, n))
+
+
+def _read_frame(read) -> tuple[int, int, dict, bytes]:
+    """One frame through ``read(n)``; fewer than ``n`` bytes means the peer closed."""
+    head = read(4)
+    if len(head) < 4:
+        raise ConnectionError("connection closed mid-frame")
+    (length,) = struct.unpack("<I", head)
     if not 9 <= length <= MAX_FRAME_BYTES:
         raise ConnectionError(f"invalid frame length {length}")
-    return split_frame(_recv_exact(sock, length))
+    body = read(length)
+    if len(body) < length:
+        raise ConnectionError("connection closed mid-frame")
+    return split_frame(body)
 
 
 # --------------------------------------------------------------------------- #
 # client
 # --------------------------------------------------------------------------- #
-class _ClientRequest:
-    __slots__ = ("request_id", "payload", "meta", "future", "attempts", "expires_at")
+def _shut(sock: socket.socket) -> None:
+    """Close ``sock`` and wake a reader blocked on it.
 
-    def __init__(self, request_id, payload, meta, timeout):
+    ``close`` alone neither wakes the reader nor frees the descriptor while a
+    buffered reader made by ``makefile`` is open; the reader closes that.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already disconnected
+    sock.close()
+
+
+class _ClientRequest:
+    __slots__ = ("request_id", "frame", "future", "attempts", "expires_at")
+
+    def __init__(self, request_id, payload, meta, timeout, kind=KIND_REQUEST):
         self.request_id = request_id
-        self.payload = payload
-        self.meta = meta
+        self.frame = pack_frame(kind, request_id, meta, payload)  # resent as is on retry
         self.future: Future = Future()
         self.attempts = 0
         self.expires_at = time.monotonic() + timeout
@@ -240,6 +269,7 @@ class FleetClient:
         self._rng = np.random.default_rng(seed)
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
+        self._rfile = None  # buffered reader over _sock, owned by the reader thread
         self._pending: dict[int, _ClientRequest] = {}
         self._ids = 0
         self._closed = False
@@ -275,16 +305,14 @@ class FleetClient:
         self.input_shape = tuple(meta.get("input_shape", ()))
         self.output_shape = tuple(meta.get("output_shape", ()))
         self._sock = sock
+        self._rfile = sock.makefile("rb")
 
     def _drop_connection_locked(self, sock) -> None:
         """Forget a dead socket and reschedule its in-flight requests."""
         if self._sock is not sock:
             return
         self._sock = None
-        try:
-            sock.close()
-        except OSError:
-            pass
+        _shut(sock)
         for request in list(self._pending.values()):
             del self._pending[request.request_id]
             self._retry_or_fail_locked(request, ConnectionError("connection to fleet lost"))
@@ -295,9 +323,7 @@ class FleetClient:
     def submit(self, sample: np.ndarray) -> Future:
         """Enqueue one sample; returns a future of its output tensor."""
         payload = np.ascontiguousarray(sample, dtype=np.float32).tobytes()
-        meta: dict = {}
-        if self._deadline_ms is not None:
-            meta["deadline_ms"] = float(self._deadline_ms)
+        meta = {"deadline_ms": float(self._deadline_ms)} if self._deadline_ms is not None else None
         with self._lock:
             if self._closed:
                 raise RuntimeError("client is closed")
@@ -315,9 +341,7 @@ class FleetClient:
         self._pending[request.request_id] = request
         try:
             self._connect_locked()
-            self._sock.sendall(
-                pack_frame(KIND_REQUEST, request.request_id, request.meta, request.payload)
-            )
+            self._sock.sendall(request.frame)
         except (OSError, ConnectionError) as error:
             del self._pending[request.request_id]
             self._retry_or_fail_locked(request, error)
@@ -347,38 +371,37 @@ class FleetClient:
     # background threads
     # ------------------------------------------------------------------ #
     def _reader_loop(self) -> None:
+        rfile = None
         while True:
             with self._lock:
                 if self._closed:
-                    return
-                sock = self._sock
+                    break
+                sock, rfile = self._sock, self._rfile
             if sock is None:
                 time.sleep(0.01)
                 continue
             try:
-                kind, request_id, meta, payload = read_frame(sock)
-            except (OSError, ConnectionError):
+                kind, request_id, meta, payload = _read_frame(rfile.read)
+            except (OSError, ConnectionError, ValueError):
                 with self._lock:
-                    if self._closed:
-                        return
                     self._drop_connection_locked(sock)
+                rfile.close()
                 continue
             with self._lock:
                 request = self._pending.pop(request_id, None)
             if request is None or request.future.done():
                 continue
             if kind == KIND_RESPONSE:
-                out = np.frombuffer(payload, dtype=np.float32).copy()
-                shape = meta.get("shape")
-                if shape:
-                    out = out.reshape(shape)
-                request.future.set_result(out)
+                out = np.frombuffer(payload, dtype=np.float32).reshape(self.output_shape)
+                request.future.set_result(out.copy())
             elif kind == KIND_STATS_REPLY:
                 request.future.set_result(meta)
             elif kind == KIND_ERROR:
                 error = error_for(meta.get("code", "error"), meta.get("message", ""), meta)
                 with self._lock:
                     self._retry_or_fail_locked(request, error)
+        if rfile is not None:
+            rfile.close()
 
     def _retry_loop(self) -> None:
         with self._lock:
@@ -404,10 +427,10 @@ class FleetClient:
             if self._closed:
                 raise RuntimeError("client is closed")
             self._ids += 1
-            request = _ClientRequest(self._ids, b"", {}, timeout)
+            request = _ClientRequest(self._ids, b"", None, timeout, kind=KIND_STATS)
             self._pending[request.request_id] = request
             self._connect_locked()
-            self._sock.sendall(pack_frame(KIND_STATS, request.request_id))
+            self._sock.sendall(request.frame)
         kind_payload = request.future.result(timeout=timeout)
         return kind_payload
 
@@ -424,10 +447,7 @@ class FleetClient:
             self._pending.clear()
             self._retry_wakeup.notify_all()
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _shut(sock)
         for thread in (self._reader, self._retrier):
             if thread.is_alive() and thread is not threading.current_thread():
                 thread.join(timeout=2.0)

@@ -110,7 +110,7 @@ def make_supervisor(clock, **config_overrides):
         cfg,
         spec,
         hb,
-        post=lambda fn, *args: fn(*args),
+        loop=None,
         on_msg=lambda handle, msg: messages.append((handle.index, msg)),
         on_down=lambda handle, reason, assigned: downs.append((handle.index, reason)),
         clock=clock,
@@ -459,6 +459,23 @@ class LadderFleet(FakeFleet):
     def set_fidelity(self, rung, reason="manual"):
         self.fidelity_calls.append((rung, reason))
         return rung
+
+
+class TestControllerLoop:
+    def test_shutdown_errors_are_counted_not_swallowed(self):
+        def stopped_fleet_stats():
+            raise RuntimeError("fleet is not running")
+
+        controller = AutoscaleController(
+            FakeFleet(), SLOConfig(interval=0.01), stats_fn=stopped_fleet_stats
+        )
+        with controller:
+            deadline = time.monotonic() + 10.0
+            while controller.counters.step_errors.get("RuntimeError", 0) < 2:
+                assert time.monotonic() < deadline, "the loop stopped counting failed ticks"
+                time.sleep(0.01)
+        assert controller.state()["step_errors"]["RuntimeError"] >= 2
+        assert "failed ticks" in controller.describe()
 
 
 class TestFidelityBeforeShedding:

@@ -27,6 +27,7 @@ from repro.serve import (
 from repro.serve.chaos import ChaosConfig, ChaosMonkey, Fault
 from repro.serve.fleet import ServingBackend
 from repro.serve.transport import (
+    HEADER,
     KIND_ERROR,
     KIND_REQUEST,
     KIND_RESPONSE,
@@ -69,6 +70,16 @@ def poisoned_echo_backend(**kwargs) -> ServingBackend:
     return ServingBackend(forward, echo.input_shape, name="poisoned-echo")
 
 
+def grid_echo_backend(**kwargs) -> ServingBackend:
+    """Echo backend whose per-sample output is a (2, 2) grid, not a vector."""
+    echo = echo_backend(**kwargs)
+
+    def forward(batch):
+        return echo.forward(batch).reshape(len(batch), 2, 2)
+
+    return ServingBackend(forward, echo.input_shape, name="grid-echo")
+
+
 def oracle(xs: np.ndarray) -> np.ndarray:
     return echo_backend(resolution=RES, classes=CLASSES).forward(xs)
 
@@ -81,6 +92,21 @@ def samples(n: int, seed: int = 0) -> np.ndarray:
 def assert_zero_lost(fleet: Fleet) -> None:
     stats = fleet.stats()
     assert stats.lost == 0, f"lost requests: {stats.to_dict()}"
+
+
+def request_frames(xs: np.ndarray) -> list[bytes]:
+    """REQUEST frames with ids 1..n and no meta, as a client without a deadline sends."""
+    return [pack_frame(KIND_REQUEST, i + 1, None, x.tobytes()) for i, x in enumerate(xs)]
+
+
+def recv_exact(sock: socket.socket, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            raise ConnectionError("connection closed")
+        data += chunk
+    return data
 
 
 def wait_until(predicate, timeout: float, message: str) -> None:
@@ -442,6 +468,95 @@ class TestBatching:
             assert 2 <= replica["batches"] <= 6, replica
             assert stats.to_dict()["per_replica"][0]["batches"] == replica["batches"]
             assert "served per batch" in stats.summary()
+            assert_zero_lost(fleet)
+
+
+class TestFrontDoorStream:
+    """The front door parses a byte stream, however the client's writes are cut."""
+
+    def test_split_and_coalesced_frames_each_answered_once(self):
+        xs = samples(8)
+        stream = b"".join(request_frames(xs))
+        # cuts through a length word, a header, a payload, then several whole
+        # frames in one write, then the tail
+        cuts = [1, 2, 3, 7, 11, 150, 2 * len(stream) // 3]
+        with Fleet(fleet_config(replicas=1)) as fleet:
+            with socket.create_connection(fleet.address, timeout=10) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                pos = 0
+                for cut in cuts:
+                    sock.sendall(stream[pos:cut])
+                    pos = cut
+                    time.sleep(0.01)  # let each piece arrive as its own read
+                sock.sendall(stream[pos:])
+                replies = [read_frame(sock) for _ in xs]
+                sock.settimeout(0.3)
+                with pytest.raises(TimeoutError):
+                    sock.recv(1)  # exactly once: nothing else is coming
+            assert sorted(request_id for _, request_id, _, _ in replies) == list(range(1, len(xs) + 1))
+            for kind, request_id, _, payload in replies:
+                assert kind == KIND_RESPONSE
+                expected = oracle(xs[request_id - 1][None])[0]
+                assert np.allclose(np.frombuffer(payload, dtype=np.float32), expected)
+            assert fleet.stats().completed == len(xs)
+            assert_zero_lost(fleet)
+
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [
+            HEADER.pack(3, KIND_REQUEST, 1, 0),  # length below the header's 9 bytes
+            HEADER.pack(9, KIND_REQUEST, 1, 1),  # meta longer than the frame
+            HEADER.pack(11, KIND_REQUEST, 1, 2) + b"{[",  # meta that is not JSON
+            HEADER.pack(11, KIND_REQUEST, 1, 2) + b"[]",  # meta that is not an object
+        ],
+        ids=["length", "meta_len", "json", "not_object"],
+    )
+    def test_malformed_frame_closes_the_connection(self, bad_frame):
+        with Fleet(fleet_config(replicas=1)) as fleet:
+            with socket.create_connection(fleet.address, timeout=10) as sock:
+                sock.sendall(bad_frame)
+                assert sock.recv(1) == b""
+            with fleet.client() as client:  # the door itself stays open
+                x = samples(1)[0]
+                assert np.allclose(client.predict(x, timeout=30), oracle(x[None])[0])
+            assert_zero_lost(fleet)
+
+    def test_burst_larger_than_max_batch_is_fully_answered(self):
+        xs = samples(40)
+        with Fleet(fleet_config(replicas=1, max_batch=4)) as fleet:
+            with socket.create_connection(fleet.address, timeout=10) as sock:
+                sock.sendall(b"".join(request_frames(xs)))  # one write, read at once
+                replies = {request_id: payload for _, request_id, _, payload in (read_frame(sock) for _ in xs)}
+            assert sorted(replies) == list(range(1, len(xs) + 1))
+            outs = np.stack([np.frombuffer(replies[i + 1], dtype=np.float32) for i in range(len(xs))])
+            assert np.allclose(outs, oracle(xs))
+            stats = fleet.stats()
+            assert stats.completed == len(xs)
+            assert stats.batch_size_mean <= 4
+            assert_zero_lost(fleet)
+
+    def test_reply_keeps_multidimensional_shape_without_meta(self):
+        config = fleet_config(replicas=1, builder=grid_echo_backend, start_method="fork")
+        x = samples(1)[0]
+        with Fleet(config) as fleet:
+            with fleet.client() as client:
+                assert client.output_shape == (2, 2)
+                out = client.predict(x, timeout=30)
+            with socket.create_connection(fleet.address, timeout=10) as sock:
+                sock.sendall(request_frames(x[None])[0])
+                length, kind, request_id, meta_len = HEADER.unpack(recv_exact(sock, HEADER.size))
+                payload = recv_exact(sock, length - 9)
+        assert out.shape == (2, 2)
+        assert np.allclose(out, oracle(x[None])[0].reshape(2, 2))
+        assert (kind, request_id, meta_len) == (KIND_RESPONSE, 1, 0)
+        assert np.array_equal(np.frombuffer(payload, dtype=np.float32), out.ravel())
+
+    def test_spawn_start_method_round_trips(self):
+        xs = samples(8)
+        with Fleet(fleet_config(replicas=1, start_method="spawn")) as fleet:
+            with fleet.client(timeout=60.0) as client:
+                outs = np.stack([f.result(timeout=60) for f in [client.submit(x) for x in xs]])
+            assert np.allclose(outs, oracle(xs))
             assert_zero_lost(fleet)
 
 

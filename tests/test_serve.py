@@ -220,6 +220,55 @@ class TestLoadGenAndBuilder:
         assert report.errors == 0
         assert "timeouts" in report.summary()
 
+    def test_run_load_counts_errors_per_class(self):
+        """Typed failures are counted by class, in both modes and in warmup."""
+        from concurrent.futures import Future
+
+        from repro.serve import Overloaded
+
+        class FailingEngine:
+            input_shape = SHAPE
+
+            def __init__(self):
+                self.calls = 0
+
+            def submit(self, sample):
+                self.calls += 1
+                future = Future()
+                if self.calls % 2:
+                    future.set_exception(Overloaded("busy"))
+                else:
+                    future.set_exception(ConnectionError("connection to fleet lost"))
+                return future
+
+        closed = run_load(FailingEngine(), n_requests=8, concurrency=2, warmup=2)
+        assert closed.requests == 0
+        assert closed.errors == 8
+        assert closed.error_classes == {"Overloaded": 4, "ConnectionError": 4}
+        assert closed.warmup_errors == {"Overloaded": 1, "ConnectionError": 1}
+        assert "Overloaded" in closed.summary()
+        opened = run_load(FailingEngine(), 0, warmup=0, mode="open", rate=200.0, duration_s=0.05)
+        assert opened.errors == opened.offered > 0
+        assert sum(opened.error_classes.values()) == opened.errors
+        assert set(opened.error_classes) == {"Overloaded", "ConnectionError"}
+
+    def test_run_load_propagates_untyped_errors(self):
+        """A failure outside the serving errors is a bug: it ends the run."""
+        from concurrent.futures import Future
+
+        class BuggyEngine:
+            input_shape = SHAPE
+
+            def submit(self, sample):
+                future = Future()
+                future.set_exception(KeyError("bug"))
+                return future
+
+        with pytest.raises(KeyError):
+            run_load(BuggyEngine(), n_requests=4, concurrency=2, warmup=0)
+        with pytest.raises(KeyError):
+            run_load(BuggyEngine(), 0, warmup=0, mode="open", rate=200.0, duration_s=0.05)
+
     def test_build_server_int8_roundtrip(self):
         engine = build_server(
             "mobilenetv2-tiny", resolution=RES, num_classes=8, max_batch=4, max_wait_ms=0.5
