@@ -22,10 +22,12 @@ recovery story.  :class:`Fleet` is the production-shaped tier above it:
 * **A fixed cost per read, not per request.**  Each client connection is an
   :class:`asyncio.Protocol`: one ``data_received`` admits every complete
   frame in its buffer and then sends each replica one RUN record of
-  ``(gid, slot)`` pairs.  Replica acks are read on the same event loop (no
-  reader threads), and the replies of one ACK_DONE record go out as one write
-  per connection.  REQUEST frames without a deadline and RESPONSE frames
-  carry no JSON meta; clients shape replies from the handshake.
+  ``(gid, slot)`` pairs; only a request that finds its replica idle is
+  sent at once, so the replica computes while the rest is admitted.  Replica
+  acks are read on the same event loop (no reader threads), and the replies
+  of one ACK_DONE record go out as one write per connection.  REQUEST
+  frames without a deadline and RESPONSE frames carry no JSON meta; clients
+  shape replies from the handshake.
 * **Fault injection** via :mod:`repro.serve.chaos` — kill/hang/slow/corrupt
   faults in replicas and connection drops at the front door — so every
   recovery path above is exercised by tests and ``benchmarks/bench_serve.py``
@@ -498,8 +500,8 @@ class _Connection(asyncio.Protocol):
 
     ``data_received`` handles every complete frame in the bytes so far, then
     flushes the dispatches they made, so a burst of frames read at once
-    costs each replica one pipe write.  Bytes of an incomplete frame wait
-    in ``pending`` for the next read.
+    costs each replica at most two pipe writes (see :meth:`Fleet._dispatch`).
+    Bytes of an incomplete frame wait in ``pending`` for the next read.
     """
 
     def __init__(self, fleet: "Fleet"):
@@ -897,8 +899,14 @@ class Fleet:
     def _dispatch(self, entry: _Entry) -> None:
         """Assign ``entry`` to the least-loaded ready replica's outbox.
 
-        Nothing is sent until :meth:`_flush`; every path that dispatches
-        flushes before it returns to the event loop.
+        A replica with nothing in flight is sent the entry at once, so it
+        computes while the rest of the read is admitted.  Otherwise nothing
+        is sent until :meth:`_flush`; every path that dispatches flushes
+        before it returns to the event loop.  Holding the first request of
+        a burst back too made every burst one convoy: the replica ran all
+        of it while the front door waited, and sent it all back at once, so
+        the next burst came whole again, and throughput fell by a quarter
+        in the rounds that locked into it.
         """
         ready = self._supervisor.ready_handles()
         if not ready:
@@ -906,26 +914,31 @@ class Fleet:
             return
         handle = min(ready, key=lambda h: len(h.assigned))
         entry.dispatched = (handle.index, handle.generation)
+        idle = len(handle.assigned) == len(handle.outbox) // 2
         handle.assigned[entry.gid] = entry
         if not handle.outbox:
             self._dirty.append(handle)
         handle.outbox.append(entry.gid)
         handle.outbox.append(entry.slot)
+        if idle:
+            self._send_run(handle)
 
     def _flush(self) -> None:
         """Send each replica its queued dispatches as one RUN record."""
         while self._dirty:
-            handle = self._dirty.pop()
-            pairs, handle.outbox = handle.outbox, array("I")
-            if not pairs or handle.work is None:
-                continue  # the replica went down; mark_down requeued its entries
-            try:
-                handle.work.send_bytes(_RUN_WORD + pairs.tobytes())
-            except (OSError, ValueError):
-                # the pipe just broke under us: this replica is dead; mark_down
-                # requeues everything assigned to it (including these entries)
-                self._supervisor.crashes_detected += 1
-                self._supervisor.mark_down(handle, "dispatch pipe error")
+            self._send_run(self._dirty.pop())
+
+    def _send_run(self, handle) -> None:
+        pairs, handle.outbox = handle.outbox, array("I")
+        if not pairs or handle.work is None:
+            return  # sent already, or the replica went down (mark_down requeued its entries)
+        try:
+            handle.work.send_bytes(_RUN_WORD + pairs.tobytes())
+        except (OSError, ValueError):
+            # the pipe just broke under us: this replica is dead; mark_down
+            # requeues everything assigned to it (including these entries)
+            self._supervisor.crashes_detected += 1
+            self._supervisor.mark_down(handle, "dispatch pipe error")
 
     def _flush_undispatched(self) -> None:
         while self._undispatched and self._supervisor.ready_handles():

@@ -9,7 +9,8 @@ inherits) its inference backend and serves micro-batches from a private
 Both pipes carry fixed records of native ``u32`` words, never pickles; the
 first word names the record::
 
-    parent -> replica   RUN   | (gid, slot) pairs    one record per dispatch flush
+    parent -> replica   RUN   | (gid, slot) pairs    one record per dispatch flush, and
+                                                     one for a request that finds the replica idle
                         STOP
                         CFG   | fidelity rung
     replica -> parent   ACK_READY | pid

@@ -26,6 +26,7 @@ from repro.serve import (
 )
 from repro.serve.chaos import ChaosConfig, ChaosMonkey, Fault
 from repro.serve.fleet import ServingBackend
+from repro.serve.supervisor import RUN
 from repro.serve.transport import (
     HEADER,
     KIND_ERROR,
@@ -519,6 +520,36 @@ class TestFrontDoorStream:
             with fleet.client() as client:  # the door itself stays open
                 x = samples(1)[0]
                 assert np.allclose(client.predict(x, timeout=30), oracle(x[None])[0])
+            assert_zero_lost(fleet)
+
+    def test_idle_replica_is_sent_a_burst_first_request_at_once(self):
+        # A burst sent to an idle replica as one record runs whole while the
+        # front door admits nothing and comes back whole, so the next burst
+        # is whole again: the fleet locks into a convoy.  The first request
+        # must go out alone, the rest of the read after it.
+        xs = samples(16)
+        with Fleet(fleet_config(replicas=1, max_batch=8)) as fleet:
+            (handle,) = fleet._supervisor.handles
+            runs = []  # requests per RUN record, in send order
+            pipe = handle.work
+
+            class RecordingPipe:
+                def send_bytes(self, data):
+                    words = np.frombuffer(data, dtype=np.uint32)
+                    if words[0] == RUN:
+                        runs.append((len(words) - 1) // 2)
+                    pipe.send_bytes(data)
+
+                def close(self):
+                    pipe.close()
+
+            handle.work = RecordingPipe()
+            with socket.create_connection(fleet.address, timeout=10) as sock:
+                sock.sendall(b"".join(request_frames(xs)))  # one write, read at once
+                replies = sorted(request_id for _, request_id, _, _ in (read_frame(sock) for _ in xs))
+            assert replies == list(range(1, len(xs) + 1))
+            assert runs[0] == 1, runs
+            assert sum(runs) == len(xs)
             assert_zero_lost(fleet)
 
     def test_burst_larger_than_max_batch_is_fully_answered(self):
