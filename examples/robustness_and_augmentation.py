@@ -64,7 +64,7 @@ def main() -> None:
     Trainer(
         mixup_model,
         base_config,
-        loss_computer=MixingLoss(num_classes=args.classes, method="mixup", alpha=0.4),
+        loss_computer=MixingLoss(num_classes=args.classes, alpha=0.4),
     ).fit(corpus.train, corpus.val)
     models["vanilla + MixUp"] = mixup_model
 

@@ -6,16 +6,7 @@ from .alpha_schedules import (
     StepPLTSchedule,
     make_plt_schedule,
 )
-from .analysis import (
-    EquivalenceReport,
-    ExpansionSummary,
-    alpha_profile,
-    expansion_summary,
-    extract_features,
-    feature_inheritance_score,
-    functional_equivalence,
-    linear_cka,
-)
+from .analysis import EquivalenceReport, functional_equivalence
 from .contraction import (
     add_identity_to_kernel,
     contract_block,
@@ -66,11 +57,5 @@ __all__ = [
     "PLT_SCHEDULES",
     "make_plt_schedule",
     "EquivalenceReport",
-    "ExpansionSummary",
     "functional_equivalence",
-    "expansion_summary",
-    "alpha_profile",
-    "extract_features",
-    "linear_cka",
-    "feature_inheritance_score",
 ]

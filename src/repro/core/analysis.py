@@ -1,18 +1,7 @@
-"""Analysis and verification utilities for the expansion-then-contraction flow.
+"""Did contraction preserve the function?
 
-These helpers answer the three questions a reviewer would ask about a
-NetBooster run:
-
-* **Did contraction preserve the function?** — :func:`functional_equivalence`
-  compares the linearised deep giant against the contracted TNN on random
-  probes and reports the largest output discrepancy.
-* **What did expansion actually add?** — :func:`expansion_summary` tabulates
-  the expanded sites and the extra capacity (parameters / FLOPs) the deep
-  giant carries during training.
-* **Were the giant's features inherited?** — :func:`extract_features` captures
-  penultimate representations and :func:`linear_cka` measures their similarity
-  (Kornblith et al., 2019), quantifying the "knowledge inheritance" the paper
-  argues for qualitatively.
+:func:`functional_equivalence` compares the linearised deep giant against the
+contracted TNN on random probes and reports the largest output discrepancy.
 """
 
 from __future__ import annotations
@@ -22,20 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
-from ..eval.complexity import count_complexity
-from .expansion import ExpandedBlock, ExpansionRecord
-from .plt import collect_decayable_activations
 
-__all__ = [
-    "functional_equivalence",
-    "EquivalenceReport",
-    "expansion_summary",
-    "ExpansionSummary",
-    "alpha_profile",
-    "extract_features",
-    "linear_cka",
-    "feature_inheritance_score",
-]
+__all__ = ["functional_equivalence", "EquivalenceReport"]
 
 
 @dataclass
@@ -97,156 +74,3 @@ def functional_equivalence(
         output_scale=scale,
         num_probes=num_probes,
     )
-
-
-@dataclass
-class ExpansionSummary:
-    """Capacity added by Network Expansion, layer by layer."""
-
-    expanded_sites: list[str]
-    original_params: int
-    giant_params: int
-    original_flops: int
-    giant_flops: int
-
-    @property
-    def param_ratio(self) -> float:
-        return self.giant_params / max(self.original_params, 1)
-
-    @property
-    def flops_ratio(self) -> float:
-        return self.giant_flops / max(self.original_flops, 1)
-
-    def summary(self) -> str:
-        lines = [
-            f"expanded sites : {len(self.expanded_sites)}",
-            f"parameters     : {self.original_params:,} -> {self.giant_params:,} (x{self.param_ratio:.2f})",
-            f"train FLOPs    : {self.original_flops:,} -> {self.giant_flops:,} (x{self.flops_ratio:.2f})",
-        ]
-        lines.extend(f"  {site}" for site in self.expanded_sites)
-        return "\n".join(lines)
-
-
-def expansion_summary(
-    original: nn.Module,
-    giant: nn.Module,
-    records: list[ExpansionRecord],
-    input_shape: tuple[int, int, int],
-) -> ExpansionSummary:
-    """Quantify the training-time capacity added by the expansion step."""
-    original_report = count_complexity(original, input_shape)
-    giant_report = count_complexity(giant, input_shape)
-    return ExpansionSummary(
-        expanded_sites=[record.path for record in records],
-        original_params=original_report.params,
-        giant_params=giant_report.params,
-        original_flops=original_report.flops,
-        giant_flops=giant_report.flops,
-    )
-
-
-def alpha_profile(model: nn.Module) -> dict[str, float]:
-    """Current linearisation factor of every expanded block (averaged per block)."""
-    profile: dict[str, float] = {}
-    for name, module in model.named_modules():
-        if isinstance(module, ExpandedBlock):
-            activations = module.decayable_activations()
-            if activations:
-                profile[name] = float(np.mean([act.alpha for act in activations]))
-    if not profile:
-        # No expanded blocks: fall back to any decayable activations present.
-        activations = collect_decayable_activations(model, expanded_only=False)
-        if activations:
-            profile["<model>"] = float(np.mean([act.alpha for act in activations]))
-    return profile
-
-
-def extract_features(
-    model: nn.Module,
-    images: np.ndarray,
-    layer_path: str | None = None,
-    batch_size: int = 64,
-) -> np.ndarray:
-    """Capture intermediate representations for a batch of images.
-
-    Parameters
-    ----------
-    layer_path:
-        Dotted path of the module whose *output* should be captured.  When
-        omitted, the *input* to the model's final :class:`~repro.nn.Linear`
-        layer is captured instead — i.e. the penultimate (pre-classifier)
-        features, which is what transferability analyses care about.
-    """
-    images = np.asarray(images, dtype=np.float32)
-    captured: list[np.ndarray] = []
-
-    if layer_path is not None:
-        target = model.get_submodule(layer_path)
-        capture_input = False
-    else:
-        linear_layers = [m for _, m in model.named_modules() if isinstance(m, nn.Linear)]
-        if not linear_layers:
-            raise ValueError("model has no Linear layer; pass layer_path explicitly")
-        target = linear_layers[-1]
-        capture_input = True
-
-    original_forward = target.forward
-
-    def wrapped(x, *args, **kwargs):
-        out = original_forward(x, *args, **kwargs)
-        grabbed = x if capture_input else out
-        captured.append(np.asarray(grabbed.data if isinstance(grabbed, nn.Tensor) else grabbed))
-        return out
-
-    target.forward = wrapped
-    was_training = model.training
-    model.eval()
-    try:
-        with nn.no_grad():
-            for start in range(0, len(images), batch_size):
-                model(nn.Tensor(images[start : start + batch_size]))
-    finally:
-        target.forward = original_forward
-        model.train(was_training)
-    features = np.concatenate(captured, axis=0)
-    return features.reshape(len(images), -1)
-
-
-def linear_cka(features_a: np.ndarray, features_b: np.ndarray) -> float:
-    """Linear centred kernel alignment between two feature matrices.
-
-    Both inputs are ``(N, D)`` matrices over the *same* N examples (the
-    feature dimensions may differ).  Returns a similarity in ``[0, 1]``;
-    identical representations (up to isotropic scaling and orthogonal
-    transforms) give 1.
-    """
-    a = np.asarray(features_a, dtype=np.float64)
-    b = np.asarray(features_b, dtype=np.float64)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("feature matrices must cover the same examples")
-    a = a - a.mean(axis=0, keepdims=True)
-    b = b - b.mean(axis=0, keepdims=True)
-    cross = np.linalg.norm(a.T @ b, ord="fro") ** 2
-    norm_a = np.linalg.norm(a.T @ a, ord="fro")
-    norm_b = np.linalg.norm(b.T @ b, ord="fro")
-    denominator = norm_a * norm_b
-    if denominator <= 1e-24:
-        return 0.0
-    return float(cross / denominator)
-
-
-def feature_inheritance_score(
-    giant: nn.Module,
-    contracted: nn.Module,
-    images: np.ndarray,
-    layer_path: str | None = None,
-) -> float:
-    """CKA similarity between the giant's and the contracted TNN's features.
-
-    A high score indicates that the contraction step preserved the deep
-    giant's learned representation — the quantitative version of the paper's
-    "standing on the shoulders of deep giants" claim.
-    """
-    giant_features = extract_features(giant, images, layer_path)
-    contracted_features = extract_features(contracted, images, layer_path)
-    return linear_cka(giant_features, contracted_features)

@@ -10,7 +10,7 @@ from .datasets import (
     downstream_dataset,
 )
 from .detection import DetectionDataset, DetectionSample, SyntheticVOC
-from .mixing import MixingLoss, cutmix, mixup
+from .mixing import MixingLoss, mixup
 from .generator import DecoderSpec, LatentClassSampler, RandomImageDecoder
 from .transforms import (
     ColorJitter,
@@ -50,6 +50,5 @@ __all__ = [
     "available_corruptions",
     "corrupt",
     "mixup",
-    "cutmix",
     "MixingLoss",
 ]

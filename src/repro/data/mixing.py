@@ -1,14 +1,13 @@
-"""Batch-level mixing augmentations: MixUp and CutMix.
+"""Batch-level mixing augmentation: MixUp.
 
 The paper's Fig. 1(a) argument is that heavy augmentation *hurts* tiny
 networks because they under-fit rather than over-fit.  To reproduce that
-claim quantitatively the substrate needs the strong augmentations themselves;
-MixUp (Zhang et al., 2018) and CutMix (Yun et al., 2019) are the two standard
-batch-level ones.  Both return soft-label targets, consumed by
-:class:`repro.nn.losses.SoftTargetCrossEntropy`.
+claim quantitatively the substrate needs a strong augmentation itself; MixUp
+(Zhang et al., 2018) is the standard batch-level one.  It returns soft-label
+targets, consumed by :class:`repro.nn.losses.SoftTargetCrossEntropy`.
 
-:class:`MixingLoss` adapts them to the :class:`repro.train.Trainer` loss
-computer interface so any experiment can switch them on with one argument.
+:class:`MixingLoss` adapts it to the :class:`repro.train.Trainer` loss
+computer interface so any experiment can switch it on with one argument.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 
-__all__ = ["mixup", "cutmix", "MixingLoss"]
+__all__ = ["mixup", "MixingLoss"]
 
 
 def _beta(alpha: float, rng: np.random.Generator) -> float:
@@ -32,14 +31,15 @@ def mixup(
     labels: np.ndarray,
     num_classes: int,
     alpha: float = 0.2,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MixUp: convex combination of two images and their one-hot labels.
 
-    Returns ``(mixed_images, soft_targets)`` where the soft targets are the
-    same convex combination of the two label distributions.
+    ``rng`` draws the mixing weight and the batch partners.  Returns
+    ``(mixed_images, soft_targets)`` where the soft targets are the same
+    convex combination of the two label distributions.
     """
-    rng = rng or np.random.default_rng()
     images = np.asarray(images, dtype=np.float32)
     lam = _beta(alpha, rng)
     permutation = rng.permutation(len(images))
@@ -50,54 +50,13 @@ def mixup(
     return mixed.astype(np.float32), targets
 
 
-def cutmix(
-    images: np.ndarray,
-    labels: np.ndarray,
-    num_classes: int,
-    alpha: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """CutMix: paste a rectangular patch from a shuffled batch partner.
-
-    The label weights are proportional to the surviving pixel areas, as in the
-    original paper.
-    """
-    rng = rng or np.random.default_rng()
-    images = np.asarray(images, dtype=np.float32).copy()
-    n, _, height, width = images.shape
-    lam = _beta(alpha, rng)
-    permutation = rng.permutation(n)
-
-    cut_ratio = np.sqrt(1.0 - lam)
-    cut_h = int(round(height * cut_ratio))
-    cut_w = int(round(width * cut_ratio))
-    if cut_h == 0 or cut_w == 0:
-        return images, F.one_hot(labels, num_classes)
-
-    centre_y = int(rng.integers(0, height))
-    centre_x = int(rng.integers(0, width))
-    y0, y1 = np.clip([centre_y - cut_h // 2, centre_y + cut_h // 2], 0, height)
-    x0, x1 = np.clip([centre_x - cut_w // 2, centre_x + cut_w // 2], 0, width)
-
-    images[:, :, y0:y1, x0:x1] = images[permutation][:, :, y0:y1, x0:x1]
-    # Recompute lambda from the actually pasted area (clipping can shrink it).
-    pasted_area = (y1 - y0) * (x1 - x0)
-    lam = 1.0 - pasted_area / (height * width)
-    targets = lam * F.one_hot(labels, num_classes) + (1.0 - lam) * F.one_hot(
-        labels[permutation], num_classes
-    )
-    return images, targets
-
-
 class MixingLoss:
-    """Trainer loss computer that applies MixUp or CutMix per batch.
+    """Trainer loss computer that applies MixUp per batch.
 
     Parameters
     ----------
     num_classes:
         Size of the label space (needed for the soft targets).
-    method:
-        ``"mixup"`` or ``"cutmix"``.
     alpha:
         Beta-distribution concentration; larger values mix more aggressively.
     probability:
@@ -107,17 +66,13 @@ class MixingLoss:
     def __init__(
         self,
         num_classes: int,
-        method: str = "mixup",
         alpha: float = 0.2,
         probability: float = 1.0,
         seed: int = 0,
     ):
-        if method not in ("mixup", "cutmix"):
-            raise ValueError("method must be 'mixup' or 'cutmix'")
         if not 0.0 <= probability <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
         self.num_classes = num_classes
-        self.method = method
         self.alpha = alpha
         self.probability = probability
         self._rng = np.random.default_rng(seed)
@@ -126,8 +81,7 @@ class MixingLoss:
         if self._rng.random() >= self.probability:
             logits = model(images)
             return F.cross_entropy(logits, labels), logits
-        mixer = mixup if self.method == "mixup" else cutmix
-        mixed, targets = mixer(images.data, labels, self.num_classes, self.alpha, self._rng)
+        mixed, targets = mixup(images.data, labels, self.num_classes, self.alpha, rng=self._rng)
         logits = model(nn.Tensor(mixed))
         loss = F.cross_entropy(logits, targets, soft_targets=True)
         return loss, logits

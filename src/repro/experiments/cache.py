@@ -38,6 +38,7 @@ import json
 import os
 import shutil
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -151,6 +152,7 @@ class ResultCache:
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        self.evicted = 0  # corrupt entries this instance deleted on load
 
     # ------------------------------------------------------------------ #
     # layout
@@ -172,8 +174,9 @@ class ResultCache:
         -------
         Artifact or None
             ``None`` on a cache miss.  An unreadable/corrupt entry (e.g. a
-            truncated write from a crashed run) is deleted and treated as a
-            miss, so the next :meth:`store` can repair it.
+            truncated write from a crashed run) is deleted, counted in
+            ``stats()["evicted"]`` and treated as a miss, so the next
+            :meth:`store` can repair it.  Any other error propagates.
         """
         entry = self._entry_dir(key)
         if not (entry / "entry.json").is_file():
@@ -188,10 +191,11 @@ class ResultCache:
                     for name in archive.files:
                         group, _, param = name.partition("::")
                         states.setdefault(group, {})[param] = archive[name]
-        except Exception:
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             # Corrupt entry: evict it so it is recomputed and re-stored
-            # instead of failing (or silently recomputing) forever.
+            # instead of failing forever.
             shutil.rmtree(entry, ignore_errors=True)
+            self.evicted += 1
             return None
         return Artifact(meta=meta, states=states)
 
@@ -250,7 +254,8 @@ class ResultCache:
         shutil.rmtree(self.root / "objects", ignore_errors=True)
 
     def stats(self) -> Mapping[str, int]:
-        """Entry count and total size in bytes of the on-disk cache."""
+        """Entry count and total size in bytes of the on-disk cache, and the
+        number of corrupt entries this instance evicted."""
         entries = 0
         size = 0
         objects = self.root / "objects"
@@ -260,4 +265,4 @@ class ResultCache:
                     size += path.stat().st_size
                     if path.name == "entry.json":
                         entries += 1
-        return {"entries": entries, "bytes": size}
+        return {"entries": entries, "bytes": size, "evicted": self.evicted}

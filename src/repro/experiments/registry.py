@@ -405,7 +405,7 @@ def _pipeline_fingerprint() -> str:
         data.datasets, data.generator, data.detection,
         data.dataloader, data.transforms,  # batching + RNG scheme
         models.mobilenetv2, models.mcunet, models.blocks, models.detector,
-        eval_pkg.complexity, nn.layers, nn.norm, nn.functional,
+        eval_pkg.complexity, nn.layers, nn.functional,
         optim.sgd, optim.schedulers, optim.flat,
         runtime_training,  # the Trainer's train step
     )

@@ -9,24 +9,12 @@ by a linear combination (see :mod:`repro.core.contraction`).
 
 from __future__ import annotations
 
-import math
-
-from . import init
-from .module import Module, Parameter
+from .module import Module
 from .tensor import Tensor
 
 __all__ = [
     "ReLU",
     "ReLU6",
-    "LeakyReLU",
-    "PReLU",
-    "Sigmoid",
-    "Tanh",
-    "Swish",
-    "HardSigmoid",
-    "HardSwish",
-    "GELU",
-    "Softmax",
     "DecayableReLU",
     "DecayableReLU6",
 ]
@@ -44,106 +32,6 @@ class ReLU6(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.clip(0.0, 6.0)
-
-
-class LeakyReLU(Module):
-    """``max(slope * x, x)`` with a fixed negative slope."""
-
-    def __init__(self, slope: float = 0.01):
-        super().__init__()
-        self.slope = float(slope)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.slope)
-
-
-class PReLU(Module):
-    """Parametric ReLU with one learnable negative slope per channel.
-
-    The slope parameter broadcasts over the channel dimension of an NCHW
-    tensor (or the feature dimension of an NC tensor when
-    ``num_parameters == 1``).
-    """
-
-    def __init__(self, num_parameters: int = 1, initial_slope: float = 0.25):
-        super().__init__()
-        self.num_parameters = num_parameters
-        self.weight = Parameter(init.ones((num_parameters,)) * initial_slope)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 4 and self.num_parameters > 1:
-            slope = self.weight.reshape(1, self.num_parameters, 1, 1)
-        else:
-            slope = self.weight
-        return x.relu() - slope * (-x).relu()
-
-    def __repr__(self) -> str:
-        return f"PReLU(num_parameters={self.num_parameters})"
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid, used by the detection head."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Swish(Module):
-    """Swish / SiLU activation ``x * sigmoid(x)`` (Ramachandran et al., 2017)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x * x.sigmoid()
-
-
-class HardSigmoid(Module):
-    """Piecewise-linear sigmoid approximation ``clip(x / 6 + 0.5, 0, 1)``.
-
-    Used by MobileNetV3-style squeeze-and-excitation gates because it avoids
-    the exponential on microcontrollers.
-    """
-
-    def forward(self, x: Tensor) -> Tensor:
-        return (x * (1.0 / 6.0) + 0.5).clip(0.0, 1.0)
-
-
-class HardSwish(Module):
-    """Hardware-friendly Swish approximation ``x * hard_sigmoid(x)``."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x * (x * (1.0 / 6.0) + 0.5).clip(0.0, 1.0)
-
-
-class GELU(Module):
-    """Gaussian error linear unit (tanh approximation)."""
-
-    _COEFF = math.sqrt(2.0 / math.pi)
-
-    def forward(self, x: Tensor) -> Tensor:
-        inner = (x + x * x * x * 0.044715) * self._COEFF
-        return x * 0.5 * (inner.tanh() + 1.0)
-
-
-class Softmax(Module):
-    """Softmax over a fixed axis (default: the trailing class dimension)."""
-
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        shifted = x - x.max(axis=self.axis, keepdims=True).detach()
-        exp = shifted.exp()
-        return exp / exp.sum(axis=self.axis, keepdims=True)
-
-    def __repr__(self) -> str:
-        return f"Softmax(axis={self.axis})"
 
 
 class DecayableReLU(Module):

@@ -23,7 +23,6 @@ __all__ = [
     "col2im",
     "clear_workspaces",
     "conv2d",
-    "avg_pool2d",
     "max_pool2d",
     "global_avg_pool2d",
     "batch_norm2d",
@@ -35,7 +34,6 @@ __all__ = [
     "softmax_cross_entropy_grad",
     "kl_divergence",
     "mse_loss",
-    "smooth_l1_loss",
     "binary_cross_entropy_with_logits",
     "dropout",
     "one_hot",
@@ -613,35 +611,6 @@ def _pool_slices(xp: np.ndarray, kernel: int, stride: int, out_h: int, out_w: in
             yield i, j, xp[:, :, i:i_max:stride, j:j_max:stride]
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Average pooling over ``kernel x kernel`` windows (zeros in the padding)."""
-    stride = stride or kernel
-    xd = x.data
-    n, c, h, w = xd.shape
-    out_h = conv_output_size(h, kernel, stride, padding)
-    out_w = conv_output_size(w, kernel, stride, padding)
-    # Nothing from the forward is retained for backward, so the padded copy
-    # may always come from the workspace cache.
-    xp = _pad2d(xd, padding, reuse=True)
-    out = None
-    for _, _, piece in _pool_slices(xp, kernel, stride, out_h, out_w):
-        if out is None:
-            out = piece.astype(xd.dtype, copy=True)
-        else:
-            out += piece
-    out *= 1.0 / (kernel * kernel)
-
-    def backward(grad):
-        grad = np.asarray(grad, dtype=xd.dtype) * (1.0 / (kernel * kernel))
-        grad_windows = np.broadcast_to(grad[:, :, :, :, None, None], grad.shape + (kernel, kernel))
-        x._accumulate(
-            _scatter_windows(grad_windows, xd.shape, (kernel, kernel), stride, padding),
-            owned=True,
-        )
-
-    return Tensor._make(out, (x,), backward)
-
-
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
     """Max pooling over ``kernel x kernel`` windows (zeros in the padding)."""
     stride = stride or kernel
@@ -979,17 +948,6 @@ def mse_loss(pred: Tensor, target: Tensor | np.ndarray) -> Tensor:
     return (diff * diff).mean()
 
 
-def smooth_l1_loss(pred: Tensor, target: Tensor | np.ndarray, beta: float = 1.0) -> Tensor:
-    """Huber/smooth-L1 loss used for bounding-box regression."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target.detach()
-    abs_diff = diff.abs()
-    quadratic = (diff * diff) * (0.5 / beta)
-    linear_part = abs_diff - 0.5 * beta
-    mask = Tensor((abs_diff.data < beta).astype(pred.data.dtype))
-    return (mask * quadratic + (Tensor(1.0) - mask) * linear_part).mean()
-
-
 def binary_cross_entropy_with_logits(
     logits: Tensor, targets: np.ndarray | Tensor, weight: np.ndarray | None = None
 ) -> Tensor:
@@ -1003,10 +961,9 @@ def binary_cross_entropy_with_logits(
     return loss.mean()
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: identity at evaluation time."""
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: identity at evaluation time; ``rng`` draws the mask."""
     if not training or rate <= 0.0:
         return x
-    rng = rng or np.random.default_rng()
     mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     return x * Tensor(mask)

@@ -1,4 +1,4 @@
-"""Standard trainable layers: convolutions, linear, batch norm, pooling.
+"""Standard layers: convolution, linear, batch norm, global pooling, dropout.
 
 All layers operate on ``NCHW`` tensors (``NC`` for :class:`Linear`).
 """
@@ -16,8 +16,6 @@ __all__ = [
     "Conv2d",
     "Linear",
     "BatchNorm2d",
-    "AvgPool2d",
-    "MaxPool2d",
     "GlobalAvgPool2d",
     "Dropout",
     "Flatten",
@@ -117,32 +115,6 @@ class BatchNorm2d(Module):
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
-
-
-class AvgPool2d(Module):
-    """Average pooling."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None, padding: int = 0):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride, self.padding)
-
-
-class MaxPool2d(Module):
-    """Max pooling."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None, padding: int = 0):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride, self.padding)
 
 
 class GlobalAvgPool2d(Module):

@@ -4,9 +4,8 @@ The training code mostly calls the functional forms directly, but module-style
 losses are convenient for configuration-driven experiments (they carry their
 hyper-parameters) and mirror the familiar ``torch.nn`` API.  The distillation
 losses used by the paper's KD baselines live in :mod:`repro.baselines.kd`;
-here we provide the task losses plus a couple of generally useful extras
-(focal loss for the detection head, soft-target cross entropy for
-MixUp/CutMix training).
+here we provide the classification loss and the soft-target cross entropy
+that MixUp training needs.
 """
 
 from __future__ import annotations
@@ -20,11 +19,6 @@ from .tensor import Tensor
 __all__ = [
     "CrossEntropyLoss",
     "SoftTargetCrossEntropy",
-    "KLDivergenceLoss",
-    "MSELoss",
-    "SmoothL1Loss",
-    "BCEWithLogitsLoss",
-    "FocalLoss",
 ]
 
 
@@ -54,84 +48,9 @@ class CrossEntropyLoss(Module):
 class SoftTargetCrossEntropy(Module):
     """Cross entropy against a full target distribution.
 
-    Required by MixUp / CutMix augmentation, where each sample's target is a
+    Required by MixUp augmentation, where each sample's target is a
     convex combination of two one-hot vectors.
     """
 
     def forward(self, logits: Tensor, target_probs: np.ndarray | Tensor) -> Tensor:
         return F.cross_entropy(logits, target_probs, soft_targets=True)
-
-
-class KLDivergenceLoss(Module):
-    """Temperature-scaled KL divergence, the classic distillation objective."""
-
-    def __init__(self, temperature: float = 4.0):
-        super().__init__()
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        self.temperature = temperature
-
-    def forward(self, teacher_logits: Tensor, student_logits: Tensor) -> Tensor:
-        return F.kl_divergence(teacher_logits, student_logits, temperature=self.temperature)
-
-    def __repr__(self) -> str:
-        return f"KLDivergenceLoss(temperature={self.temperature})"
-
-
-class MSELoss(Module):
-    """Mean squared error (used for feature-map matching in RCO-KD)."""
-
-    def forward(self, pred: Tensor, target: Tensor | np.ndarray) -> Tensor:
-        return F.mse_loss(pred, target)
-
-
-class SmoothL1Loss(Module):
-    """Huber loss for bounding-box regression."""
-
-    def __init__(self, beta: float = 1.0):
-        super().__init__()
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        self.beta = beta
-
-    def forward(self, pred: Tensor, target: Tensor | np.ndarray) -> Tensor:
-        return F.smooth_l1_loss(pred, target, beta=self.beta)
-
-    def __repr__(self) -> str:
-        return f"SmoothL1Loss(beta={self.beta})"
-
-
-class BCEWithLogitsLoss(Module):
-    """Sigmoid cross entropy on raw logits."""
-
-    def forward(self, logits: Tensor, targets: np.ndarray | Tensor) -> Tensor:
-        return F.binary_cross_entropy_with_logits(logits, targets)
-
-
-class FocalLoss(Module):
-    """Focal loss for class-imbalanced classification (Lin et al., 2017).
-
-    ``FL(p_t) = -alpha * (1 - p_t)^gamma * log(p_t)`` where ``p_t`` is the
-    predicted probability of the true class.  With ``gamma == 0`` and
-    ``alpha == 1`` this reduces to plain cross entropy; the detection head can
-    use it to down-weight the abundant background cells.
-    """
-
-    def __init__(self, gamma: float = 2.0, alpha: float = 1.0):
-        super().__init__()
-        if gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        self.gamma = gamma
-        self.alpha = alpha
-
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        num_classes = logits.shape[-1]
-        target_probs = F.one_hot(np.asarray(targets), num_classes)
-        log_probs = F.log_softmax(logits, axis=-1)
-        probs = log_probs.exp()
-        focal_weight = ((Tensor(1.0) - probs) ** self.gamma).detach()
-        weighted = Tensor(target_probs) * focal_weight * log_probs
-        return weighted.sum(axis=-1).mean() * (-self.alpha)
-
-    def __repr__(self) -> str:
-        return f"FocalLoss(gamma={self.gamma}, alpha={self.alpha})"

@@ -1,19 +1,12 @@
-"""Optimisers, learning-rate schedules and training-stability utilities."""
+"""Optimisers, learning-rate schedules and the data-parallel allreduce."""
 
-from .adaptive import Adam, AdamW, RMSprop
 from .allreduce import PipeBarrier, ReductionArena, arena_nbytes
-from .clip import clip_grad_norm, clip_grad_norm_, clip_grad_value, global_grad_norm
-from .ema import ModelEMA
 from .flat import FlatParams, FlatSGD
 from .schedulers import (
     ConstantLR,
     CosineAnnealingLR,
-    ExponentialLR,
-    LambdaLR,
     LinearWarmup,
     LRScheduler,
-    MultiStepLR,
-    PolynomialLR,
     StepLR,
 )
 from .sgd import SGD, Optimizer
@@ -25,22 +18,10 @@ __all__ = [
     "PipeBarrier",
     "ReductionArena",
     "arena_nbytes",
-    "Adam",
-    "AdamW",
-    "RMSprop",
     "Optimizer",
-    "ModelEMA",
-    "clip_grad_norm",
-    "clip_grad_norm_",
-    "clip_grad_value",
-    "global_grad_norm",
     "LRScheduler",
     "ConstantLR",
     "CosineAnnealingLR",
     "StepLR",
-    "MultiStepLR",
-    "ExponentialLR",
-    "PolynomialLR",
-    "LambdaLR",
     "LinearWarmup",
 ]

@@ -5,8 +5,8 @@ small NumPy ops per parameter per step — for a MobileNetV2-scale model that is
 hundreds of interpreter round-trips per update.  :class:`FlatParams` instead
 rebinds every trainable parameter's ``data`` to a *view* into one contiguous
 buffer (and every ``grad`` to a view into a parallel gradient buffer), after
-which SGD with momentum/Nesterov/weight-decay, gradient clipping and EMA each
-become a handful of vectorised in-place ops over the whole model at once.
+which SGD with momentum/Nesterov/weight-decay becomes a handful of vectorised
+in-place ops over the whole model at once.
 
 Because the autograd tape accumulates gradients with ``param.grad += g`` when
 a gradient buffer is already bound (see ``Tensor._accumulate``), the eager

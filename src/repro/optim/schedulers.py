@@ -15,10 +15,6 @@ __all__ = [
     "LRScheduler",
     "CosineAnnealingLR",
     "StepLR",
-    "MultiStepLR",
-    "ExponentialLR",
-    "PolynomialLR",
-    "LambdaLR",
     "LinearWarmup",
     "ConstantLR",
 ]
@@ -74,61 +70,6 @@ class StepLR(LRScheduler):
 
     def get_lr(self, step: int) -> float:
         return self.base_lr * (self.gamma ** (step // self.step_size))
-
-
-class MultiStepLR(LRScheduler):
-    """Multiply the LR by ``gamma`` once per milestone step.
-
-    The milestones are absolute step indices (e.g. epochs ``[30, 60, 90]`` for
-    a 100-epoch run).
-    """
-
-    def __init__(self, optimizer: Optimizer, milestones: list[int], gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.milestones = sorted(int(m) for m in milestones)
-        self.gamma = gamma
-
-    def get_lr(self, step: int) -> float:
-        passed = sum(1 for milestone in self.milestones if step >= milestone)
-        return self.base_lr * (self.gamma ** passed)
-
-
-class ExponentialLR(LRScheduler):
-    """Multiply the LR by ``gamma`` every step."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95):
-        super().__init__(optimizer)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        self.gamma = gamma
-
-    def get_lr(self, step: int) -> float:
-        return self.base_lr * (self.gamma ** step)
-
-
-class PolynomialLR(LRScheduler):
-    """Polynomial decay from the base LR to ``min_lr`` over ``total_steps``."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, power: float = 1.0, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        self.total_steps = max(int(total_steps), 1)
-        self.power = power
-        self.min_lr = min_lr
-
-    def get_lr(self, step: int) -> float:
-        progress = min(step / self.total_steps, 1.0)
-        return self.min_lr + (self.base_lr - self.min_lr) * (1.0 - progress) ** self.power
-
-
-class LambdaLR(LRScheduler):
-    """Scale the base LR by an arbitrary user-supplied function of the step."""
-
-    def __init__(self, optimizer: Optimizer, lr_lambda):
-        super().__init__(optimizer)
-        self.lr_lambda = lr_lambda
-
-    def get_lr(self, step: int) -> float:
-        return self.base_lr * float(self.lr_lambda(step))
 
 
 class LinearWarmup(LRScheduler):

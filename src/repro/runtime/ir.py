@@ -6,7 +6,7 @@ and the true-integer int8 engine — consume one traced graph:
 * :func:`trace` walks an eager :class:`~repro.nn.module.Module` tree and
   produces a :class:`Graph` of typed :class:`OpNode` records
   (``conv`` / ``qconv`` / ``linear`` / ``qlinear`` / ``bn`` / ``act`` /
-  ``pool`` / ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``).
+  ``gap`` / ``flatten`` / ``dropout`` / ``residual`` / ``eager``).
   It knows layers, not models: every block and model of the zoo, and every
   expanded block of the NetBooster giant, is an :class:`~repro.nn.module.Chain`
   whose children trace in registration order, wrapped in a ``residual`` node
@@ -31,7 +31,6 @@ import numpy as np
 
 from .. import nn
 from ..compress.quantization import QuantizedConv2d, QuantizedLinear
-from ..nn.norm import FrozenBatchNorm2d
 
 __all__ = [
     "CompileError",
@@ -56,24 +55,11 @@ class QuantCompileError(CompileError):
 # Activation classes the shared tracer recognises; everything else becomes an
 # ``eager`` node.  Order matters only for documentation — recognition is a
 # plain isinstance check.
-ACTIVATION_MODULES = (
-    nn.DecayableReLU6,
-    nn.DecayableReLU,
-    nn.ReLU,
-    nn.ReLU6,
-    nn.LeakyReLU,
-    nn.Sigmoid,
-    nn.Tanh,
-    nn.Swish,
-    nn.HardSigmoid,
-    nn.HardSwish,
-)
+ACTIVATION_MODULES = (nn.DecayableReLU6, nn.DecayableReLU, nn.ReLU, nn.ReLU6)
 
 
 def bn_scale_shift(bn) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode per-channel scale/shift of a (frozen) batch-norm layer."""
-    if isinstance(bn, FrozenBatchNorm2d):
-        return bn.scale_and_shift()
+    """Eval-mode per-channel scale/shift of a batch-norm layer."""
     scale = bn.weight.data / np.sqrt(bn.running_var + bn.eps)
     shift = bn.bias.data - bn.running_mean * scale
     return scale.astype(np.float32), shift.astype(np.float32)
@@ -85,8 +71,8 @@ def activation_spec(module: nn.Module) -> tuple | None:
     Parameters
     ----------
     module:
-        An eager activation module (``ReLU``, ``ReLU6``, ``LeakyReLU``,
-        ``Identity``, or a decayable PLT activation).
+        An eager activation module (``ReLU``, ``ReLU6``, ``Identity``, or a
+        decayable PLT activation).
 
     Returns
     -------
@@ -118,18 +104,6 @@ def activation_spec(module: nn.Module) -> tuple | None:
         return ("relu",)
     if isinstance(module, nn.ReLU6):
         return ("relu6",)
-    if isinstance(module, nn.LeakyReLU):
-        return ("leaky", module.slope)
-    if isinstance(module, nn.Sigmoid):
-        return ("sigmoid",)
-    if isinstance(module, nn.Tanh):
-        return ("tanh",)
-    if isinstance(module, nn.Swish):
-        return ("swish",)
-    if isinstance(module, nn.HardSigmoid):
-        return ("hardsigmoid",)
-    if isinstance(module, nn.HardSwish):
-        return ("hardswish",)
     raise CompileError(f"unsupported activation module {type(module).__name__}")
 
 
@@ -144,8 +118,8 @@ class OpNode:
     ----------
     kind:
         Op type tag (``"conv"``, ``"qconv"``, ``"linear"``, ``"qlinear"``,
-        ``"bn"``, ``"act"``, ``"pool"``, ``"gap"``, ``"flatten"``,
-        ``"dropout"``, ``"residual"``, ``"eager"``).
+        ``"bn"``, ``"act"``, ``"gap"``, ``"flatten"``, ``"dropout"``,
+        ``"residual"``, ``"eager"``).
     name:
         Dotted module path from the traced root (``"features.3.depthwise"``);
         backends use it to label planner buffers.
@@ -154,7 +128,7 @@ class OpNode:
         Referenced, not copied — snapshotting weights is a backend decision.
     attrs:
         Structural attributes fixed at trace time (stride, padding, groups,
-        pool kind, dropout rate, …).
+        dropout rate, …).
     meta:
         Pass annotations (``bn_folds``, ``act``, ``spec``, ``grid``, …).
         Written by :func:`repro.runtime.passes.annotate`, consumed by the
@@ -178,8 +152,6 @@ class OpNode:
             bits.append(
                 f"{k[0]}x{k[1]} s{self.attrs['stride']} p{self.attrs['padding']} g{self.attrs['groups']}"
             )
-        elif self.kind == "pool":
-            bits.append(f"{self.attrs['op']} k{self.attrs['kernel']} s{self.attrs['stride']}")
         if self.meta.get("bn_folds"):
             bits.append(f"bn-folded(x{len(self.meta['bn_folds'])})")
         act = self.meta.get("act") or self.meta.get("spec")
@@ -276,16 +248,8 @@ def _trace(module: nn.Module, name: str) -> list[OpNode]:
         return [OpNode("conv", name, module, _conv_attrs(module))]
     if isinstance(module, nn.Linear):
         return [OpNode("linear", name, module, _conv_attrs(module))]
-    if isinstance(module, (nn.BatchNorm2d, FrozenBatchNorm2d)):
+    if isinstance(module, nn.BatchNorm2d):
         return [OpNode("bn", name, module)]
-    if isinstance(module, nn.MaxPool2d):
-        return [
-            OpNode("pool", name, module, {"op": "max", "kernel": module.kernel_size, "stride": module.stride, "padding": module.padding})
-        ]
-    if isinstance(module, nn.AvgPool2d):
-        return [
-            OpNode("pool", name, module, {"op": "avg", "kernel": module.kernel_size, "stride": module.stride, "padding": module.padding})
-        ]
     if isinstance(module, nn.GlobalAvgPool2d):
         return [OpNode("gap", name, module)]
     if isinstance(module, nn.Flatten):

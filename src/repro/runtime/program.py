@@ -85,11 +85,12 @@ across kernels and batch sizes to round-off, not bit for bit.  Compilation
 snapshots the weights: after further training, compile again to pick up the
 new parameters.
 
-Activation and pooling leaves run on raw ``ndarray`` payloads
-(:func:`apply_activation`, :func:`max_pool2d_raw`, :func:`avg_pool2d_raw`) —
-no tape nodes, no closures, no gradient bookkeeping.  Activations are
-described by small spec tuples ``(kind, *params)`` — e.g. ``("relu",)``,
-``("leaky", 0.3)`` — produced by :func:`repro.runtime.ir.activation_spec`.
+Activations run on raw ``ndarray`` payloads (:func:`apply_activation`) — no
+tape nodes, no closures, no gradient bookkeeping.  They are described by
+small spec tuples ``(kind, *params)`` produced by
+:func:`repro.runtime.ir.activation_spec`: ``("relu",)``, ``("relu6",)``, and
+the mid-anneal PLT forms ``("leaky", alpha)`` (:class:`~repro.nn.DecayableReLU`)
+and ``("relu6_interp", alpha)`` (:class:`~repro.nn.DecayableReLU6`).
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import nn
-from ..nn.functional import _pad2d, _pool_slices, conv_output_size
+from ..nn.functional import conv_output_size
 from .ir import Graph, OpNode, QuantCompileError, bn_scale_shift
 from .planner import ArenaPlanner, MemoryPlan
 
@@ -140,8 +141,6 @@ def apply_activation(out: np.ndarray, act: tuple | None) -> None:
         np.maximum(out, 0.0, out=out)
     elif kind == "relu6":
         out.clip(*_RELU6_BOUNDS, out=out)
-    elif kind == "tanh":
-        np.tanh(out, out=out)
     elif kind == "leaky":
         out[...] = np.where(out >= 0.0, out, act[1] * out)
     elif kind == "relu6_interp":
@@ -150,43 +149,8 @@ def apply_activation(out: np.ndarray, act: tuple | None) -> None:
         mixed *= 1.0 - act[1]
         mixed += act[1] * out
         out[...] = mixed
-    elif kind == "sigmoid":
-        out[...] = 1.0 / (1.0 + np.exp(-out))
-    elif kind == "swish":
-        out *= 1.0 / (1.0 + np.exp(-out))
-    elif kind == "hardsigmoid":
-        out[...] = np.clip(out * (1.0 / 6.0) + 0.5, 0.0, 1.0)
-    elif kind == "hardswish":
-        out *= np.clip(out * (1.0 / 6.0) + 0.5, 0.0, 1.0)
     else:
         raise ValueError(f"unknown activation spec {act!r}")
-
-
-def max_pool2d_raw(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Max pooling on ``(N, C, H, W)``; padded input comes from the shared
-    per-shape workspace cache of :mod:`repro.nn.functional`."""
-    out_h = conv_output_size(x.shape[2], kernel, stride, padding)
-    out_w = conv_output_size(x.shape[3], kernel, stride, padding)
-    xp = _pad2d(x, padding, reuse=True)
-    out = None
-    for _, _, piece in _pool_slices(xp, kernel, stride, out_h, out_w):
-        out = piece.copy() if out is None else np.maximum(out, piece, out=out)
-    return out
-
-
-def avg_pool2d_raw(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Average pooling on ``(N, C, H, W)``, like :func:`max_pool2d_raw`."""
-    out_h = conv_output_size(x.shape[2], kernel, stride, padding)
-    out_w = conv_output_size(x.shape[3], kernel, stride, padding)
-    xp = _pad2d(x, padding, reuse=True)
-    out = None
-    for _, _, piece in _pool_slices(xp, kernel, stride, out_h, out_w):
-        if out is None:
-            out = piece.astype(x.dtype, copy=True)
-        else:
-            out += piece
-    out *= 1.0 / (kernel * kernel)
-    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -271,12 +235,6 @@ class _ActIR:
         self.spec = spec
 
 
-class _PoolIR:
-    def __init__(self, kind: str, kernel: int, stride: int, padding: int):
-        self.kind = kind  # "max" | "avg"
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-
-
 class _GapIR:
     pass
 
@@ -342,8 +300,6 @@ def _ir_from_node(node: OpNode) -> list:
         return [_AffineIR(*bn_scale_shift(node.module), node.meta.get("act"))]
     if kind == "act":
         return [_ActIR(node.meta["spec"])]
-    if kind == "pool":
-        return [_PoolIR(node.attrs["op"], node.attrs["kernel"], node.attrs["stride"], node.attrs["padding"])]
     if kind == "gap":
         return [_GapIR()]
     if kind == "flatten":
@@ -403,13 +359,13 @@ def _grid_target(em, nodes: list, index: int, tail):
     that takes its input on its grid, ``("float", consumer)`` when it is a
     grid-less conv or linear, ``("float", None)`` otherwise, or ``tail`` when
     the chain is exhausted.  The *grid* (scale/zero-point) propagates through
-    grid-preserving ops (pooling, flatten), so the producer requantizes
+    grid-preserving ops (global pooling, flatten), so the producer requantizes
     straight onto the grid of the next integer op even when such ops
     intervene.  Only the int8 engine hands grids from op to op; a float
     program's integer ops each quantize their own float input.
     """
     for node in nodes[index + 1 :]:
-        if isinstance(node, (_PoolIR, _GapIR, _FlattenIR)):
+        if isinstance(node, (_GapIR, _FlattenIR)):
             continue
         if isinstance(node, _ConvIR):
             if node.grid is None:
@@ -927,27 +883,6 @@ def _emit_gap(em: _Emitter, val: _Val) -> _Val:
     return _Val(out, (c, n, 1, 1), _identity_view, val.grid)
 
 
-def _emit_pool(em: _Emitter, ir: _PoolIR, val: _Val) -> _Val:
-    c, n, h, w = val.shape
-    oh = conv_output_size(h, ir.kernel, ir.stride, ir.padding)
-    ow = conv_output_size(w, ir.kernel, ir.stride, ir.padding)
-    out = em.planner.alloc((c, n, oh, ow), "value", f"{ir.kind}pool")
-    round_back = val.grid is not None and ir.kind == "avg"
-    fn = max_pool2d_raw if ir.kind == "max" else avg_pool2d_raw
-
-    def factory(src=val.buf, sview=val.viewer, out=out):
-        def run():
-            out.a[...] = fn(sview(src.a), ir.kernel, ir.stride, ir.padding)
-            if round_back:
-                np.rint(out.a, out=out.a)
-
-        return run
-
-    em.emit(factory, [val.buf, out], f"{ir.kind}pool")
-    em.log(f"{ir.kind}pool")
-    return _Val(out, (c, n, oh, ow), _identity_view, val.grid)
-
-
 def _emit_flatten(em: _Emitter, val: _Val) -> _Val:
     if len(val.shape) == 2:
         return val
@@ -1120,8 +1055,6 @@ def _emit_chain(em: _Emitter, nodes: list, val: _Val, tail) -> _Val:
             val = _emit_residual(em, node, val, nodes, i, tail)
         elif isinstance(node, _GapIR):
             val = _emit_gap(em, val)
-        elif isinstance(node, _PoolIR):
-            val = _emit_pool(em, node, val)
         elif isinstance(node, _FlattenIR):
             val = _emit_flatten(em, val)
         elif isinstance(node, _ActIR):

@@ -81,10 +81,11 @@ class ChaosConfig:
     faults: tuple[Fault, ...] = ()
     seed: int = 1234
 
-    def monkey(self, scope: int) -> "ChaosMonkey":
+    def monkey(self, scope: int, generation: int = 0) -> "ChaosMonkey":
         """Build the per-process fault source; ``scope`` decorrelates streams
-        (replica index, or a negative id for the front door)."""
-        return ChaosMonkey(self, scope)
+        (replica index, or a negative id for the front door) and
+        ``generation`` the lives of one replica across restarts."""
+        return ChaosMonkey(self, scope, generation)
 
     def describe(self) -> str:
         if not self.faults:
@@ -145,12 +146,18 @@ def parse_chaos(spec: "str | ChaosConfig | None", seed: int = 1234) -> ChaosConf
 
 
 class ChaosMonkey:
-    """Per-process fault source with seeded, warmup/cap-bounded draws."""
+    """Per-process fault source with seeded, warmup/cap-bounded draws.
 
-    def __init__(self, config: ChaosConfig, scope: int):
+    Each life draws its own stream, seeded from ``(seed, scope, generation)``:
+    a restarted replica (the supervisor bumps its generation) does not replay
+    its predecessor's draws.
+    """
+
+    def __init__(self, config: ChaosConfig, scope: int, generation: int = 0):
         self._faults = {fault.kind: fault for fault in config.faults}
-        # scopes may be negative (the front door); keep the derived seed valid
-        self._rng = np.random.default_rng((config.seed + 9973 * (scope + 1)) % 2**32)
+        # scopes may be negative (the front door); SeedSequence takes words >= 0
+        entropy = [value % 2**32 for value in (config.seed, scope, generation)]
+        self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
         self._trials: dict[str, int] = {}
         self._fired: dict[str, int] = {}
 

@@ -562,6 +562,10 @@ class Fleet:
         self._thread = None
         self._supervisor = None
         self._started = threading.Event()
+        # bumped and notified by the loop when a replica turns READY or goes
+        # DOWN / FAILED, so wait_ready() sleeps until the ready count can move
+        self._replica_change = threading.Condition()
+        self._replica_changes = 0
         self._start_error = None
         self._shutdown = None
         self._closed = False
@@ -658,13 +662,27 @@ class Fleet:
         return self
 
     def wait_ready(self, timeout: float = 60.0, replicas: int = 1) -> None:
-        """Block until at least ``replicas`` replicas report ready."""
+        """Block until at least ``replicas`` replicas report ready.
+
+        Reads the count from :meth:`stats`, then sleeps until the loop reports
+        a replica state change; raises :class:`TimeoutError` at the deadline.
+        """
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
+        change = self._replica_change
+        while True:
+            with change:
+                seen = self._replica_changes
             if self.stats().ready >= replicas:
                 return
-            time.sleep(0.01)
-        raise TimeoutError(f"no {replicas} ready replicas within {timeout:.1f}s")
+            with change:
+                remaining = deadline - time.monotonic()
+                if not change.wait_for(lambda: self._replica_changes != seen, max(remaining, 0.0)):
+                    raise TimeoutError(f"no {replicas} ready replicas within {timeout:.1f}s")
+
+    def _notify_replica_change(self) -> None:
+        with self._replica_change:
+            self._replica_changes += 1
+            self._replica_change.notify_all()
 
     def client(self, **kwargs) -> FleetClient:
         """A connected :class:`~repro.serve.transport.FleetClient`."""
@@ -991,6 +1009,7 @@ class Fleet:
             else:
                 self._scale_downs += 1
             self._flush_undispatched()
+            self._notify_replica_change()  # a draining replica may be READY again
         return new
 
     def set_degradation(
@@ -1094,6 +1113,7 @@ class Fleet:
             if self._fidelity_rung:
                 self._broadcast_cfg(handle)  # replica (re)started mid-ladder
             self._flush_undispatched()
+            self._notify_replica_change()
         elif kind == "done":
             handle.batches += 1
             replies: dict = {}  # connection -> reply frames of this batch
@@ -1157,6 +1177,7 @@ class Fleet:
             else:
                 self._retry(entry, transport.ReplicaFailed(f"replica {handle.index} down: {reason}"))
         self._flush()
+        self._notify_replica_change()
 
     # ------------------------------------------------------------------ #
     # completion paths

@@ -154,6 +154,7 @@ class ReplicaSpec:
     max_batch: int
     heartbeat_interval: float
     chaos: ChaosConfig | None = None
+    generation: int = 0  # the life Supervisor.spawn assigned; seeds its chaos draws
     prebuilt: object = field(default=None, repr=False)  # fork-only fast path
 
 
@@ -175,7 +176,7 @@ def _replica_main(spec: ReplicaSpec, work, resp) -> None:
             else resolve_builder(spec.builder)(**spec.builder_kwargs)
         )
         forward = backend.forward if hasattr(backend, "forward") else backend
-        monkey = spec.chaos.monkey(spec.index) if spec.chaos and spec.chaos.faults else None
+        monkey = spec.chaos.monkey(spec.index, spec.generation) if spec.chaos and spec.chaos.faults else None
         in_elems, out_elems = spec.input_elements, spec.output_elements
         inputs = slots[:, :in_elems]
         outputs = slots[:, in_elems : in_elems + out_elems]
@@ -333,7 +334,8 @@ class Supervisor:
         """(Re)start one replica with fresh pipes and a new generation."""
         import dataclasses
 
-        spec = dataclasses.replace(self.spec, index=handle.index)
+        generation = handle.generation + 1
+        spec = dataclasses.replace(self.spec, index=handle.index, generation=generation)
         work_recv, work_send = self.ctx.Pipe(duplex=False)
         resp_recv, resp_send = self.ctx.Pipe(duplex=False)
         process = self.ctx.Process(
@@ -349,7 +351,7 @@ class Supervisor:
         if handle.state == DOWN and handle.process is not None:
             handle.restarts += 1
             self.restarts += 1
-        handle.generation += 1
+        handle.generation = generation
         handle.process = process
         handle.work = work_send
         handle.resp = resp_recv

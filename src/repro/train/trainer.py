@@ -235,17 +235,16 @@ class Trainer:
     # ------------------------------------------------------------------ #
     # checkpointing
     # ------------------------------------------------------------------ #
-    def save_checkpoint(self, path: str, ema=None, extra: dict | None = None) -> None:
+    def save_checkpoint(self, path: str, extra: dict | None = None) -> None:
         """Write model + optimiser + schedule state to one ``.npz`` artifact.
 
         The archive holds the full model state dict (parameters *and*
         buffers, i.e. batch-norm running statistics), the optimiser's flat
         momentum buffer, the scheduler position and the iteration counter —
-        everything needed for a bitwise resume.  Pass an
-        :class:`~repro.optim.ModelEMA` as ``ema`` to include its shadow
-        buffers, and ``extra`` for scalar caller metadata (epoch index, best
-        accuracy, ...).  Restore with :meth:`load_checkpoint` on a trainer
-        built over an identically-constructed model.
+        everything needed for a bitwise resume.  Pass ``extra`` for scalar
+        caller metadata (epoch index, best accuracy, ...).  Restore with
+        :meth:`load_checkpoint` on a trainer built over an
+        identically-constructed model.
         """
         import os
 
@@ -260,17 +259,13 @@ class Trainer:
         if after is not None:
             payload["sched::after_last_step"] = np.asarray(after.last_step)
         payload["trainer::global_iteration"] = np.asarray(self.global_iteration)
-        if ema is not None:
-            for name, value in ema.shadow.items():
-                payload[f"ema::{name}"] = np.asarray(value)
-            payload["ema::__updates__"] = np.asarray(ema.updates)
         for key, value in (extra or {}).items():
             payload[f"extra::{key}"] = np.asarray(value)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         np.savez(path, **payload)
 
-    def load_checkpoint(self, path: str, ema=None) -> dict:
+    def load_checkpoint(self, path: str) -> dict:
         """Restore a :meth:`save_checkpoint` artifact in place; returns ``extra``.
 
         Model state is copied *into* the existing parameter arrays (the flat
@@ -283,15 +278,13 @@ class Trainer:
         if not path.endswith(".npz"):
             path = path + ".npz"
         archive = np.load(path, allow_pickle=False)
-        model_state, opt_state, ema_state, extra = {}, {}, {}, {}
+        model_state, opt_state, extra = {}, {}, {}
         for key in archive.files:
             prefix, _, name = key.partition("::")
             if prefix == "model":
                 model_state[name] = archive[key]
             elif prefix == "opt":
                 opt_state[name] = archive[key]
-            elif prefix == "ema":
-                ema_state[name] = archive[key]
             elif prefix == "extra":
                 extra[name] = archive[key]
         self.model.load_state_dict(model_state)
@@ -302,10 +295,4 @@ class Trainer:
         if after is not None and "sched::after_last_step" in archive.files:
             after.last_step = int(archive["sched::after_last_step"])
         self.global_iteration = int(archive["trainer::global_iteration"])
-        if ema is not None and ema_state:
-            updates = ema_state.pop("__updates__", None)
-            if updates is not None:
-                ema.updates = int(updates)
-            for name, value in ema_state.items():
-                np.copyto(ema.shadow[name], value)
         return extra

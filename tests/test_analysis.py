@@ -1,20 +1,10 @@
-"""Unit tests for the expansion/contraction analysis utilities."""
+"""Unit tests for the contraction equivalence check."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import (
-    ExpansionConfig,
-    NetBooster,
-    NetBoosterConfig,
-    alpha_profile,
-    expansion_summary,
-    extract_features,
-    feature_inheritance_score,
-    functional_equivalence,
-    linear_cka,
-)
+from repro.core import ExpansionConfig, NetBooster, NetBoosterConfig, functional_equivalence
 from repro.core.plt import PLTSchedule
 from repro.models import mobilenet_v2
 from repro.utils import ExperimentConfig
@@ -50,73 +40,3 @@ class TestFunctionalEquivalence:
         b.classifier.weight.data += 1.0
         report = functional_equivalence(a, b, (3, 16, 16), num_probes=2)
         assert report.max_abs_error > 1e-3
-
-
-class TestExpansionSummary:
-    def test_giant_has_more_capacity(self, expanded_pair):
-        original, giant, records, _ = expanded_pair
-        summary = expansion_summary(original, giant, records, (3, 16, 16))
-        assert summary.param_ratio > 1.0
-        assert summary.flops_ratio > 1.0
-        assert len(summary.expanded_sites) == len(records)
-        assert all(site in summary.summary() for site in summary.expanded_sites)
-
-    def test_alpha_profile_tracks_schedule(self, expanded_pair):
-        _, giant, _, _ = expanded_pair
-        profile = alpha_profile(giant)
-        assert profile
-        assert all(alpha == 0.0 for alpha in profile.values())
-        schedule = PLTSchedule(giant, total_steps=4)
-        schedule.step()
-        schedule.step()
-        profile = alpha_profile(giant)
-        assert all(alpha == pytest.approx(0.5) for alpha in profile.values())
-
-    def test_alpha_profile_empty_for_plain_model(self):
-        assert alpha_profile(mobilenet_v2("tiny", num_classes=4)) == {}
-
-
-class TestFeatureSimilarity:
-    def test_cka_identical_features_is_one(self, rng):
-        features = rng.normal(size=(20, 8))
-        assert linear_cka(features, features) == pytest.approx(1.0)
-
-    def test_cka_invariant_to_orthogonal_transform(self, rng):
-        features = rng.normal(size=(30, 6))
-        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        assert linear_cka(features, features @ q) == pytest.approx(1.0, abs=1e-6)
-
-    def test_cka_low_for_independent_features(self, rng):
-        a = rng.normal(size=(200, 6))
-        b = rng.normal(size=(200, 6))
-        assert linear_cka(a, b) < 0.3
-
-    def test_cka_requires_matching_sample_count(self, rng):
-        with pytest.raises(ValueError):
-            linear_cka(rng.normal(size=(10, 4)), rng.normal(size=(11, 4)))
-
-    def test_extract_features_shape(self, rng):
-        model = mobilenet_v2("tiny", num_classes=5)
-        images = rng.normal(size=(6, 3, 16, 16)).astype(np.float32)
-        features = extract_features(model, images)
-        assert features.shape[0] == 6
-        assert features.ndim == 2
-        assert features.shape[1] == model.classifier.in_features
-
-    def test_extract_features_explicit_layer(self, rng):
-        model = mobilenet_v2("tiny", num_classes=5)
-        images = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
-        features = extract_features(model, images, layer_path="features.0")
-        assert features.shape[0] == 4
-
-    def test_extract_features_requires_linear_head(self, rng):
-        with pytest.raises(ValueError):
-            extract_features(nn.Sequential(nn.ReLU()), rng.normal(size=(2, 3, 8, 8)))
-
-    def test_inheritance_score_high_after_contraction(self, expanded_pair, rng):
-        _, giant, records, booster = expanded_pair
-        PLTSchedule(giant, total_steps=1).finalize()
-        contracted = booster.contract(giant, records)
-        images = rng.normal(size=(12, 3, 16, 16)).astype(np.float32)
-        score = feature_inheritance_score(giant, contracted, images)
-        assert score > 0.95

@@ -192,6 +192,16 @@ class TestChaos:
     def test_negative_scope_is_valid(self):
         ChaosMonkey(ChaosConfig(faults=(Fault(kind="drop", prob=1.0),)), scope=-2).draw("drop")
 
+    def test_each_generation_draws_its_own_sequence(self):
+        config = ChaosConfig(faults=(Fault(kind="kill", prob=0.5),))
+
+        def fires(generation):
+            monkey = ChaosMonkey(config, scope=0, generation=generation)
+            return [monkey.draw("kill") is not None for _ in range(64)]
+
+        assert fires(1) == fires(1)
+        assert fires(1) != fires(2)
+
 
 # --------------------------------------------------------------------------- #
 # fleet behavior
@@ -589,6 +599,28 @@ class TestFrontDoorStream:
                 outs = np.stack([f.result(timeout=60) for f in [client.submit(x) for x in xs]])
             assert np.allclose(outs, oracle(xs))
             assert_zero_lost(fleet)
+
+
+class TestWaitReady:
+    def test_start_waits_on_ready_without_sleeping(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"polled with time.sleep({seconds})")
+
+        # a spawned replica takes a few hundred ms to report READY, so start()
+        # must wait for it; a forked one can beat the first readiness check
+        fleet = Fleet(fleet_config(replicas=1, start_method="spawn"))
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.serve.fleet.time.sleep", no_sleep)
+                fleet.start()
+                assert fleet.stats().ready == 1
+        finally:
+            fleet.close()
+
+    def test_timeout_still_raises(self):
+        with Fleet(fleet_config(replicas=1)) as fleet:
+            with pytest.raises(TimeoutError):
+                fleet.wait_ready(replicas=2, timeout=0.2)
 
 
 class TestFleetConfigValidation:

@@ -102,11 +102,6 @@ class TestConv2d:
 
 
 class TestPooling:
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(out.numpy(), [[[[2.5, 4.5], [10.5, 12.5]]]])
-
     def test_max_pool_values_and_gradient(self):
         x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4), requires_grad=True)
         out = F.max_pool2d(x, 2)
@@ -116,26 +111,24 @@ class TestPooling:
         assert x.grad[0, 0, 1, 1] == 1
 
     def test_pool_gradients_match_numeric(self, rng):
-        for pool in (F.avg_pool2d, F.max_pool2d):
-            x = make_tensor((2, 2, 6, 6), rng)
-            (pool(x, 2) ** 2).sum().backward()
+        x = make_tensor((2, 2, 6, 6), rng)
+        (F.max_pool2d(x, 2) ** 2).sum().backward()
 
-            def f():
-                return float((pool(Tensor(x.data, dtype=np.float64), 2).data ** 2).sum())
+        def f():
+            return float((F.max_pool2d(Tensor(x.data, dtype=np.float64), 2).data ** 2).sum())
 
-            assert_gradients_close(x.grad, numerical_gradient(f, x.data))
+        assert_gradients_close(x.grad, numerical_gradient(f, x.data))
 
     @pytest.mark.parametrize("stride,padding", [(2, 0), (2, 1), (3, 1)])
     def test_strided_padded_pool_gradients(self, rng, stride, padding):
         """Overlapping/strided/padded windows through the slice-based backward."""
-        for pool in (F.avg_pool2d, F.max_pool2d):
-            x = make_tensor((2, 2, 7, 7), rng)
-            (pool(x, 3, stride, padding) ** 2).sum().backward()
+        x = make_tensor((2, 2, 7, 7), rng)
+        (F.max_pool2d(x, 3, stride, padding) ** 2).sum().backward()
 
-            def f():
-                return float((pool(Tensor(x.data, dtype=np.float64), 3, stride, padding).data ** 2).sum())
+        def f():
+            return float((F.max_pool2d(Tensor(x.data, dtype=np.float64), 3, stride, padding).data ** 2).sum())
 
-            assert_gradients_close(x.grad, numerical_gradient(f, x.data))
+        assert_gradients_close(x.grad, numerical_gradient(f, x.data))
 
     def test_global_avg_pool_shape(self, rng):
         x = make_tensor((2, 5, 6, 6), rng)
@@ -245,12 +238,10 @@ class TestLosses:
         loss.backward()
         assert student.grad is not None
 
-    def test_mse_and_smooth_l1(self):
+    def test_mse_loss(self):
         pred = Tensor(np.array([1.0, 2.0, 5.0]), requires_grad=True)
         target = np.array([1.0, 2.0, 2.0])
         assert F.mse_loss(pred, target).item() == pytest.approx(3.0)
-        smooth = F.smooth_l1_loss(pred, target)
-        assert smooth.item() == pytest.approx((0 + 0 + 2.5) / 3)
 
     def test_bce_with_logits_matches_reference(self, rng):
         logits = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
@@ -268,7 +259,7 @@ class TestLosses:
 
     def test_dropout_eval_is_identity_and_train_scales(self, rng):
         x = Tensor(np.ones((100, 100), dtype=np.float32))
-        assert F.dropout(x, 0.5, training=False) is x
+        assert F.dropout(x, 0.5, training=False, rng=rng) is x
         out = F.dropout(x, 0.5, training=True, rng=rng)
         # Expected value is preserved by inverted dropout.
         assert out.numpy().mean() == pytest.approx(1.0, abs=0.05)

@@ -81,18 +81,6 @@ class TestBatchNorm2d:
 
 
 class TestPoolingAndMisc:
-    def test_avg_pool_module(self):
-        pool = nn.AvgPool2d(2)
-        out = pool(nn.Tensor(np.ones((1, 2, 4, 4), dtype=np.float32)))
-        np.testing.assert_allclose(out.numpy(), np.ones((1, 2, 2, 2)))
-
-    def test_max_pool_module(self):
-        pool = nn.MaxPool2d(2, stride=2)
-        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        x[0, 0, 0, 0] = 5.0
-        out = pool(nn.Tensor(x))
-        assert out.numpy()[0, 0, 0, 0] == 5.0
-
     def test_global_avg_pool_and_flatten(self):
         model = nn.Sequential(nn.GlobalAvgPool2d(), nn.Flatten())
         out = model(nn.Tensor(np.ones((2, 7, 3, 3), dtype=np.float32)))

@@ -1,10 +1,10 @@
-"""Unit tests for MixUp / CutMix batch augmentation."""
+"""Unit tests for MixUp batch augmentation."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.data import ClassificationDataset, MixingLoss, cutmix, mixup
+from repro.data import ClassificationDataset, MixingLoss, mixup
 from repro.train import Trainer
 from repro.utils import ExperimentConfig
 
@@ -43,38 +43,6 @@ class TestMixup:
         np.testing.assert_array_equal(images, before)
 
 
-class TestCutmix:
-    def test_targets_match_pasted_area(self, batch, rng):
-        images, labels = batch
-        mixed, targets = cutmix(images, labels, num_classes=4, alpha=1.0, rng=rng)
-        assert mixed.shape == images.shape
-        np.testing.assert_allclose(targets.sum(axis=1), 1.0, atol=1e-5)
-        # The weight of the original label equals the un-pasted pixel fraction.
-        changed = ~np.isclose(mixed, images)
-        pasted_fraction = changed.any(axis=1).mean(axis=(1, 2))
-        original_weight = targets[np.arange(8), labels]
-        # Identical partner pixels may not register as "changed"; weights can
-        # therefore only over-estimate the surviving area.
-        assert np.all(original_weight >= 1.0 - pasted_fraction - 0.35)
-
-    def test_pastes_a_rectangle(self, rng):
-        images = np.zeros((2, 1, 16, 16), dtype=np.float32)
-        images[1] = 1.0
-        mixed, _ = cutmix(images, np.array([0, 1]), num_classes=2, alpha=1.0, rng=rng)
-        changed = mixed[0, 0] != 0.0
-        if changed.any():
-            rows = np.where(changed.any(axis=1))[0]
-            cols = np.where(changed.any(axis=0))[0]
-            block = changed[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-            assert block.all()
-
-    def test_does_not_modify_input(self, batch, rng):
-        images, labels = batch
-        before = images.copy()
-        cutmix(images, labels, num_classes=4, alpha=1.0, rng=rng)
-        np.testing.assert_array_equal(images, before)
-
-
 class TestMixingLoss:
     def _model(self):
         return nn.Sequential(
@@ -87,14 +55,11 @@ class TestMixingLoss:
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            MixingLoss(num_classes=4, method="cutout")
-        with pytest.raises(ValueError):
             MixingLoss(num_classes=4, probability=1.5)
 
-    @pytest.mark.parametrize("method", ["mixup", "cutmix"])
-    def test_returns_scalar_loss_and_logits(self, batch, method):
+    def test_returns_scalar_loss_and_logits(self, batch):
         images, labels = batch
-        loss_computer = MixingLoss(num_classes=4, method=method, alpha=1.0)
+        loss_computer = MixingLoss(num_classes=4, alpha=1.0)
         loss, logits = loss_computer(self._model(), nn.Tensor(images), labels)
         assert loss.size == 1
         assert logits.shape == (8, 4)
@@ -111,7 +76,7 @@ class TestMixingLoss:
         trainer = Trainer(
             self._model(),
             ExperimentConfig(epochs=1, batch_size=4, lr=0.05),
-            loss_computer=MixingLoss(num_classes=4, method="mixup", alpha=0.4),
+            loss_computer=MixingLoss(num_classes=4, alpha=0.4),
         )
         history = trainer.fit(dataset, dataset)
         assert len(history.train_loss) == 1

@@ -84,7 +84,32 @@ class TestResultCache:
         cache.store(config_digest("s"), Artifact(meta={}))
         assert cache.stats()["entries"] == 1
         cache.clear()
-        assert cache.stats() == {"entries": 0, "bytes": 0}
+        assert cache.stats() == {"entries": 0, "bytes": 0, "evicted": 0}
+
+    def test_truncated_states_evicted_and_counted(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = config_digest("truncated-states")
+        cache.store(key, Artifact(meta={"v": 1}, states={"m": {"w": np.arange(64.0)}}))
+        states = cache._entry_dir(key) / "states.npz"
+        states.write_bytes(states.read_bytes()[: states.stat().st_size // 2])
+        assert cache.load(key) is None
+        assert not cache.has(key)
+        assert cache.stats()["evicted"] == 1
+
+    def test_unexpected_load_error_propagates(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        key = config_digest("type-error")
+        cache.store(key, Artifact(meta={"v": 1}))
+
+        def broken_load(handle):
+            raise TypeError("a bug, not a damaged entry")
+
+        monkeypatch.setattr("repro.experiments.cache.json.load", broken_load)
+        with pytest.raises(TypeError):
+            cache.load(key)
+        monkeypatch.undo()
+        assert cache.has(key)
+        assert cache.stats()["evicted"] == 0
 
 
 class TestPlan:

@@ -230,23 +230,6 @@ class TestCheckpoint:
         trainer.load_checkpoint(str(tmp_path / "ck"))
         assert trainer.optimizer.flat.check_bound()
 
-    def test_ema_shadow_round_trips(self, tmp_path):
-        from repro.optim import ModelEMA
-
-        model, trainer, _ = self._setup(warmup=0)
-        ema = ModelEMA(model, decay=0.9)
-        trainer.fit(_toy_dataset(), epochs=1)
-        ema.update(model)
-        shadow = {k: v.copy() for k, v in ema.shadow.items()}
-        trainer.save_checkpoint(str(tmp_path / "ck"), ema=ema)
-        for value in ema.shadow.values():
-            value.fill(0.0)
-        trainer.load_checkpoint(str(tmp_path / "ck"), ema=ema)
-        for name, value in shadow.items():
-            np.testing.assert_array_equal(ema.shadow[name], value, err_msg=name)
-        assert ema.updates == 1
-
-
 class TestEvaluateCompileErrors:
     """evaluate() never falls back to the eager tape: compile errors propagate."""
 

@@ -1,8 +1,8 @@
 """Behaviour tests for the training step and its supporting machinery.
 
 Covers ``Trainer.train_step`` (batch-norm statistics, flat-buffer gradients,
-live PLT alphas), the flat-buffer optimisers (`repro.optim.flat`), flat EMA /
-clipping, and the data pipeline's RNG stability.
+live PLT alphas), the flat-buffer optimisers (`repro.optim.flat`) and the data
+pipeline's RNG stability.
 """
 
 import numpy as np
@@ -22,9 +22,6 @@ from repro.optim import (
     SGD,
     FlatParams,
     FlatSGD,
-    ModelEMA,
-    clip_grad_norm,
-    clip_grad_norm_,
 )
 from repro.train import StandardLoss, Trainer
 from repro.utils import ExperimentConfig, seed_everything
@@ -163,48 +160,6 @@ class TestFlatOptim:
         before = model.classifier.weight.numpy().copy()
         opt.step()  # must gather the stray grads
         assert not np.allclose(model.classifier.weight.numpy(), before)
-
-    def test_clip_grad_norm_flat_matches_reference(self):
-        model = self._model()
-        opt = FlatSGD(model.parameters(), lr=0.1)
-        opt.zero_grad()
-        rng = np.random.default_rng(2)
-        for param in opt.params:
-            param.grad[...] = rng.normal(size=param.shape).astype(np.float32)
-        reference = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in opt.params))
-        norm = clip_grad_norm_(opt, max_norm=0.5)
-        assert norm == pytest.approx(reference, rel=1e-6)
-        clipped = np.sqrt(float(np.dot(opt.flat.grad.astype(np.float64), opt.flat.grad)))
-        assert clipped == pytest.approx(0.5, rel=1e-5)
-
-    def test_clip_grad_norm_plain_params_fallback(self):
-        p = nn.Parameter(np.ones(4, dtype=np.float32))
-        p.grad = np.full(4, 3.0, dtype=np.float32)
-        norm = clip_grad_norm_([p], max_norm=1.0)
-        assert norm == pytest.approx(6.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-5)
-
-    def test_flat_ema_matches_reference_update(self):
-        model = self._model()
-        ema = ModelEMA(model, decay=0.9)
-        reference = {name: value.copy() for name, value in model.state_dict().items()}
-        model.classifier.weight.data += 1.0
-        ema.update(model)
-        state = model.state_dict()
-        for name, value in ema.shadow.items():
-            if np.issubdtype(value.dtype, np.floating):
-                expected = 0.9 * reference[name] + 0.1 * state[name]
-                np.testing.assert_allclose(value, expected, atol=1e-6, err_msg=name)
-
-    def test_flat_ema_update_is_allocation_free_per_param(self):
-        """The shadow arrays must be stable views, not reallocated per step."""
-        model = self._model()
-        ema = ModelEMA(model, decay=0.5)
-        ids_before = {name: id(value) for name, value in ema.shadow.items()}
-        ema.update(model)
-        ema.update(model)
-        assert ids_before == {name: id(value) for name, value in ema.shadow.items()}
-
 
 class TestPrefetchingLoader:
     def _loader(self, transform=None, seed=9):
