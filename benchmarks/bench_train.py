@@ -10,8 +10,10 @@ MobileNetV2-Tiny in two lanes:
   tape with optimised kernels, fused cross-entropy, flat-buffer SGD, batched
   transforms);
 
-plus a data-pipeline microbenchmark (batched vs per-image transforms) and a
-``distributed`` lane (aggregate steps/s of the data-parallel
+plus a data-pipeline microbenchmark (batched vs per-image transforms), a
+``corpus`` lane (the synthetic corpus every run starts by building: the
+perfbench-scale ``SyntheticImageNet`` build, and microseconds per decoded
+image at resolutions 12/20/32) and a ``distributed`` lane (aggregate steps/s of the data-parallel
 :class:`~repro.train.DistributedTrainer` vs worker count, with a
 single-worker bitwise-parity check).  Every median is recorded with its
 quartiles (``<key>_p25`` / ``<key>_p75``), and the report records the host's
@@ -36,7 +38,18 @@ from pathlib import Path
 import numpy as np
 
 from repro import nn
-from repro.data import ClassificationDataset, Compose, DataLoader, Normalize, RandomCrop, RandomHorizontalFlip
+from repro.data import (
+    ClassificationDataset,
+    Compose,
+    DataLoader,
+    DecoderSpec,
+    Normalize,
+    RandomCrop,
+    RandomHorizontalFlip,
+    RandomImageDecoder,
+    SyntheticImageNet,
+)
+from repro.data.generator import DECODE_CHUNK
 from repro.models import mobilenet_v2
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -218,6 +231,37 @@ def bench_transforms(dataset, batch: int, repeats: int) -> dict:
     return row
 
 
+CORPUS_RESOLUTIONS = (12, 20, 32)
+
+
+def bench_corpus(smoke: bool) -> dict:
+    """Synthetic-corpus lane: the corpus build at perfbench scale (10 classes
+    x 60 train + 100 val images, res 20, noise included) and the decoder's
+    cost per image at resolutions 12, 20 and 32, timed interleaved."""
+    images, repeats = (128, 3) if smoke else (1600, 15)
+    latents = np.random.default_rng(0).normal(size=(images, 32)).astype(np.float32)
+    fns = {
+        "build": lambda: SyntheticImageNet(
+            num_classes=10, samples_per_class=60, val_samples_per_class=100, resolution=20,
+            signal_scale=4.0, intra_class_std=0.4, seed=1,
+        )
+    }
+    for res in CORPUS_RESOLUTIONS:
+        decoder = RandomImageDecoder(DecoderSpec(base_size=res // 4))
+        fns[f"decode_r{res}"] = lambda decoder=decoder: decoder.decode_batch(latents)
+    timings = interleaved_ms(fns, repeats)
+    row = {
+        "cpu_count": os.cpu_count(),
+        "decode_chunk": DECODE_CHUNK,
+        "decoded_images": images,
+        "repeats": repeats,
+        **quartiles("build_ms", timings["build"]),
+    }
+    for res in CORPUS_RESOLUTIONS:
+        row.update(quartiles(f"decode_r{res}_us_per_image", [ms * 1e3 / images for ms in timings[f"decode_r{res}"]]))
+    return row
+
+
 def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
     """Data-parallel lane: aggregate steps/s vs worker count + bitwise flag.
 
@@ -323,6 +367,7 @@ def run_benchmarks(smoke: bool, max_workers: int | None = None) -> dict:
         },
         "train_step": train_step,
         "transforms": bench_transforms(dataset, batch, repeats=5),
+        "corpus": bench_corpus(smoke),
         "distributed": bench_distributed(smoke, max_workers),
     }
 
@@ -364,6 +409,11 @@ def main() -> None:
     print(f"\ntrainer vs seed:   {train['speedup_trainer_vs_seed']:.2f}x")
     tf = results["transforms"]
     print(f"batched transforms: {tf['speedup']:.2f}x vs per-image")
+    corpus = results["corpus"]
+    print(
+        f"corpus build (1600 images, res 20): {corpus['build_ms']:.1f} ms | decode "
+        + ", ".join(f"r{res} {corpus[f'decode_r{res}_us_per_image']:.1f} us/image" for res in CORPUS_RESOLUTIONS)
+    )
     dp = results["distributed"]
     print(
         f"distributed ({dp['cpu_count']} cpus): "

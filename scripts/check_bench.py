@@ -6,7 +6,8 @@ Dispatches on the report's ``suite`` field:
 * ``bench_train`` (``BENCH_train.json``) — the Trainer's train step must
   stay above the seed-speedup floor; the distributed data-parallel lane must show aggregate steps/s scaling at max
   workers (CPU-count-aware floor, sanity floor on starved runners) and the
-  single-worker bitwise-parity flag must hold everywhere.
+  single-worker bitwise-parity flag must hold everywhere.  The ``corpus`` lane
+  (corpus build and decode cost per image) is required, with its spread.
 * ``bench_serve`` (``BENCH_serve.json``) — the int8 integer engine's forward
   must stay within the configured multiple of the float compiled engine's at
   batches 1 and 8 (both run the same planned kernels), and
@@ -82,6 +83,8 @@ def check_train(report: dict, args) -> list[str]:
             ("train_step", "trainer_steps_per_sec"),
             ("transforms", "batched_ms"),
             ("transforms", "per_image_ms"),
+            ("corpus", "build_ms"),
+            *(("corpus", f"decode_r{res}_us_per_image") for res in (12, 20, 32)),
         ],
     )
     if trainer < args.min_seed_ratio * seed:

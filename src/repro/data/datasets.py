@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DecoderSpec, LatentClassSampler, RandomImageDecoder
+from .generator import DECODE_CHUNK, DecoderSpec, LatentClassSampler, RandomImageDecoder
 
 __all__ = [
     "ClassificationDataset",
@@ -84,8 +84,13 @@ def _build_classification_dataset(
     latents = sampler.sample_batch(labels, rng)
     images = decoder.decode_batch(latents)
     if pixel_noise > 0:
-        images = images + rng.normal(0.0, pixel_noise, size=images.shape).astype(np.float32)
-        images = np.clip(images, 0.0, 1.0)
+        # In place, one chunk of draws at a time: Generator.normal fills in C
+        # order, so the stream and the bits match one corpus-sized draw, and
+        # the peak stays near the corpus itself.
+        for start in range(0, len(images), DECODE_CHUNK):
+            chunk = images[start : start + DECODE_CHUNK]
+            chunk += rng.normal(0.0, pixel_noise, size=chunk.shape).astype(np.float32)
+            np.clip(chunk, 0.0, 1.0, out=chunk)
     return ClassificationDataset(images, labels, num_classes, name=name)
 
 

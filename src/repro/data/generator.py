@@ -12,6 +12,14 @@ difficulty profile:
   (two rounds of upsampling + random convolutions + ``tanh``) to produce an
   RGB image.
 
+The decoder never materialises an upsampled map.  A 3x3 conv after a
+nearest 2x upsample reads, for each of the four output parities, only
+low-res pixels, so each tap's channel sum is computed once on the low-res
+grid and added into the parities (the phase decomposition of sub-pixel
+convolution; see :func:`_upsample_conv`).  Maps are carried batch-innermost,
+``(C, H, W, N)``.  The bits are those of the plain upsample-then-conv
+reference that ``tests/test_data.py`` keeps.
+
 Because the decoder is non-linear, recovering the class label from pixels
 requires learning a non-trivial hierarchy of features, so model capacity
 matters: tiny networks under-fit exactly as described in the paper, while
@@ -30,34 +38,40 @@ __all__ = ["DecoderSpec", "RandomImageDecoder", "LatentClassSampler"]
 
 
 #: Images decoded per step of :meth:`RandomImageDecoder.decode_batch`.  Bounds
-#: the decoder's scratch memory (about 2 MiB beyond the output at resolution 20)
-#: and keeps it cache-resident; 32-128 decode fastest at resolutions 12-32.
-#: No output bit depends on it: each image's arithmetic is the same per chunk.
+#: the decoder's scratch memory (about 1 MiB beyond the output at resolution 20)
+#: and keeps it cache-resident.  No output bit depends on it: the batch axis is
+#: innermost and no sum runs along it.
 DECODE_CHUNK = 64
 
 
-def _upsample2x(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour 2x upsampling of a ``(N, C, H, W)`` array."""
-    return x.repeat(2, axis=2).repeat(2, axis=3)
+def _upsample_conv(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``tanh(conv3x3_same(upsample2x(x)) + bias)``, computed on the low-res grid.
 
+    ``x`` is the zero-padded low-res map ``(C, h + 2, w + 2, N)`` with the batch
+    innermost; ``kernels`` is ``(O, C, 3, 3)`` and ``bias`` ``(O, 1, 1, 1)``.
+    Returns the parity planes ``(2, 2, O, h, w, N)``: plane ``[s, t]`` holds the
+    output pixels ``(2m + s, 2q + t)``.
 
-def _conv2d_same(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Plain (non-autograd) same-padded convolution used by the decoder.
-
-    ``x`` is ``(N, C_in, H, W)``; ``kernels`` is ``(C_out, C_in, k, k)`` with
-    odd ``k``.  One einsum per tap, accumulated in row-major tap order: the
-    summation order the corpora's bits depend on.
+    After a nearest 2x upsample, tap ``(i, j)`` of output pixel
+    ``(2m + s, 2q + t)`` reads padded low-res pixel ``(m + (s + i + 1) // 2,
+    q + (t + j + 1) // 2)``, so each tap's channel sum is one einsum over the
+    low-res map, shared by all four parities.  Every output element still gets
+    ``0 + T_00 + T_01 + ... + T_22`` in row-major tap order, each ``T`` the same
+    einsum over the same channels as a conv on the upsampled map: the bits match.
     """
-    c_out, _, k, _ = kernels.shape
-    pad = k // 2
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    n, _, h, w = x.shape
-    out = np.zeros((n, c_out, h, w), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            patch = padded[:, :, i : i + h, j : j + w]
-            out += np.einsum("oc,nchw->nohw", kernels[:, :, i, j], patch)
-    return out
+    _, hp, wp, n = x.shape
+    h, w = hp - 2, wp - 2
+    out = np.zeros((2, 2, len(kernels), h, w, n), dtype=x.dtype)
+    for i in range(3):
+        for j in range(3):
+            tap = np.einsum("oc,chwn->ohwn", kernels[:, :, i, j], x)
+            for s in range(2):
+                a = (s + i + 1) // 2
+                for t in range(2):
+                    b = (t + j + 1) // 2
+                    out[s, t] += tap[:, a : a + h, b : b + w]
+    out += bias
+    return np.tanh(out, out=out)
 
 
 @dataclass
@@ -115,20 +129,32 @@ class RandomImageDecoder:
         images = np.empty((len(latents), 3, r, r), dtype=np.float32)
         for start in range(0, len(latents), DECODE_CHUNK):
             chunk = latents[start : start + DECODE_CHUNK]
-            images[start : start + len(chunk)] = self._decode_chunk(chunk)
+            self._decode_chunk(chunk, images[start : start + len(chunk)])
         return images
 
-    def _decode_chunk(self, latents: np.ndarray) -> np.ndarray:
+    def _decode_chunk(self, latents: np.ndarray, images: np.ndarray) -> None:
+        """Decode ``latents`` into the ``(N, 3, R, R)`` view ``images``.
+
+        Maps are carried as ``(C, H, W, N)``, so every slice and add runs over
+        contiguous ``w * N`` spans.  Each stage's parity planes are
+        interleaved once: into the next stage's zero-padded input, and, after
+        the last stage, through one transpose into ``images``.
+        """
         s = self.spec
+        n, b = len(latents), s.base_size
         # One gemv per latent: a batched sgemm (or einsum) rounds differently
         # in the last bit on some BLAS builds, and the corpora must not change.
-        seed = np.stack([z @ self._w_seed for z in latents])
-        x = np.tanh(seed).reshape(len(latents), s.base_channels, s.base_size, s.base_size)
-        x = _upsample2x(x)
-        x = np.tanh(_conv2d_same(x, self._k1) + self._b1)
-        x = _upsample2x(x)
-        x = np.tanh(_conv2d_same(x, self._k2) + self._b2)
-        return 0.5 * (x + 1.0)
+        seed = np.tanh(np.stack([z @ self._w_seed for z in latents]))
+        x = np.zeros((s.base_channels, b + 2, b + 2, n), dtype=np.float32)
+        x[:, 1:-1, 1:-1] = seed.reshape(n, s.base_channels, b, b).transpose(1, 2, 3, 0)
+        planes = _upsample_conv(x, self._k1, self._b1[..., None])
+        x = np.zeros((s.mid_channels, 2 * b + 2, 2 * b + 2, n), dtype=np.float32)
+        x[:, 1:-1, 1:-1].reshape(s.mid_channels, b, 2, b, 2, n)[...] = planes.transpose(2, 3, 0, 4, 1, 5)
+        planes = _upsample_conv(x, self._k2, self._b2[..., None])
+        planes += 1.0
+        planes *= 0.5
+        pixels = planes.transpose(2, 3, 0, 4, 1, 5).reshape(-1, n)  # (3 * R * R, N), interleaved
+        images.reshape(n, -1)[...] = pixels.T
 
 
 class LatentClassSampler:

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import transport
 from .chaos import ChaosConfig, parse_chaos
-from .supervisor import CFG, RUN, ReplicaSpec, Supervisor, record, resolve_builder
+from .supervisor import CFG, FAILED, RUN, ReplicaSpec, Supervisor, record, resolve_builder
 from .transport import (
     KIND_ERROR,
     KIND_PING,
@@ -658,22 +658,34 @@ class Fleet:
         if self.address is None:
             raise RuntimeError("fleet front door failed to start")
         if wait_ready:
-            self.wait_ready(timeout=cfg.start_timeout)
+            try:
+                self.wait_ready(timeout=cfg.start_timeout)
+            except BaseException:
+                self.close(drain=False)
+                raise
         return self
 
     def wait_ready(self, timeout: float = 60.0, replicas: int = 1) -> None:
         """Block until at least ``replicas`` replicas report ready.
 
         Reads the count from :meth:`stats`, then sleeps until the loop reports
-        a replica state change; raises :class:`TimeoutError` at the deadline.
+        a replica state change; raises :class:`TimeoutError` at the deadline,
+        or :class:`~repro.serve.transport.ReplicaFailed` with the replicas'
+        errors once FAILED replicas leave too few in service to get there.
         """
         deadline = time.monotonic() + timeout
         change = self._replica_change
         while True:
             with change:
                 seen = self._replica_changes
-            if self.stats().ready >= replicas:
+            stats = self.stats()
+            if stats.ready >= replicas:
                 return
+            failed = [r for r in stats.per_replica if r["state"] == FAILED and r["index"] < stats.target]
+            if stats.target - len(failed) < min(replicas, stats.target):
+                raise transport.ReplicaFailed(
+                    "; ".join(f"replica {r['index']} failed: {r['error']}" for r in failed)
+                )
             with change:
                 remaining = deadline - time.monotonic()
                 if not change.wait_for(lambda: self._replica_changes != seen, max(remaining, 0.0)):
@@ -1260,6 +1272,7 @@ class Fleet:
                         "inflight": len(handle.assigned),
                         "latency_ms_p99": handle_p99,
                         "cold_start_ms": handle.cold_start_ms,
+                        "error": handle.error,
                     }
                 )
             ready = len(sup.ready_handles())

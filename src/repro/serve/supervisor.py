@@ -16,6 +16,8 @@ first word names the record::
     replica -> parent   ACK_READY | pid
                         ACK_DONE  | (gid, crc) pairs   one record per micro-batch
                         ACK_ERR   | n | n gids | UTF-8 message
+                                                     n = 0 before READY: the backend
+                                                     build raised and the replica exits
 
 The replica loop is work-conserving: it waits on one ``select.poll`` (made
 once) only while it holds no work, then takes every record already queued,
@@ -37,7 +39,8 @@ Replica state machine::
       │        start timeout  │   crash / SIGKILL /  │     │ batches
       │        or early exit  │   missed heartbeats  │ ◀───┘
       │                       ▼                      ▼
-      │     FAILED ◀──── [retries exhausted] ◀──── DOWN
+      │     FAILED ◀──── [retries exhausted, or ◀── DOWN
+      │                   never was READY]
       │                                              │
       │                       restart after capped   │
       │ scale-down drain:     exponential backoff    ▼
@@ -62,12 +65,17 @@ every iteration, so a wedged loop (chaos ``hang``, a stuck kernel) stops
 beating by construction and the supervisor SIGKILLs and restarts it after
 ``miss_threshold`` missed intervals.
 
-Restarts use capped exponential backoff (``min(cap, base * 2**(failures-1))``)
-so a crash-looping replica cannot hog the machine, and the failure count
-decays after a healthy period so one bad minute does not penalize the replica
-forever.  All supervisor time arithmetic goes through an injectable ``clock``
-(default ``time.monotonic``), so the backoff/decay schedule is testable
-without real sleeps.
+A replica that dies (or times out) before its handle's first READY is
+FAILED at once, with the child's build error when it sent one: a builder
+that cannot run in a replica fails the same way on every respawn, so
+:meth:`~repro.serve.fleet.Fleet.start` raises a typed error instead of
+respawning it until ``start_timeout``.  A replica that was once READY is
+restarted with capped exponential backoff
+(``min(cap, base * 2**(failures-1))``) so a crash-looping replica cannot hog
+the machine, and the failure count decays after a healthy period so one bad
+minute does not penalize the replica forever.  All supervisor time
+arithmetic goes through an injectable ``clock`` (default ``time.monotonic``),
+so the backoff/decay schedule is testable without real sleeps.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ import os
 import time
 import zlib
 import select
+import traceback
 import multiprocessing
 from array import array
 from collections import deque
@@ -170,11 +179,16 @@ def _replica_main(spec: ReplicaSpec, work, resp) -> None:
             hb[spec.index] = time.monotonic()
 
         beat()
-        backend = (
-            spec.prebuilt
-            if spec.prebuilt is not None
-            else resolve_builder(spec.builder)(**spec.builder_kwargs)
-        )
+        try:
+            backend = (
+                spec.prebuilt
+                if spec.prebuilt is not None
+                else resolve_builder(spec.builder)(**spec.builder_kwargs)
+            )
+        except Exception as error:  # reported before exiting: the parent fails fast
+            traceback.print_exc()
+            resp.send_bytes(record(ACK_ERR, 0) + f"{type(error).__name__}: {error}".encode())
+            return
         forward = backend.forward if hasattr(backend, "forward") else backend
         monkey = spec.chaos.monkey(spec.index, spec.generation) if spec.chaos and spec.chaos.faults else None
         in_elems, out_elems = spec.input_elements, spec.output_elements
@@ -259,8 +273,9 @@ class ReplicaHandle:
     restarts: int = 0
     started_at: float = 0.0
     ready_since: float = 0.0
-    cold_start_ms: float | None = None  # spawn -> READY of the last (re)start
+    cold_start_ms: float | None = None  # spawn -> READY of the last (re)start; None: never READY
     restart_at: float = 0.0
+    error: str | None = None  # why the replica FAILED
     pid: int | None = None
     latencies: deque = field(default_factory=lambda: deque(maxlen=256))  # ms, recent
 
@@ -356,6 +371,7 @@ class Supervisor:
         handle.work = work_send
         handle.resp = resp_recv
         handle.state = STARTING
+        handle.error = None
         handle.started_at = self._clock()
         handle.pid = process.pid
         handle.assigned.clear()
@@ -378,6 +394,10 @@ class Supervisor:
         handle = self.handles[index]
         if handle.generation != generation or self._stopping:
             return  # stale generation: the crash was already handled
+        if msg[0] == "err" and handle.state == STARTING:
+            self.crashes_detected += 1  # the backend build raised; the replica is exiting
+            self.mark_down(handle, f"backend build failed: {msg[2]}")
+            return
         if msg[0] == "ready" and handle.state == STARTING:
             # a handle that was set DRAINING while still starting stays
             # draining — its late "ready" must not put it back in rotation
@@ -402,6 +422,7 @@ class Supervisor:
         """Take a replica out of rotation and schedule its restart."""
         if handle.state in (DOWN, FAILED, STOPPED, DETACHED):
             return
+        never_ready = handle.state == STARTING and handle.cold_start_ms is None
         handle.state = DOWN
         self._close(handle)
         if handle.process is not None:
@@ -418,8 +439,9 @@ class Supervisor:
             # no slot to restart into — the replica leaves service instead
             handle.state = DETACHED
             self.retired += 1
-        elif limit is not None and handle.failures > limit:
+        elif never_ready or (limit is not None and handle.failures > limit):
             handle.state = FAILED
+            handle.error = reason
         else:
             backoff = min(
                 self.config.restart_backoff_cap,

@@ -102,7 +102,8 @@ class DeadlineExceeded(FleetError):
 
 
 class ReplicaFailed(FleetError):
-    """Every dispatch attempt ended in a replica crash, hang or error."""
+    """Every dispatch attempt ended in a replica crash, hang or error; or, from
+    ``Fleet.start``, too many replicas died before they were ever ready."""
 
     code = "replica_failed"
 

@@ -299,6 +299,14 @@ class TestBitIdentity:
         _assert_same_bits(images, np.stack([decoder.decode(z) for z in latents]))
         _assert_same_bits(images, np.stack([_reference_decode(decoder, z) for z in latents]))
 
+    @pytest.mark.parametrize("n", [1, DECODE_CHUNK - 1, DECODE_CHUNK, DECODE_CHUNK + 1, 2 * DECODE_CHUNK + 3])
+    @pytest.mark.parametrize("base_size", [3, 4, 5, 6, 8])
+    def test_decode_batch_matches_reference_at_every_resolution(self, base_size, n):
+        # res 12-32: odd and even low-res sides, so every parity slice meets the padding
+        decoder = RandomImageDecoder(DecoderSpec(base_size=base_size, seed=base_size))
+        latents = 2.0 * np.random.default_rng(base_size * 1000 + n).normal(size=(n, 32)).astype(np.float32)
+        _assert_same_bits(decoder.decode_batch(latents), np.stack([_reference_decode(decoder, z) for z in latents]))
+
     def test_sample_batch_matches_sequential_samples(self):
         sampler = LatentClassSampler(6, 32, class_seed=9)
         labels = np.random.default_rng(1).integers(6, size=50)

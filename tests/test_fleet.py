@@ -8,6 +8,7 @@ and that crashed replicas come back within the restart backoff budget.
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
 import time
 
@@ -69,6 +70,13 @@ def poisoned_echo_backend(**kwargs) -> ServingBackend:
         return echo.forward(batch)
 
     return ServingBackend(forward, echo.input_shape, name="poisoned-echo")
+
+
+def replica_only_failing_backend(**kwargs) -> ServingBackend:
+    """Echo backend that builds in the parent but raises in every replica."""
+    if multiprocessing.parent_process() is not None:
+        raise OSError("no device in the replica")
+    return echo_backend(**kwargs)
 
 
 def grid_echo_backend(**kwargs) -> ServingBackend:
@@ -616,6 +624,17 @@ class TestWaitReady:
                 assert fleet.stats().ready == 1
         finally:
             fleet.close()
+
+    def test_replica_build_error_fails_start_fast(self):
+        config = fleet_config(replicas=2, builder=replica_only_failing_backend, start_method="spawn")
+        fleet = Fleet(config)
+        t0 = time.monotonic()
+        with pytest.raises(ReplicaFailed, match="OSError: no device in the replica"):
+            fleet.start()
+        assert time.monotonic() - t0 < config.start_timeout / 3
+        stats = fleet.stats()
+        assert stats.restarts == 0 and stats.ready == 0
+        assert [r["state"] for r in stats.per_replica] == ["failed", "failed"]
 
     def test_timeout_still_raises(self):
         with Fleet(fleet_config(replicas=1)) as fleet:
