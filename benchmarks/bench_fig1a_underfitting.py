@@ -2,67 +2,32 @@
 
 The paper's motivating figure shows that DropBlock — a regulariser designed
 for over-fitting large networks — *reduces* MobileNetV2 accuracy on ImageNet,
-whereas NetBooster's extra training-time capacity improves it.  This benchmark
-reproduces the three-way comparison (Vanilla, Vanilla+DropBlock, NetBooster)
-on the synthetic corpus.
+whereas NetBooster's extra training-time capacity improves it.  The registry's
+``fig1a`` experiment reproduces the three-way comparison (Vanilla,
+Vanilla+DropBlock, NetBooster) on the synthetic corpus.
 """
 
 from __future__ import annotations
 
-from repro.baselines import insert_dropblock
-from repro.train import Trainer
-from repro.utils import seed_everything
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from common import (
-    PROFILE,
-    get_corpus,
-    get_vanilla_pretrained,
-    make_model,
-    netbooster_accuracy,
-    pretrain_config,
-    print_table,
-)
-
-# Approximate deltas read off Fig. 1(a): DropBlock loses ~0.3-0.5 points,
-# NetBooster gains ~1.3-2.6 points over vanilla training.
-PAPER_DELTAS = {"Vanilla": 0.0, "DropBlock": -0.4, "NetBooster": +1.9}
-NETWORK = "mobilenetv2-tiny"
+from common import CONTEXT, PROFILE, print_table
 
 
-def run_fig1a() -> dict[str, float]:
-    corpus = get_corpus()
-    results: dict[str, float] = {}
-
-    _, vanilla_history = get_vanilla_pretrained(NETWORK)
-    results["Vanilla"] = vanilla_history.final_val_accuracy
-
-    seed_everything(PROFILE.seed + 61)
-    regularised = insert_dropblock(make_model(NETWORK), drop_prob=0.15, block_size=3)
-    config = pretrain_config(PROFILE.pretrain_epochs + PROFILE.finetune_epochs)
-    history = Trainer(regularised, config).fit(corpus.train, corpus.val)
-    results["DropBlock"] = history.final_val_accuracy
-
-    results["NetBooster"] = netbooster_accuracy(NETWORK)
-
-    rows = [
-        [name, f"{PAPER_DELTAS[name]:+.1f}", f"{results[name] - results['Vanilla']:+.1f}", f"{results[name]:.1f}"]
-        for name in ("Vanilla", "DropBlock", "NetBooster")
-    ]
-    print_table(
-        "Fig. 1(a) — under-fitting: effect of regularisation vs NetBooster",
-        ["method", "paper delta vs vanilla", "measured delta", "measured acc"],
-        rows,
-    )
-    return results
+def run_fig1a():
+    rows = run_experiment("fig1a", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["fig1a"].title, rows)
+    return rows
 
 
 def test_fig1a_underfitting(benchmark):
-    results = benchmark.pedantic(run_fig1a, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_fig1a, rounds=1, iterations=1)
+    acc = {row.setting: row.measured_value for row in rows}
     # Qualitative shape: DropBlock must not *help* a tiny under-fitting network
     # by a meaningful margin, and NetBooster should not be worse than vanilla
     # (both bounds widened to the CPU-scale single-seed noise floor).
-    assert results["DropBlock"] <= results["Vanilla"] + 3.0
-    assert results["NetBooster"] >= results["Vanilla"] - 2.5
+    assert acc["DropBlock"] <= acc["Vanilla"] + 3.0
+    assert acc["NetBooster"] >= acc["Vanilla"] - 2.5
 
 
 if __name__ == "__main__":  # standalone run through the orchestrator cache

@@ -2,80 +2,34 @@
 
 The paper finetunes an ImageNet-pretrained MobileNetV2-35 on CIFAR-100 and
 shows that quadrupling the number of finetuning epochs barely moves the
-accuracy, while NetBooster's better-pretrained features do.  This benchmark
-sweeps the finetuning length for the vanilla-pretrained model and compares the
-plateau against the NetBooster-transferred model.
+accuracy, while NetBooster's better-pretrained features do.  The registry's
+``fig1b`` experiment sweeps the finetuning length for the vanilla-pretrained
+model and compares the plateau against the NetBooster-transferred model.
 """
 
 from __future__ import annotations
 
-import copy
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from repro.train import evaluate, finetune
-from repro.utils import seed_everything
-
-from common import (
-    PROFILE,
-    finetune_config,
-    get_downstream,
-    get_pretrained_giant,
-    get_vanilla_pretrained,
-    make_booster,
-    print_table,
-)
-
-NETWORK = "mobilenetv2-35"
-DATASET = "cifar100"
-# Paper: +0.2 points when going from 150 to 600 epochs (vanilla plateaus);
-# NetBooster improves by ~+1.3 over the vanilla plateau.
-PAPER = {"vanilla 1x": 76.08, "vanilla 4x": 76.3, "NetBooster": 76.66}
+from common import CONTEXT, PROFILE, print_table
 
 
-def run_fig1b() -> dict[str, float]:
-    train_set, val_set = get_downstream(DATASET)
-    vanilla_pretrained, _ = get_vanilla_pretrained(NETWORK)
-    base_epochs = PROFILE.finetune_epochs
-
-    results: dict[str, float] = {}
-    for multiplier, label in ((1, "vanilla 1x"), (4, "vanilla 4x")):
-        seed_everything(PROFILE.seed + 71)
-        model = copy.deepcopy(vanilla_pretrained)
-        history = finetune(
-            model,
-            train_set,
-            val_set,
-            finetune_config(epochs=base_epochs * multiplier),
-            new_num_classes=train_set.num_classes,
-        )
-        results[label] = history.final_val_accuracy
-
-    seed_everything(PROFILE.seed + 71)
-    giant, records, _ = get_pretrained_giant(NETWORK)
-    booster = make_booster()
-    booster.plt_finetune(giant, train_set, val_set, new_num_classes=train_set.num_classes)
-    results["NetBooster"] = evaluate(booster.contract(giant, records), val_set)
-
-    rows = [
-        [label, f"{PAPER[label]:.1f}", f"{results[label]:.1f}"]
-        for label in ("vanilla 1x", "vanilla 4x", "NetBooster")
-    ]
-    print_table(
-        f"Fig. 1(b) — finetuning-length sweep on {DATASET} ({NETWORK})",
-        ["setting", "paper acc (CIFAR-100)", "measured acc (synthetic)"],
-        rows,
-    )
-    return results
+def run_fig1b():
+    rows = run_experiment("fig1b", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["fig1b"].title, rows)
+    return rows
 
 
 def test_fig1b_finetune_epochs(benchmark):
-    results = benchmark.pedantic(run_fig1b, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_fig1b, rounds=1, iterations=1)
+    acc = {row.setting: row.measured_value for row in rows}
     # Qualitative shape: 4x more vanilla finetuning gives only a marginal gain
     # (the pretrained features are the bottleneck, paper Constraint 2).  At the
     # CPU scale the 1x budget is far from convergence, so the plateau argument
     # only holds loosely; the bound below rejects a qualitative reversal (4x
     # being transformatively better) without claiming the paper's 0.2-point gap.
-    assert results["vanilla 4x"] - results["vanilla 1x"] <= 15.0
-    assert results["NetBooster"] >= results["vanilla 1x"] - 8.0
+    assert acc["vanilla 4x"] - acc["vanilla 1x"] <= 15.0
+    assert acc["NetBooster"] >= acc["vanilla 1x"] - 8.0
 
 
 if __name__ == "__main__":  # standalone run through the orchestrator cache

@@ -2,81 +2,38 @@
 
 Table I of the paper reports, next to the accuracy of every training method,
 the inference complexity of each network (23.5 M FLOPs / 0.75 M params for
-MobileNetV2-Tiny at 144x144, and so on).  This benchmark regenerates those
-columns analytically on the scaled-down model zoo and verifies the remark
-below Eq. 4: the *contracted* NetBooster model has exactly the same FLOPs and
-parameter count as the original TNN, for every network and regardless of the
-expansion ratio used during training.
+MobileNetV2-Tiny at 144x144, and so on).  The registry's ``cost`` experiment
+regenerates those columns analytically on the scaled-down model zoo and checks
+the remark below Eq. 4: the *contracted* NetBooster model has exactly the same
+structure (so the same FLOPs and parameters) as the original TNN, for every
+network and for expansion ratios 2 and 6.
 
 This bench involves no training and runs in seconds.
 """
 
 from __future__ import annotations
 
-from repro.core import ExpansionConfig, contract_network, expand_network
-from repro.core.plt import PLTSchedule
-from repro.eval import count_complexity, same_structure
-from repro.utils import seed_everything
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from common import PROFILE, make_model, print_table
-
-# Paper Table I complexity columns (at the paper's resolutions).
-PAPER_COSTS = {
-    "mobilenetv2-tiny": {"mflops": 23.5, "params_m": 0.75},
-    "mcunet": {"mflops": 81.8, "params_m": 0.74},
-    "mobilenetv2-50": {"mflops": 50.2, "params_m": 1.95},
-    "mobilenetv2-100": {"mflops": 154.1, "params_m": 3.47},
-}
-
-NETWORKS = list(PAPER_COSTS)
-RATIOS = (2, 6)
+from common import CONTEXT, PROFILE, print_table
 
 
-def run_cost_columns() -> dict[str, dict[str, float]]:
-    seed_everything(PROFILE.seed)
-    input_shape = (3, PROFILE.resolution, PROFILE.resolution)
-    results: dict[str, dict[str, float]] = {}
-    rows = []
-    for network in NETWORKS:
-        original = make_model(network)
-        report = count_complexity(original, input_shape)
-        results[network] = {
-            "mflops": report.mflops,
-            "params_m": report.params / 1e6,
-            "contracted_matches": True,
-        }
-        for ratio in RATIOS:
-            giant, records = expand_network(
-                make_model(network), ExpansionConfig(fraction=0.5, expansion_ratio=ratio)
-            )
-            PLTSchedule(giant, total_steps=1).finalize()
-            contracted = contract_network(giant, records)
-            matches = same_structure(original, contracted, input_shape)
-            results[network]["contracted_matches"] &= matches
-        rows.append([
-            network,
-            f"{PAPER_COSTS[network]['mflops']:.1f}M / {PAPER_COSTS[network]['params_m']:.2f}M",
-            f"{report.mflops:.2f}M / {report.params / 1e6:.3f}M",
-            "yes" if results[network]["contracted_matches"] else "NO",
-        ])
-    print_table(
-        "Table I (cost columns) — inference complexity and contraction invariance",
-        ["network", "paper FLOPs/params (paper res.)", "measured FLOPs/params (scaled res.)", "contracted == original"],
-        rows,
-    )
-    return results
+def run_cost_columns():
+    rows = run_experiment("cost", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["cost"].title, rows)
+    return rows
 
 
 def test_table1_cost_columns(benchmark):
-    results = benchmark.pedantic(run_cost_columns, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_cost_columns, rounds=1, iterations=1)
+    mflops = [row for row in rows if row.unit == "MFLOPs"]
+    measured = {row.setting: row.measured_value for row in rows}
     # The relative ordering of the four networks' complexity must match Table I.
-    measured = [results[n]["mflops"] for n in NETWORKS]
-    paper = [PAPER_COSTS[n]["mflops"] for n in NETWORKS]
-    measured_order = sorted(range(len(NETWORKS)), key=lambda i: measured[i])
-    paper_order = sorted(range(len(NETWORKS)), key=lambda i: paper[i])
+    measured_order = sorted(range(len(mflops)), key=lambda i: mflops[i].measured_value)
+    paper_order = sorted(range(len(mflops)), key=lambda i: mflops[i].paper_value)
     assert measured_order == paper_order
     # Contraction never changes the inference cost (paper Eq. 4 remark).
-    assert all(results[n]["contracted_matches"] for n in NETWORKS)
+    assert all(measured[f"{row.setting} / contracted == original"] == 1.0 for row in mflops)
 
 
 if __name__ == "__main__":  # standalone run through the orchestrator cache

@@ -2,115 +2,36 @@
 
 The paper compares Vanilla, RocketLaunching, tf-KD, RCO-KD, NetAug and
 NetBooster on ImageNet for MobileNetV2-Tiny, MCUNet, MobileNetV2-50 and
-MobileNetV2-100.  This benchmark reruns the comparison on the synthetic
-corpus: all six methods for MobileNetV2-Tiny and the three-method comparison
-(Vanilla / NetAug / NetBooster) for the other networks (MobileNetV2-50/100
-only when ``REPRO_BENCH_FULL_NETWORKS=1`` because of their CPU cost).
+MobileNetV2-100.  The registry's ``table1`` experiment reruns the comparison
+on the synthetic corpus: all six methods for MobileNetV2-Tiny, and the
+three-method comparison (Vanilla / NetAug / NetBooster) for the other networks
+only when ``REPRO_BENCH_FULL_NETWORKS=1`` because of their CPU cost.
 """
 
 from __future__ import annotations
 
-import os
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from repro.baselines import (
-    train_with_netaug,
-    train_with_rco_kd,
-    train_with_rocket_launching,
-    train_with_tf_kd,
-)
-from repro.eval import count_complexity
-from repro.train import evaluate
-from repro.utils import seed_everything
-
-from common import (
-    PROFILE,
-    get_corpus,
-    get_teacher,
-    get_vanilla_pretrained,
-    make_model,
-    netbooster_accuracy,
-    pretrain_config,
-    print_table,
-)
-
-# Accuracy numbers reported in the paper's Table I.
-PAPER_TABLE1 = {
-    "mobilenetv2-tiny": {
-        "Vanilla": 51.2, "RocketLaunch": 51.8, "tf-KD": 51.9,
-        "RCO-KD": 52.6, "NetAug": 53.0, "NetBooster": 53.7,
-    },
-    "mcunet": {"Vanilla": 61.4, "NetAug": 62.5, "NetBooster": 62.8},
-    "mobilenetv2-50": {"Vanilla": 61.4, "NetAug": 62.5, "NetBooster": 62.7},
-    "mobilenetv2-100": {"Vanilla": 69.6, "NetAug": 70.5, "NetBooster": 70.9},
-}
+from common import CONTEXT, PROFILE, print_table
 
 
-def _run_method(method: str, model_name: str, corpus) -> float:
-    seed_everything(PROFILE.seed + 3)
-    config = pretrain_config(PROFILE.pretrain_epochs + PROFILE.finetune_epochs)
-    if method == "Vanilla":
-        model, history = get_vanilla_pretrained(model_name)
-        return history.final_val_accuracy
-    if method == "NetBooster":
-        return netbooster_accuracy(model_name)
-    if method == "NetAug":
-        exported, _ = train_with_netaug(make_model(model_name), corpus.train, None, config)
-        return evaluate(exported, corpus.val)
-    if method == "tf-KD":
-        model = make_model(model_name)
-        history = train_with_tf_kd(model, corpus.train, corpus.val, config)
-        return history.final_val_accuracy
-    if method == "RCO-KD":
-        model = make_model(model_name)
-        history = train_with_rco_kd(
-            model, corpus.train, corpus.val, config,
-            num_anchors=2, teacher=get_teacher(), teacher_config=pretrain_config(1),
-        )
-        return history.final_val_accuracy
-    if method == "RocketLaunch":
-        model = make_model(model_name)
-        history = train_with_rocket_launching(model, corpus.train, corpus.val, config)
-        return history.final_val_accuracy
-    raise ValueError(method)
-
-
-def run_table1() -> dict[str, dict[str, float]]:
-    corpus = get_corpus()
-    networks = ["mobilenetv2-tiny"]
-    if os.environ.get("REPRO_BENCH_FULL_NETWORKS") == "1":
-        networks += ["mcunet", "mobilenetv2-50", "mobilenetv2-100"]
-
-    results: dict[str, dict[str, float]] = {}
-    rows = []
-    for network in networks:
-        methods = list(PAPER_TABLE1[network])
-        results[network] = {}
-        report = count_complexity(make_model(network), (3, PROFILE.resolution, PROFILE.resolution))
-        for method in methods:
-            measured = _run_method(method, network, corpus)
-            results[network][method] = measured
-            rows.append([
-                network,
-                f"{report.mflops:.2f}M FLOPs",
-                method,
-                f"{PAPER_TABLE1[network][method]:.1f}",
-                f"{measured:.1f}",
-            ])
-    print_table(
-        "Table I — accuracy on the large-scale corpus",
-        ["network", "complexity", "method", "paper acc (ImageNet)", "measured acc (synthetic)"],
-        rows,
-    )
-    return results
+def run_table1():
+    rows = run_experiment("table1", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["table1"].title, rows)
+    return rows
 
 
 def test_table1_imagenet(benchmark):
-    results = benchmark.pedantic(run_table1, rounds=1, iterations=1)
-    tiny = results["mobilenetv2-tiny"]
+    rows = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    tiny = {
+        row.setting.partition(" / ")[2]: row.measured_value
+        for row in rows
+        if row.setting.startswith("mobilenetv2-tiny / ")
+    }
     # Qualitative claim: NetBooster improves over vanilla training (paper: +2.5)
     # and is competitive with the strongest baseline.  The single-seed noise
-    # floor of the CPU-scale corpus is about +/-2.5 points (see EXPERIMENTS.md),
-    # so the assertions only reject results that fall outside that band.
+    # floor of the CPU-scale corpus is about +/-2.5 points, so the assertions
+    # only reject results that fall outside that band.
     assert tiny["NetBooster"] >= tiny["Vanilla"] - 2.5
     best_baseline = max(v for k, v in tiny.items() if k != "NetBooster")
     assert tiny["NetBooster"] >= best_baseline - 6.0

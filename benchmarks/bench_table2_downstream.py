@@ -2,125 +2,39 @@
 
 The paper pretrains on ImageNet and finetunes on five downstream datasets,
 comparing Vanilla vs. NetBooster, each optionally combined with knowledge
-distillation.  Here the corpus-pretrained models are transferred to the five
-synthetic downstream datasets; the NetBooster rows run PLT during the
-finetuning phase and contract before evaluation, exactly as in the paper.
+distillation.  The registry's ``table2`` experiment transfers the
+corpus-pretrained models to the five synthetic downstream datasets; the
+NetBooster rows run PLT during the finetuning phase and contract before
+evaluation, exactly as in the paper.  KD composition is checked on cifar100.
 """
 
 from __future__ import annotations
 
-import copy
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from repro.baselines import KDLoss
-from repro.train import evaluate, finetune
-from repro.utils import seed_everything
+from common import CONTEXT, PROFILE, print_table
 
-from common import (
-    PROFILE,
-    finetune_config,
-    get_downstream,
-    get_pretrained_giant,
-    get_teacher,
-    get_vanilla_pretrained,
-    make_booster,
-    print_table,
-)
-
-# Paper Table II (MobileNetV2-Tiny rows) — the qualitative claim is that
-# NetBooster transfers better than vanilla pretraining on every dataset.
-PAPER_TABLE2 = {
-    "cifar100": {"Vanilla": 74.07, "NetBooster": 75.46},
-    "cars": {"Vanilla": 76.18, "NetBooster": 80.93},
-    "flowers102": {"Vanilla": 90.01, "NetBooster": 90.53},
-    "food101": {"Vanilla": 75.43, "NetBooster": 75.96},
-    "pets": {"Vanilla": 78.30, "NetBooster": 78.90},
-}
-
-DATASETS = list(PAPER_TABLE2)
-NETWORK = "mobilenetv2-tiny"
+DATASETS = ("cifar100", "cars", "flowers102", "food101", "pets")
 
 
-def _finetune_vanilla(pretrained, train_set, val_set, with_kd: bool) -> float:
-    seed_everything(PROFILE.seed + 11)
-    model = copy.deepcopy(pretrained)
-    loss = None
-    if with_kd:
-        teacher = copy.deepcopy(get_teacher())
-        teacher.reset_classifier(train_set.num_classes)
-        finetune(teacher, train_set, None, finetune_config())
-        loss = KDLoss(teacher, temperature=4.0, alpha=0.5)
-    history = finetune(
-        model, train_set, val_set, finetune_config(), new_num_classes=train_set.num_classes,
-        loss_computer=loss,
-    )
-    return history.final_val_accuracy
-
-
-def _finetune_netbooster(giant, records, train_set, val_set, with_kd: bool) -> float:
-    seed_everything(PROFILE.seed + 11)
-    booster = make_booster()
-    giant = copy.deepcopy(giant)
-    loss = None
-    if with_kd:
-        teacher = copy.deepcopy(get_teacher())
-        teacher.reset_classifier(train_set.num_classes)
-        finetune(teacher, train_set, None, finetune_config())
-        loss = KDLoss(teacher, temperature=4.0, alpha=0.5)
-    booster.plt_finetune(
-        giant, train_set, val_set, new_num_classes=train_set.num_classes, loss_computer=loss
-    )
-    contracted = booster.contract(giant, records)
-    return evaluate(contracted, val_set)
-
-
-def run_table2() -> dict[str, dict[str, float]]:
-    vanilla_pretrained, _ = get_vanilla_pretrained(NETWORK)
-    giant, records, _ = get_pretrained_giant(NETWORK)
-
-    results: dict[str, dict[str, float]] = {}
-    rows = []
-    for dataset_name in DATASETS:
-        train_set, val_set = get_downstream(dataset_name)
-        vanilla_acc = _finetune_vanilla(vanilla_pretrained, train_set, val_set, with_kd=False)
-        booster_acc = _finetune_netbooster(giant, records, train_set, val_set, with_kd=False)
-        results[dataset_name] = {"Vanilla": vanilla_acc, "NetBooster": booster_acc}
-        rows.append([
-            dataset_name,
-            f"{PAPER_TABLE2[dataset_name]['Vanilla']:.1f}",
-            f"{vanilla_acc:.1f}",
-            f"{PAPER_TABLE2[dataset_name]['NetBooster']:.1f}",
-            f"{booster_acc:.1f}",
-        ])
-
-    # KD composition (paper: MobileNetV2-35 rows) checked on one dataset to bound runtime.
-    train_set, val_set = get_downstream("cifar100")
-    results["cifar100"]["Vanilla+KD"] = _finetune_vanilla(vanilla_pretrained, train_set, val_set, with_kd=True)
-    results["cifar100"]["NetBooster+KD"] = _finetune_netbooster(giant, records, train_set, val_set, with_kd=True)
-
-    print_table(
-        "Table II — downstream transfer accuracy (MobileNetV2-Tiny)",
-        ["dataset", "paper vanilla", "measured vanilla", "paper NetBooster", "measured NetBooster"],
-        rows,
-    )
-    print(
-        "cifar100 with KD:   vanilla+KD {v:.1f}   netbooster+KD {n:.1f}".format(
-            v=results["cifar100"]["Vanilla+KD"], n=results["cifar100"]["NetBooster+KD"]
-        )
-    )
-    return results
+def run_table2():
+    rows = run_experiment("table2", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["table2"].title, rows)
+    return rows
 
 
 def test_table2_downstream(benchmark):
-    results = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+    acc = {row.setting: row.measured_value for row in rows}
     # Paper: NetBooster transfers better on all five datasets.  The downstream
     # sets here are tiny (80-160 validation images), so one image is ~1 point;
     # the single-seed noise floor is several points per dataset.  We therefore
     # check the ordering in aggregate (mean over the five datasets) and require
     # at least two individual datasets to preserve it within noise.
-    wins = sum(results[d]["NetBooster"] >= results[d]["Vanilla"] - 2.0 for d in DATASETS)
+    wins = sum(acc[f"{d} / NetBooster"] >= acc[f"{d} / Vanilla"] - 2.0 for d in DATASETS)
     assert wins >= 2, f"NetBooster matched/beat vanilla on only {wins}/5 downstream datasets"
-    mean_vanilla = sum(results[d]["Vanilla"] for d in DATASETS) / len(DATASETS)
-    mean_booster = sum(results[d]["NetBooster"] for d in DATASETS) / len(DATASETS)
+    mean_vanilla = sum(acc[f"{d} / Vanilla"] for d in DATASETS) / len(DATASETS)
+    mean_booster = sum(acc[f"{d} / NetBooster"] for d in DATASETS) / len(DATASETS)
     assert mean_booster >= mean_vanilla - 4.0
 
 

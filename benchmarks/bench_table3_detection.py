@@ -1,94 +1,32 @@
 """Table III — Pascal VOC object detection (AP50) with a MobileNetV2-35 backbone.
 
 The paper transfers ImageNet-pretrained backbones to Pascal VOC and reports
-AP50 for Vanilla, NetAug and NetBooster.  Here the corpus-pretrained backbones
-are plugged into the tiny anchor-free detector and trained on the synthetic
-VOC dataset; the NetBooster backbone runs PLT during detection finetuning and
-is contracted before the final evaluation.
+AP50 for Vanilla, NetAug and NetBooster.  The registry's ``table3`` experiment
+plugs the corpus-pretrained backbones into the tiny anchor-free detector and
+trains it on the synthetic VOC dataset; the NetBooster backbone runs PLT
+during detection finetuning and is contracted before the final evaluation.
 """
 
 from __future__ import annotations
 
-import copy
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from repro.baselines import train_with_netaug
-from repro.core import PLTSchedule, contract_network
-from repro.models import TinyDetector
-from repro.train import DetectionTrainer, evaluate_ap50
-from repro.utils import seed_everything
-
-from common import (
-    PROFILE,
-    finetune_config,
-    get_corpus,
-    get_pretrained_giant,
-    get_vanilla_pretrained,
-    get_voc,
-    make_model,
-    pretrain_config,
-    print_table,
-)
-
-PAPER_TABLE3 = {"Vanilla": 60.8, "NetAug": 62.4, "NetBooster": 62.6}
-NETWORK = "mobilenetv2-35"
-DETECTION_EPOCHS = 8
+from common import CONTEXT, PROFILE, print_table
 
 
-def _detection_config():
-    config = finetune_config(epochs=DETECTION_EPOCHS, lr=0.05)
-    return config.replace(batch_size=16)
-
-
-def _train_detector(backbone, voc, iteration_callbacks=None) -> TinyDetector:
-    seed_everything(PROFILE.seed + 21)
-    detector = TinyDetector(backbone, num_classes=voc.num_classes, image_size=voc.resolution)
-    trainer = DetectionTrainer(detector, _detection_config(), iteration_callbacks=iteration_callbacks or [])
-    trainer.fit(voc.train, None)
-    return detector
-
-
-def run_table3() -> dict[str, float]:
-    voc = get_voc()
-    corpus = get_corpus()
-    results: dict[str, float] = {}
-
-    # Vanilla: classification-pretrained backbone, plain detection finetuning.
-    vanilla_backbone, _ = get_vanilla_pretrained(NETWORK)
-    detector = _train_detector(vanilla_backbone, voc)
-    results["Vanilla"] = evaluate_ap50(detector, voc.val)
-
-    # NetAug: width-augmented pretraining, base network exported for detection.
-    seed_everything(PROFILE.seed + 22)
-    netaug_backbone, _ = train_with_netaug(
-        make_model(NETWORK), corpus.train, None, pretrain_config()
-    )
-    detector = _train_detector(netaug_backbone, voc)
-    results["NetAug"] = evaluate_ap50(detector, voc.val)
-
-    # NetBooster: expanded giant backbone, PLT during detection training, then contraction.
-    giant, records, _ = get_pretrained_giant(NETWORK)
-    giant = copy.deepcopy(giant)
-    iterations_per_epoch = max(len(voc.train) // _detection_config().batch_size, 1)
-    schedule = PLTSchedule(giant, total_steps=iterations_per_epoch * max(DETECTION_EPOCHS // 3, 1))
-    detector = _train_detector(giant, voc, iteration_callbacks=[lambda _step: schedule.step()])
-    schedule.finalize()
-    detector.backbone = contract_network(giant, records)
-    results["NetBooster"] = evaluate_ap50(detector, voc.val)
-
-    print_table(
-        "Table III — detection AP50 (synthetic VOC, MobileNetV2-35 backbone)",
-        ["method", "paper AP50 (Pascal VOC)", "measured AP50 (synthetic VOC)"],
-        [[method, f"{PAPER_TABLE3[method]:.1f}", f"{results[method]:.1f}"] for method in PAPER_TABLE3],
-    )
-    return results
+def run_table3():
+    rows = run_experiment("table3", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["table3"].title, rows)
+    return rows
 
 
 def test_table3_detection(benchmark):
-    results = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+    ap50 = {row.setting: row.measured_value for row in rows}
     # Pretrained-backbone detectors should produce a meaningful AP50, and
     # NetBooster should not fall behind vanilla by more than noise.
-    assert all(0.0 <= v <= 100.0 for v in results.values())
-    assert results["NetBooster"] >= results["Vanilla"] - 10.0
+    assert all(0.0 <= v <= 100.0 for v in ap50.values())
+    assert ap50["NetBooster"] >= ap50["Vanilla"] - 10.0
 
 
 if __name__ == "__main__":  # standalone run through the orchestrator cache

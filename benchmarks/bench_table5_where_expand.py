@@ -2,70 +2,28 @@
 
 The paper expands 8 blocks of MobileNetV2-Tiny at different positions and
 shows that uniform placement is the best, motivating NetBooster's Q2 answer.
-Here the same placements are applied to half of the candidate layers of the
-scaled-down model.
+The registry's ``table5`` experiment applies the same placements to half of
+the candidate layers of the scaled-down model and reports each giant's FLOPs,
+expanded accuracy and final accuracy.
 """
 
 from __future__ import annotations
 
-from repro.core import ExpansionConfig, expand_network
-from repro.eval import count_complexity
-from repro.utils import seed_everything
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from common import PROFILE, get_corpus, get_vanilla_pretrained, make_booster, make_model, print_table
-
-PAPER_TABLE5 = {
-    "Vanilla": {"expanded": None, "final": 51.20},
-    "first": {"expanded": 51.46, "final": 51.50},
-    "middle": {"expanded": 52.98, "final": 52.62},
-    "last": {"expanded": 53.90, "final": 52.47},
-    "uniform": {"expanded": 54.90, "final": 53.70},
-}
-NETWORK = "mobilenetv2-tiny"
+from common import CONTEXT, PROFILE, print_table
 
 
-def run_table5() -> dict[str, dict[str, float]]:
-    corpus = get_corpus()
-    results: dict[str, dict[str, float]] = {}
-    _, vanilla_history = get_vanilla_pretrained(NETWORK)
-    results["Vanilla"] = {"expanded": float("nan"), "final": vanilla_history.final_val_accuracy, "flops": None}
-
-    rows = []
-    input_shape = (3, PROFILE.resolution, PROFILE.resolution)
-    for placement in ("first", "middle", "last", "uniform"):
-        seed_everything(PROFILE.seed + 41)
-        config = ExpansionConfig(placement=placement, fraction=0.5)
-        giant_probe, _ = expand_network(make_model(NETWORK), config)
-        flops = count_complexity(giant_probe, input_shape).mflops
-        booster = make_booster(config)
-        result = booster.run(make_model(NETWORK), corpus.train, corpus.val)
-        results[placement] = {
-            "expanded": max(result.pretrain_history.val_accuracy),
-            "final": result.final_accuracy,
-            "flops": flops,
-        }
-
-    for name, paper in PAPER_TABLE5.items():
-        measured = results[name]
-        rows.append([
-            name,
-            "-" if measured.get("flops") is None else f"{measured['flops']:.2f}M",
-            "-" if paper["expanded"] is None else f"{paper['expanded']:.1f}",
-            "-" if name == "Vanilla" else f"{measured['expanded']:.1f}",
-            f"{paper['final']:.1f}",
-            f"{measured['final']:.1f}",
-        ])
-    print_table(
-        "Table V — expansion placement ablation (MobileNetV2-Tiny)",
-        ["placement", "giant FLOPs", "paper expanded", "measured expanded", "paper final", "measured final"],
-        rows,
-    )
-    return results
+def run_table5():
+    rows = run_experiment("table5", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["table5"].title, rows)
+    return rows
 
 
 def test_table5_where_expand(benchmark):
-    results = benchmark.pedantic(run_table5, rounds=1, iterations=1)
-    placements = {k: v["final"] for k, v in results.items() if k != "Vanilla"}
+    rows = benchmark.pedantic(run_table5, rounds=1, iterations=1)
+    acc = {row.setting: row.measured_value for row in rows}
+    placements = {p: acc[p] for p in ("first", "middle", "last", "uniform")}
     # Paper: uniform placement wins.  At this scale we require uniform to be
     # within the single-seed noise band of the best placement rather than
     # strictly the maximum.

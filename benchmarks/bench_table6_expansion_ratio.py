@@ -3,67 +3,37 @@
 The paper sweeps ratios {2, 4, 6, 8} and finds that the common ratios 4-6 work
 well while 8 starts to hurt (capacity gap too large for effective feature
 inheritance).  The contracted model's cost is identical for every ratio — the
-paper's remark after Eq. 4 — which this benchmark also verifies.
+paper's remark after Eq. 4 — which the registry's ``table6`` experiment
+measures and this benchmark also verifies.
 """
 
 from __future__ import annotations
 
-from repro.core import ExpansionConfig, expand_network
-from repro.eval import count_complexity
-from repro.utils import seed_everything
+from repro.experiments import EXPERIMENTS, run_experiment
 
-from common import PROFILE, get_corpus, get_vanilla_pretrained, make_booster, make_model, print_table
+from common import CONTEXT, PROFILE, print_table
 
-PAPER_TABLE6 = {2: 52.94, 4: 53.52, 6: 53.70, 8: 52.56}
-PAPER_VANILLA = 51.20
-NETWORK = "mobilenetv2-tiny"
+RATIOS = (2, 4, 6, 8)
 
 
-def run_table6() -> dict[str, float]:
-    corpus = get_corpus()
-    results: dict[str, float] = {}
-    contracted_flops: dict[int, int] = {}
-    input_shape = (3, PROFILE.resolution, PROFILE.resolution)
-
-    _, vanilla_history = get_vanilla_pretrained(NETWORK)
-    results["Vanilla"] = vanilla_history.final_val_accuracy
-
-    for ratio in (2, 4, 6, 8):
-        seed_everything(PROFILE.seed + 51)
-        booster = make_booster(ExpansionConfig(expansion_ratio=ratio, fraction=0.5))
-        result = booster.run(make_model(NETWORK), corpus.train, corpus.val)
-        results[f"ratio={ratio}"] = result.final_accuracy
-        contracted_flops[ratio] = count_complexity(result.model, input_shape).flops
-
-    rows = [["Vanilla", f"{PAPER_VANILLA:.1f}", f"{results['Vanilla']:.1f}", "-"]]
-    for ratio in (2, 4, 6, 8):
-        rows.append([
-            f"ratio={ratio}",
-            f"{PAPER_TABLE6[ratio]:.1f}",
-            f"{results[f'ratio={ratio}']:.1f}",
-            f"{contracted_flops[ratio]}",
-        ])
-    print_table(
-        "Table VI — expansion ratio ablation (MobileNetV2-Tiny)",
-        ["setting", "paper final acc", "measured final acc", "contracted FLOPs"],
-        rows,
-    )
-
-    baseline_flops = count_complexity(make_model(NETWORK), input_shape).flops
-    assert all(flops == baseline_flops for flops in contracted_flops.values()), (
-        "contracted cost must be independent of the expansion ratio (paper Eq. 4 remark)"
-    )
-    return results
+def run_table6():
+    rows = run_experiment("table6", PROFILE, CONTEXT)
+    print_table(EXPERIMENTS["table6"].title, rows)
+    return rows
 
 
 def test_table6_expansion_ratio(benchmark):
-    results = benchmark.pedantic(run_table6, rounds=1, iterations=1)
-    ratios = [results[f"ratio={r}"] for r in (2, 4, 6, 8)]
+    rows = benchmark.pedantic(run_table6, rounds=1, iterations=1)
+    acc = {row.setting: row.measured_value for row in rows}
+    assert all(acc[f"ratio={r} / contracted FLOPs"] == acc["Vanilla / FLOPs"] for r in RATIOS), (
+        "contracted cost must be independent of the expansion ratio (paper Eq. 4 remark)"
+    )
+    ratios = [acc[f"ratio={r}"] for r in RATIOS]
     # All ratios should remain in a reasonable band around vanilla accuracy
     # (the paper reports every ratio improving on vanilla by 1.3-2.5 points).
     # The band below reflects the CPU-scale single-seed noise floor.
     assert max(ratios) - min(ratios) <= 12.0
-    assert max(ratios) >= results["Vanilla"] - 2.5
+    assert max(ratios) >= acc["Vanilla"] - 2.5
 
 
 if __name__ == "__main__":  # standalone run through the orchestrator cache

@@ -262,6 +262,9 @@ def bench_corpus(smoke: bool) -> dict:
     return row
 
 
+DP_ROUNDS = 5
+
+
 def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
     """Data-parallel lane: aggregate steps/s vs worker count + bitwise flag.
 
@@ -269,6 +272,9 @@ def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
     real cores the figure scales with the fleet; on a starved runner the
     workers time-slice one core and the ratio hovers near 1.0 (the
     ``check_train_dp`` gate is CPU-count-aware for exactly this reason).
+    Each worker count is timed over ``DP_ROUNDS`` interleaved rounds
+    (1, 2, target, 1, 2, target, ...), so host drift biases every count
+    alike; ``scaling_vs_single`` is the ratio of the medians.
     """
     cpu_count = os.cpu_count() or 1
     if smoke:
@@ -298,13 +304,15 @@ def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
     config = ExperimentConfig(epochs=epochs, batch_size=batch, lr=0.05, warmup_epochs=0)
     target = max_workers if max_workers else min(4, max(2, cpu_count))
     sweep = sorted({1, 2, target})
-    workers_sps: dict[str, float] = {}
-    for world in sweep:
-        trainer = DistributedTrainer(model_fn, config, workers=world, topology="allreduce")
-        trainer.fit(dataset)
-        if not trainer.stats.consistent:
-            raise RuntimeError(f"allreduce digests diverged at workers={world}")
-        workers_sps[str(world)] = trainer.stats.steps_per_sec
+    rates: dict[int, list[float]] = {world: [] for world in sweep}
+    for _round in range(DP_ROUNDS):
+        for world in sweep:
+            trainer = DistributedTrainer(model_fn, config, workers=world, topology="allreduce")
+            trainer.fit(dataset)
+            if not trainer.stats.consistent:
+                raise RuntimeError(f"allreduce digests diverged at workers={world}")
+            rates[world].append(trainer.stats.steps_per_sec)
+    workers = {str(world): quartiles("steps_per_sec", rates[world]) for world in sweep}
 
     gossip = DistributedTrainer(model_fn, config, workers=2, topology="gossip")
     gossip.fit(dataset)
@@ -315,9 +323,10 @@ def bench_distributed(smoke: bool, max_workers: int | None) -> dict:
         "batch_size": batch,
         "epochs": epochs,
         "single_worker_bitwise": single_worker_bitwise,
-        "workers_steps_per_sec": workers_sps,
+        "rounds": DP_ROUNDS,
+        "workers": workers,
         "max_workers": target,
-        "scaling_vs_single": workers_sps[str(target)] / workers_sps["1"],
+        "scaling_vs_single": workers[str(target)]["steps_per_sec"] / workers["1"]["steps_per_sec"],
         "gossip_workers": 2,
         "gossip_steps_per_sec": gossip.stats.steps_per_sec,
     }
@@ -417,7 +426,7 @@ def main() -> None:
     dp = results["distributed"]
     print(
         f"distributed ({dp['cpu_count']} cpus): "
-        + ", ".join(f"{w}w {sps:.2f} steps/s" for w, sps in dp["workers_steps_per_sec"].items())
+        + ", ".join(f"{w}w {row['steps_per_sec']:.2f} steps/s" for w, row in dp["workers"].items())
         + f" | scaling {dp['scaling_vs_single']:.2f}x"
         + f" | bitwise@1w {'ok' if dp['single_worker_bitwise'] else 'FAIL'}"
     )

@@ -1,22 +1,24 @@
-"""Shared workload profile and cached training runs for the benchmark suite.
+"""Shared workload profile, step context and table printer for the benchmarks.
 
-Every benchmark regenerates one table or figure of the NetBooster paper on the
-synthetic substrate.  Because several tables reuse the same pretrained models
-(the vanilla TNN, the NetBooster deep giant, the KD teacher), this module
-routes those artifacts through the **experiment orchestrator's shared steps**
-(:mod:`repro.experiments.registry`) and its content-addressed on-disk cache
-(:mod:`repro.experiments.cache`): the first benchmark to need an artifact
-trains and stores it, every later benchmark — in this process or any other —
-loads it from disk.
+Every paper benchmark regenerates one table or figure of the NetBooster paper
+by running the matching experiment of :mod:`repro.experiments.registry`
+(``run_experiment(name, PROFILE, CONTEXT)``), printing its rows and applying
+its noise-floor assertions to them.  The shared artifacts several tables
+reuse (the vanilla TNN, the NetBooster deep giant, the KD teacher) are the
+registry's shared steps, resolved through :data:`CONTEXT` and the
+orchestrator's content-addressed on-disk cache: the first benchmark to need
+an artifact trains and stores it, every later benchmark — in this process or
+any other — loads it from disk.
 
-Three environment variables control the workload:
+Environment variables:
 
-* ``REPRO_BENCH_SCALE`` — ``"small"`` (default) or ``"full"``; the full scale
-  uses more classes/samples/epochs and is closer to the under-fitting regime
-  of the paper but takes several times longer.
-* ``REPRO_BENCH_FULL_NETWORKS`` — set to ``1`` to benchmark every network of
-  Table I (MobileNetV2-50/100 are expensive); by default Table I covers
-  MobileNetV2-Tiny and MCUNet.
+* ``REPRO_BENCH_SCALE`` — ``"small"`` (default), ``"full"`` or ``"tiny"``;
+  the full scale uses more classes/samples/epochs and is closer to the
+  under-fitting regime of the paper but takes several times longer, the
+  tiny scale runs every benchmark in seconds (a glue check, not a result).
+* ``REPRO_BENCH_FULL_NETWORKS`` — set to ``1`` to run every network of
+  Table I (MobileNetV2-Tiny, MCUNet, MobileNetV2-50/100; the last two are
+  expensive); by default Table I covers MobileNetV2-Tiny only.
 * ``REPRO_CACHE_DIR`` — cache root shared with ``python -m repro.experiments
   run-all`` (default ``.repro_cache``); ``REPRO_BENCH_CACHE=0`` disables the
   on-disk cache and keeps artifacts in-process only.
@@ -25,37 +27,11 @@ Three environment variables control the workload:
 from __future__ import annotations
 
 import os
+import time
 
-from repro.baselines import make_teacher
-from repro.core import ExpansionConfig, NetBooster, NetBoosterConfig
-from repro.data import SyntheticImageNet, SyntheticVOC, downstream_dataset
-from repro.experiments import ExperimentScale, ResultCache, StepContext
-from repro.experiments.cache import Artifact
-from repro.experiments.registry import history_from_meta, history_to_meta, rebuild_giant, rebuild_model
-from repro.models import create_model
-from repro.train import Trainer, evaluate
-from repro.utils import ExperimentConfig, seed_everything
+from repro.experiments import ExperimentScale, ResultCache, ResultRow, StepContext
 
-__all__ = [
-    "BenchProfile",
-    "PROFILE",
-    "CONTEXT",
-    "get_corpus",
-    "get_downstream",
-    "get_voc",
-    "make_model",
-    "make_booster",
-    "get_vanilla_pretrained",
-    "get_pretrained_giant",
-    "get_teacher",
-    "netbooster_accuracy",
-    "print_table",
-    "format_row",
-]
-
-# The benchmark profile *is* an orchestrator scale: identical knobs, shared
-# cache keys.  ``BenchProfile`` is kept as an alias for older call sites.
-BenchProfile = ExperimentScale
+__all__ = ["PROFILE", "CONTEXT", "print_table", "bench_main"]
 
 PROFILE: ExperimentScale = ExperimentScale.named(os.environ.get("REPRO_BENCH_SCALE", "small"))
 
@@ -66,149 +42,38 @@ CONTEXT = StepContext(
     cache=None if os.environ.get("REPRO_BENCH_CACHE", "1") == "0" else ResultCache(),
 )
 
-_DATASETS: dict[str, object] = {}
 
-
-def get_corpus() -> SyntheticImageNet:
-    """The shared large-scale pretraining corpus (stand-in for ImageNet)."""
-    if "corpus" not in _DATASETS:
-        _DATASETS["corpus"] = PROFILE.corpus()
-    return _DATASETS["corpus"]
-
-
-def get_downstream(name: str):
-    """A named downstream dataset at the profile resolution."""
-    key = f"downstream::{name}"
-    if key not in _DATASETS:
-        _DATASETS[key] = downstream_dataset(name, resolution=PROFILE.resolution)
-    return _DATASETS[key]
-
-
-def get_voc() -> SyntheticVOC:
-    """The synthetic detection benchmark."""
-    if "voc" not in _DATASETS:
-        seed_everything(PROFILE.seed)
-        _DATASETS["voc"] = SyntheticVOC(num_classes=5, num_train=72, num_val=32, resolution=32, object_size=12)
-    return _DATASETS["voc"]
-
-
-def make_model(name: str):
-    """Fresh model instance for the benchmark corpus label space."""
-    seed_everything(PROFILE.seed + 1)
-    return create_model(name, num_classes=PROFILE.num_classes)
-
-
-def pretrain_config(epochs: int | None = None) -> ExperimentConfig:
-    config = PROFILE.pretrain_config()
-    return config if epochs is None else config.replace(epochs=epochs)
-
-
-def finetune_config(epochs: int | None = None, lr: float | None = None) -> ExperimentConfig:
-    config = PROFILE.finetune_config().replace(batch_size=32)
-    if epochs is not None:
-        config = config.replace(epochs=epochs)
-    if lr is not None:
-        config = config.replace(lr=lr)
-    return config
-
-
-def make_booster(expansion: ExpansionConfig | None = None) -> NetBooster:
-    """A NetBooster facade configured with the benchmark training recipe."""
-    return NetBooster(
-        NetBoosterConfig(
-            expansion=expansion or ExpansionConfig(),
-            pretrain=pretrain_config(),
-            finetune=finetune_config(lr=PROFILE.finetune_lr),
-            plt_decay_fraction=0.3,
-        )
-    )
-
-
-def get_vanilla_pretrained(model_name: str):
-    """Vanilla-trained model on the corpus (cached), with its history.
-
-    Resolves the orchestrator's ``vanilla/<model>`` shared step: the vanilla
-    baseline gets the same total epoch budget as NetBooster (pretraining +
-    PLT finetuning), mirroring the paper's setup.
-    """
-    artifact = CONTEXT.dep(f"vanilla/{model_name}")
-    model = rebuild_model(model_name, PROFILE, artifact)
-    return model, history_from_meta(artifact.meta["history"])
-
-
-def get_pretrained_giant(model_name: str, expansion: ExpansionConfig | None = None):
-    """NetBooster deep giant pretrained on the corpus (cached, before PLT)."""
-    if expansion is None:
-        artifact = CONTEXT.dep(f"giant/{model_name}")
-    else:
-        def compute() -> Artifact:
-            corpus = get_corpus()
-            seed_everything(PROFILE.seed + 2)
-            booster = make_booster(expansion)
-            giant, _records = booster.build_giant(make_model(model_name))
-            history = booster.pretrain_giant(giant, corpus.train, corpus.val)
-
-            return Artifact(meta={"history": history_to_meta(history)}, states={"giant": dict(giant.state_dict())})
-
-        artifact = CONTEXT.cached_call(
-            f"bench/giant/{model_name}", compute, extra={"expansion": repr(expansion)}
-        )
-    giant, records, _booster = rebuild_giant(model_name, PROFILE, artifact, expansion)
-    return giant, records, history_from_meta(artifact.meta["history"])
-
-
-def get_teacher():
-    """A larger pretrained network used by the KD baselines (cached)."""
-
-    def compute() -> Artifact:
-        corpus = get_corpus()
-        seed_everything(PROFILE.seed + 7)
-        teacher = make_teacher(make_model("mobilenetv2-tiny"), PROFILE.num_classes, width_factor=2.5)
-        Trainer(teacher, pretrain_config()).fit(corpus.train, None)
-        return Artifact(states={"teacher": dict(teacher.state_dict())})
-
-    artifact = CONTEXT.cached_call("bench/teacher", compute)
-    seed_everything(PROFILE.seed + 7)
-    teacher = make_teacher(make_model("mobilenetv2-tiny"), PROFILE.num_classes, width_factor=2.5)
-    teacher.load_state_dict(artifact.states["teacher"], strict=True)
-    return teacher
-
-
-def netbooster_accuracy(model_name: str) -> float:
-    """Full NetBooster pipeline accuracy on the corpus (cached per network)."""
-    return float(CONTEXT.dep(f"netbooster/{model_name}").meta["final_accuracy"])
+def print_table(title: str, rows: list[ResultRow]) -> None:
+    """Print experiment rows as a fixed-width paper-vs-measured table."""
+    header = ["setting", "paper", "measured", "unit"]
+    cells = [
+        [
+            row.setting,
+            "-" if row.paper_value is None else f"{row.paper_value:.2f}",
+            f"{row.measured_value:.2f}",
+            row.unit,
+        ]
+        for row in rows
+    ]
+    widths = [max(len(header[i]), *(len(line[i]) for line in cells)) for i in range(len(header))]
+    print(f"\n=== {title} ===")
+    print(" | ".join(cell.ljust(width) for cell, width in zip(header, widths)))
+    print("-+-".join("-" * width for width in widths))
+    for line in cells:
+        print(" | ".join(cell.ljust(width) for cell, width in zip(line, widths)))
 
 
 def bench_main(run_fn):
     """Standalone entry point for one benchmark file.
 
-    Runs the benchmark body directly (``python benchmarks/bench_xxx.py``)
-    against the orchestrator's shared on-disk cache, so artifacts trained
-    here are reused by ``python -m repro.experiments run-all`` and vice
-    versa.  Returns a process exit code.
+    Runs the benchmark body directly (``python benchmarks/bench_xxx.py``),
+    without its assertions, against the orchestrator's shared on-disk cache,
+    so artifacts trained here are reused by ``python -m repro.experiments
+    run-all`` and vice versa.  Returns a process exit code.
     """
-    import time
-
     where = CONTEXT.cache.root if CONTEXT.cache is not None else "disabled (REPRO_BENCH_CACHE=0)"
     print(f"profile: {PROFILE}\nresult cache: {where}")
     started = time.perf_counter()
     run_fn()
     print(f"\ncompleted in {time.perf_counter() - started:.1f}s")
     return 0
-
-
-# --------------------------------------------------------------------------- #
-# pretty-printing of paper-vs-measured tables
-# --------------------------------------------------------------------------- #
-def format_row(cells: list, widths: list[int]) -> str:
-    return " | ".join(str(cell).ljust(width) for cell, width in zip(cells, widths))
-
-
-def print_table(title: str, header: list, rows: list[list]) -> None:
-    """Print a fixed-width table with the paper's reported value next to ours."""
-    widths = [max(len(str(header[i])), *(len(str(row[i])) for row in rows)) for i in range(len(header))]
-    print(f"\n=== {title} ===")
-    print(format_row(header, widths))
-    print("-+-".join("-" * width for width in widths))
-    for row in rows:
-        print(format_row(row, widths))

@@ -5,8 +5,9 @@ Dispatches on the report's ``suite`` field:
 
 * ``bench_train`` (``BENCH_train.json``) — the Trainer's train step must
   stay above the seed-speedup floor; the distributed data-parallel lane must show aggregate steps/s scaling at max
-  workers (CPU-count-aware floor, sanity floor on starved runners) and the
-  single-worker bitwise-parity flag must hold everywhere.  The ``corpus`` lane
+  workers (CPU-count-aware floor, sanity floor on starved runners), with the
+  quartiles of every worker count, and the single-worker bitwise-parity flag
+  must hold everywhere.  The ``corpus`` lane
   (corpus build and decode cost per image) is required, with its spread.
 * ``bench_serve`` (``BENCH_serve.json``) — the int8 integer engine's forward
   must stay within the configured multiple of the float compiled engine's at
@@ -85,6 +86,8 @@ def check_train(report: dict, args) -> list[str]:
             ("transforms", "per_image_ms"),
             ("corpus", "build_ms"),
             *(("corpus", f"decode_r{res}_us_per_image") for res in (12, 20, 32)),
+            *((f"distributed.workers.{world}", "steps_per_sec")
+              for world in report["benchmarks"].get("distributed", {}).get("workers", {})),
         ],
     )
     if trainer < args.min_seed_ratio * seed:
@@ -116,6 +119,8 @@ def check_train_dp(lane: dict | None, args) -> list[str]:
         return ["report missing the distributed (data-parallel) lane"]
     failures = []
     cpus = lane.get("cpu_count") or 1
+    if not lane.get("workers"):
+        failures.append("distributed lane records no per-worker-count timings")
     if not lane.get("single_worker_bitwise", False):
         failures.append(
             "single-worker DistributedTrainer is not bitwise identical to Trainer"

@@ -1,8 +1,9 @@
 """Programmatic access to the paper's experiments.
 
-The ``benchmarks/`` directory regenerates every table and figure of the paper
-under ``pytest-benchmark``; this subpackage exposes the same comparisons as a
-library API, a CLI (``python -m repro.experiments``) and — through
+Each table and figure of the paper is one registered experiment; the
+``benchmarks/`` directory runs them under ``pytest-benchmark`` with its
+noise-floor assertions, and this subpackage exposes them as a library API, a
+CLI (``python -m repro.experiments``) and — through
 :mod:`repro.experiments.orchestrator` — a parallel job runner with an on-disk
 result cache (:mod:`repro.experiments.cache`), so the whole suite reproduces
 with one command::
@@ -20,15 +21,15 @@ training):
 
 >>> from repro.experiments import run_experiment, ExperimentScale
 >>> rows = run_experiment("cost", ExperimentScale.tiny())
->>> [row.setting for row in rows]
+>>> [row.setting for row in rows if row.unit == "MFLOPs"]
 ['mobilenetv2-tiny', 'mcunet', 'mobilenetv2-50', 'mobilenetv2-100']
 
 Experiments declare the shared artifacts they depend on, which is what lets
 the orchestrator train each one exactly once:
 
 >>> from repro.experiments import EXPERIMENTS
->>> EXPERIMENTS["table4"].deps
-('netbooster/mobilenetv2-tiny',)
+>>> EXPERIMENTS["fig1a"].deps
+('vanilla/mobilenetv2-tiny', 'netbooster/mobilenetv2-tiny')
 """
 
 from .cache import Artifact, ResultCache

@@ -15,10 +15,6 @@ per-table reports and a resumable manifest under ``results/``::
 Run a subset through the orchestrator (same cache, same reports)::
 
     python -m repro.experiments run table1 table4 --workers 2 --scale tiny
-
-Legacy single-process mode (no cache, rows printed to stdout)::
-
-    python -m repro.experiments table4 table6 --tiny
 """
 
 from __future__ import annotations
@@ -26,34 +22,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .registry import ExperimentScale, available_experiments, run_experiment
+from .registry import available_experiments
+
+COMMANDS = ("list", "run", "run-all")
 
 
 def _print_usage(stream=None) -> None:
     stream = stream or sys.stdout
+    print(f"usage: python -m repro.experiments {{{','.join(COMMANDS)}}} ...\n", file=stream)
     print(__doc__.strip(), file=stream)
     print("\nAvailable experiments:", file=stream)
     for name in available_experiments():
         print(f"  {name}", file=stream)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy single-process parser (``python -m repro.experiments NAME``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Re-run individual NetBooster paper experiments on the synthetic substrate.",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help="experiment names (see `list`); none prints usage",
-    )
-    parser.add_argument("--list", action="store_true", help="list available experiments and exit")
-    parser.add_argument("--tiny", action="store_true", help="use the seconds-scale smoke-test workload")
-    parser.add_argument("--classes", type=int, default=None, help="override the number of corpus classes")
-    parser.add_argument("--epochs", type=int, default=None, help="override the pretraining epochs")
-    parser.add_argument("--seed", type=int, default=0)
-    return parser
 
 
 def build_run_parser(command: str) -> argparse.ArgumentParser:
@@ -110,7 +90,7 @@ def _cmd_run(command: str, argv: list[str]) -> int:
     report = orchestrator.run(names, resume=not args.no_resume)
     print(
         f"\n{len(report.outcomes)} jobs in {report.seconds:.1f}s "
-        f"({report.cached_jobs} cache hits) -> {args.out}/REPORT.md"
+        f"({report.cached_jobs} cache hits, {report.evicted} cache evictions) -> {args.out}/REPORT.md"
     )
     for name in names:
         outcome = report.outcomes.get(f"experiment/{name}")
@@ -122,37 +102,6 @@ def _cmd_run(command: str, argv: list[str]) -> int:
     if report.failed_jobs:
         print(f"\nfailed jobs: {', '.join(report.failed_jobs)}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_legacy(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
-
-    if args.list:
-        for name in available_experiments():
-            print(name)
-        return 0
-    if not args.experiments:
-        _print_usage()
-        return 0
-    if _reject_unknown(args.experiments):
-        return 2
-
-    scale = ExperimentScale.tiny() if args.tiny else ExperimentScale()
-    overrides = {}
-    if args.classes is not None:
-        overrides["num_classes"] = args.classes
-    if args.epochs is not None:
-        overrides["pretrain_epochs"] = args.epochs
-    if args.seed:
-        overrides["seed"] = args.seed
-    if overrides:
-        scale = ExperimentScale(**{**scale.__dict__, **overrides})
-
-    for name in args.experiments:
-        print(f"\n--- {name} ---")
-        for row in run_experiment(name, scale):
-            print(row)
     return 0
 
 
@@ -169,7 +118,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if argv[0] in ("run-all", "run"):
             return _cmd_run(argv[0], argv[1:])
-        return _cmd_legacy(argv)
+        print(f"unknown experiment or command {argv[0]!r}", file=sys.stderr)
+        _print_usage(sys.stderr)
+        return 2
     except SystemExit as exc:  # argparse exits on bad flags after printing usage
         return int(exc.code or 0)
 

@@ -25,8 +25,9 @@ Examples
 --------
 The plan for one experiment includes its transitive shared steps:
 
->>> sorted(build_plan(["table4"]))
-['experiment/table4', 'step/giant/mobilenetv2-tiny', 'step/netbooster/mobilenetv2-tiny']
+>>> sorted(build_plan(["table4"]))  # doctest: +NORMALIZE_WHITESPACE
+['experiment/table4', 'step/giant/mobilenetv2-tiny', 'step/netbooster/mobilenetv2-tiny',
+ 'step/vanilla/mobilenetv2-tiny']
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ class JobOutcome:
     seconds: float = 0.0
     rows: list[dict] = field(default_factory=list)
     error: str = ""
+    evicted: int = 0  # damaged cache entries the job deleted on load
 
 
 @dataclass
@@ -97,6 +99,7 @@ class RunReport:
     workers: int
     outcomes: dict[str, JobOutcome]
     seconds: float
+    evicted: int = 0  # damaged cache entries deleted (and recomputed) this run
 
     @property
     def cached_jobs(self) -> int:
@@ -170,7 +173,13 @@ def _execute_job(payload: dict) -> dict:
 
         artifact, hit = cache.memoize(key, compute)
         rows = artifact.meta["rows"]
-    return {"key": key, "rows": rows, "cached": hit, "seconds": time.perf_counter() - started}
+    return {
+        "key": key,
+        "rows": rows,
+        "cached": hit,
+        "seconds": time.perf_counter() - started,
+        "evicted": cache.evicted,
+    }
 
 
 class Orchestrator:
@@ -284,22 +293,23 @@ class Orchestrator:
         pending = dict(plan)
 
         # Resolve completed jobs up front — they finish instantly.  A job is
-        # complete when its content-addressed entry exists in the cache; the
-        # manifest from an interrupted run tells us which of those hits are a
-        # *resume* (the keys must still match — a code or scale change since
-        # the previous run produces different keys and forces a re-run).
+        # complete when its content-addressed entry loads from the cache (a
+        # damaged entry is evicted by the load, counted, and its job runs
+        # again); the manifest from an interrupted run tells us which of
+        # those hits are a *resume* (the keys must still match — a code or
+        # scale change since the previous run produces different keys and
+        # forces a re-run).
+        evicted_before = self.cache.evicted
         resumed = 0
         for job_id, spec in list(pending.items()):
             key = keys[job_id]
-            if not (resume and self.cache.has(key)):
+            artifact = self.cache.load(key) if resume else None
+            if artifact is None:
                 continue
             previous = manifest_jobs.get(job_id, {})
             if previous.get("status") == "done" and previous.get("key") == key:
                 resumed += 1
-            rows: list[dict] = []
-            if spec.kind == "experiment":
-                artifact = self.cache.load(key)
-                rows = artifact.meta.get("rows", []) if artifact else []
+            rows = artifact.meta["rows"] if spec.kind == "experiment" else []
             outcomes[job_id] = JobOutcome(job_id=job_id, key=key, cached=True, rows=rows)
             del pending[job_id]
             self.progress(f"[cached] {job_id}")
@@ -313,6 +323,7 @@ class Orchestrator:
             workers=self.workers,
             outcomes=outcomes,
             seconds=time.perf_counter() - started,
+            evicted=self.cache.evicted - evicted_before + sum(o.evicted for o in outcomes.values()),
         )
         self._write_manifest(outcomes, started)
         self._write_reports(report, names)
@@ -362,6 +373,7 @@ class Orchestrator:
                     cached=result.get("cached", False),
                     seconds=result["seconds"],
                     rows=result["rows"],
+                    evicted=result["evicted"],
                 )
                 self.progress(f"[done]   {spec.job_id} ({result['seconds']:.1f}s)")
             del pending[spec.job_id]
@@ -438,6 +450,7 @@ class Orchestrator:
             f"- wall-clock: {report.seconds:.1f}s",
             f"- jobs: {len(report.outcomes)} total, {report.cached_jobs} cache hits, "
             f"{len(report.failed_jobs)} failed",
+            f"- cache evictions: {report.evicted}",
             "",
             "| experiment | status | seconds | cached | report |",
             "|---|---|---|---|---|",

@@ -115,13 +115,10 @@ class TestResultCache:
 class TestPlan:
     def test_plan_includes_transitive_steps(self):
         plan = build_plan(["table4"])
-        assert set(plan) == {
-            "experiment/table4",
-            "step/netbooster/mobilenetv2-tiny",
-            "step/giant/mobilenetv2-tiny",
-        }
+        steps = ("step/vanilla/mobilenetv2-tiny", "step/giant/mobilenetv2-tiny", "step/netbooster/mobilenetv2-tiny")
+        assert set(plan) == {"experiment/table4", *steps}
         assert plan["step/netbooster/mobilenetv2-tiny"].deps == ("step/giant/mobilenetv2-tiny",)
-        assert plan["experiment/table4"].deps == ("step/netbooster/mobilenetv2-tiny",)
+        assert plan["experiment/table4"].deps == steps
 
     def test_analytic_experiment_has_no_deps(self):
         plan = build_plan(["cost"])
@@ -143,7 +140,7 @@ class TestStepContext:
         name = "vanilla/mobilenetv2-tiny"
         assert ctx_tiny.step_key(name) == StepContext(tiny_scale).step_key(name)
         assert ctx_tiny.step_key(name) != ctx_small.step_key(name)
-        assert ctx_tiny.step_key(name) != ctx_tiny.step_key("pretrain/mobilenetv2-tiny")
+        assert ctx_tiny.step_key(name) != ctx_tiny.step_key("giant/mobilenetv2-tiny")
 
     def test_dep_uses_cache_across_contexts(self, tiny_scale, tmp_path):
         cache = ResultCache(tmp_path)
@@ -160,7 +157,7 @@ class TestOrchestrator:
         orchestrator = Orchestrator(tiny_scale, cache_dir=tmp_path / "cache", workers=1, out_dir=out)
         report = orchestrator.run(["cost"])
         assert report.failed_jobs == []
-        assert [row.unit for row in report.rows_for("cost")] == ["MFLOPs"] * 4
+        assert [row.unit for row in report.rows_for("cost")] == ["MFLOPs", "M params", "1 = yes"] * 4
         assert (out / "cost.json").is_file() and (out / "cost.md").is_file()
         assert (out / "REPORT.md").is_file()
         manifest = json.loads((out / MANIFEST_NAME).read_text())
@@ -185,11 +182,17 @@ class TestOrchestrator:
         assert set(report.outcomes) == {
             "experiment/cost",
             "experiment/table4",
+            "step/vanilla/mobilenetv2-tiny",
             "step/giant/mobilenetv2-tiny",
             "step/netbooster/mobilenetv2-tiny",
         }
         settings = [row.setting for row in report.rows_for("table4")]
-        assert settings == ["inverted_residual", "basic", "bottleneck"]
+        assert settings == [
+            "Vanilla",
+            "inverted_residual", "inverted_residual / expanded",
+            "basic", "basic / expanded",
+            "bottleneck", "bottleneck / expanded",
+        ]
         # The shared-step artifacts landed in the same cache the registry uses.
         ctx = StepContext(tiny_scale, ResultCache(tmp_path / "cache"))
         assert ctx.cache.has(ctx.step_key("giant/mobilenetv2-tiny"))
@@ -231,6 +234,20 @@ class TestOrchestrator:
         # ... but the worker honestly reports it resolved as a cache replay.
         assert report.outcomes["experiment/cost"].cached
 
+    def test_damaged_step_is_evicted_counted_and_recomputed(self, tiny_scale, tmp_path):
+        kwargs = dict(cache_dir=tmp_path / "cache", workers=1, out_dir=tmp_path / "results")
+        first = Orchestrator(tiny_scale, **kwargs).run(["fidelity"])
+        assert first.evicted == 0
+        ctx = StepContext(tiny_scale, ResultCache(tmp_path / "cache"))
+        states = ctx.cache._entry_dir(ctx.step_key("vanilla/mobilenetv2-tiny")) / "states.npz"
+        states.write_bytes(b"not a zip")
+        second = Orchestrator(tiny_scale, **kwargs).run(["fidelity"])
+        assert second.evicted == 1
+        assert not second.outcomes["step/vanilla/mobilenetv2-tiny"].cached
+        assert second.outcomes["experiment/fidelity"].cached
+        assert "- cache evictions: 1" in (tmp_path / "results" / "REPORT.md").read_text()
+        assert ctx.cache.load(ctx.step_key("vanilla/mobilenetv2-tiny")) is not None
+
     def test_registry_and_orchestrator_agree(self, tiny_scale, tmp_path):
         direct = run_experiment("cost", tiny_scale)
         report = Orchestrator(
@@ -247,7 +264,7 @@ class TestCliOrchestration:
         rc = main(["run", "cost", "--scale", "tiny", "--workers", "1", "--out", str(tmp_path / "results")])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "cache hits" in out and "measured=" in out
+        assert "cache hits, 0 cache evictions" in out and "measured=" in out
         assert (tmp_path / "results" / MANIFEST_NAME).is_file()
 
     def test_run_subcommand_rejects_unknown(self, tmp_path, capsys):
